@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .autograd import no_tape
 from .elements import formula_elements
 from .encoder import AttentionRecord, EncoderModel, forward
 from .systems import AtomicSystem
@@ -180,8 +181,8 @@ def export_embeddings(
         fh.write("\t".join(meta_cols + vec_cols) + "\n")
         for start in range(0, len(systems), batch_size):
             chunk_sys = systems[start:start + batch_size]
-            res = forward(model, list(seqs[start:start + batch_size]))
-            pooled = res.pooled.data
+            with no_tape():
+                pooled = forward(model, list(seqs[start:start + batch_size])).pooled.data
             for row, system in enumerate(chunk_sys):
                 n_ads = system.adsorbate_atom_count
                 bulk_els = set(formula_elements(system.bulk_formula))

@@ -278,7 +278,10 @@ def forward(
     """Run a batch through the encoder and the first-token regression head.
 
     Dropout (attention weights and feed-forward outputs) is active only
-    when train=True, in which case rng must be provided.
+    when train=True, in which case rng must be provided. The batch is cut
+    to its longest real sequence, since later positions are padding in
+    every row and masked keys never reach a real position; captured
+    attention keeps the full padded (B, heads, L, L) shape.
     """
     cfg = model.config
     ids, mask = _stack_batch(seqs)
@@ -288,6 +291,10 @@ def forward(
         raise ValueError("token id out of range")
     if train and rng is None:
         raise ValueError("training forward needs an rng for dropout")
+    if not capture_attention:
+        real = np.flatnonzero(mask.any(axis=0))
+        if real.size:
+            ids, mask = ids[:, :real[-1] + 1], mask[:, :real[-1] + 1]
 
     x, captured = _encode(model, ids, mask, capture_attention, train, rng)
     p = model.params
@@ -371,16 +378,15 @@ def _read_header(path: str | Path) -> tuple[dict, int]:
     return manifest, len(CHECKPOINT_MAGIC) + 4 + header_len
 
 
-def read_manifest(path: str | Path) -> dict:
-    return _read_header(path)[0]
-
-
 def load_checkpoint(
     path: str | Path, expected_vocab_sha256: str | None = None
 ) -> tuple[EncoderModel, dict]:
     """Bit-exact inverse of save_checkpoint; warns on vocabulary-hash mismatch."""
     manifest, offset = _read_header(path)
-    config = EncoderConfig(**manifest["config"])
+    try:
+        config = EncoderConfig(**manifest["config"])
+    except TypeError as exc:  # an unknown or a missing config key
+        raise CheckpointError(f"{path}: config does not fit EncoderConfig ({exc})") from None
     wire_dtype = "<f8" if config.dtype == "float64" else "<f4"
     itemsize = 8 if config.dtype == "float64" else 4
     if (

@@ -97,9 +97,18 @@ def read_predictions(path: str | Path) -> list[PredictionRecord]:
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 6:
                 raise ValueError(f"{path}:{lineno}: expected 6 columns")
+            try:
+                label, prediction = float(parts[4]), float(parts[5])
+            except ValueError:
+                label = prediction = math.nan
+            if not (math.isfinite(label) and math.isfinite(prediction)):
+                # an unlabeled record from `predict` would turn every MAE,
+                # RMSE and SECR into nan without an error
+                raise ValueError(
+                    f"{path}:{lineno}: {parts[0]}: label and prediction must be "
+                    f"finite numbers, got {parts[4]!r} and {parts[5]!r}")
             records.append(PredictionRecord(
-                parts[0], parts[1], parts[2], parts[3],
-                float(parts[4]), float(parts[5])))
+                parts[0], parts[1], parts[2], parts[3], label, prediction))
     return records
 
 
@@ -230,10 +239,6 @@ class _MomentAccumulator:
         self.sij += ei * float(ej.sum())
         self.sd += float(d.sum())
         self.sdd += float((d * d).sum())
-
-    def merge(self, other: "_MomentAccumulator"):
-        for name in self.__slots__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     @property
     def rmse(self) -> float:

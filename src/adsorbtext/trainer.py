@@ -164,9 +164,10 @@ def encode_labeled(records, vocab: Vocabulary, max_positions: int,
 def predict_energies(model: EncoderModel, seqs: Sequence[TokenSequence],
                      batch_size: int = 32) -> np.ndarray:
     out = []
-    for start in range(0, len(seqs), batch_size):
-        res = forward(model, list(seqs[start:start + batch_size]))
-        out.append(res.energies())
+    with ag.no_tape():
+        for start in range(0, len(seqs), batch_size):
+            res = forward(model, list(seqs[start:start + batch_size]))
+            out.append(res.energies())
     return np.concatenate(out) if out else np.empty(0)
 
 
@@ -325,7 +326,8 @@ def masked_top1_accuracy(model: EncoderModel, texts: Sequence[str],
         masked, labels = dynamic_mask(seq, vocab, rate, seed=[seed, i])
         if not labels:
             continue
-        logits = mlm_logits(model, [masked]).data[0]
+        with ag.no_tape():
+            logits = mlm_logits(model, [masked]).data[0]
         for pos, original in labels:
             hits += int(np.argmax(logits[pos]) == original)
             total += 1

@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 complete. The slowest test (desk-scale benchmark on 2,000 synthetic
-systems) takes on the order of ten minutes on a laptop CPU; everything
-else finishes in seconds to a couple of minutes.
+systems) takes about two minutes on a 2-core CPU; everything else
+finishes in seconds to half a minute.
 """
 
 import math

@@ -196,3 +196,15 @@ def test_forward_ops_stay_finite(rng):
             t, Tensor(np.ones(16)), Tensor(np.zeros(16))),
                ag.gelu, ag.tanh):
         assert np.all(np.isfinite(op(x).data))
+
+
+def test_no_tape_records_nothing_and_restores_after_error():
+    w = Tensor(np.ones((2, 2)), requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with ag.no_tape():
+            out = ag.gelu(ag.matmul(w, w))
+            assert not out.requires_grad
+            assert out._parents == () and out._backward is None
+            raise RuntimeError("inside the context")
+    taped = ag.gelu(ag.matmul(w, w))
+    assert taped.requires_grad and taped._backward is not None

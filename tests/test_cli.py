@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from adsorbtext.cli import (
     fixture_dataset_path,
     run,
 )
+from adsorbtext.encoder import EncoderConfig, init_model, save_checkpoint
 from adsorbtext.featurize import read_corpus
 from adsorbtext.synth import fixture_dataset
 from adsorbtext.systems import save_dataset
@@ -186,6 +188,29 @@ def test_predict_unknown_system_is_user_error(tmp_path, table_system):
                 "--ckpt", str(out / "model.ckpt"),
                 "--out", str(tmp_path / "p.tsv")])
     assert code == EXIT_USER_ERROR
+
+
+def test_eval_rejects_unlabeled_prediction(tmp_path, capsys):
+    systems = fixture_dataset(6)
+    systems[3] = dataclasses.replace(systems[3], energy_ev=None)
+    dataset, corpus, vocab_path = (tmp_path / n for n in ("s.jsonl", "c.jsonl", "v.txt"))
+    save_dataset(systems, dataset)
+    assert run(["featurize", "--in", str(dataset), "--out", str(corpus),
+                "--format", "s1"]) == EXIT_OK
+    assert run(["build-vocab", "--in", str(corpus), "--out", str(vocab_path)]) == EXIT_OK
+    vocab = Vocabulary.load(vocab_path)
+    model = init_model(EncoderConfig(vocab_size=len(vocab), n_layers=1, n_heads=1,
+                                     hidden_size=8, max_positions=16))
+    save_checkpoint(model, tmp_path / "m.ckpt", vocab_sha256=vocab.sha256)
+    pred = tmp_path / "p.tsv"
+    assert run(["predict", "--systems", str(dataset), "--corpus", str(corpus),
+                "--vocab", str(vocab_path), "--ckpt", str(tmp_path / "m.ckpt"),
+                "--out", str(pred)]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["eval", "--pred", str(pred), "--out", str(tmp_path / "eval")]) \
+        == EXIT_USER_ERROR
+    err = capsys.readouterr().err
+    assert f"p.tsv:5: {systems[3].id}" in err and "finite" in err
 
 
 def test_attention_cli_selects_system(tmp_path):

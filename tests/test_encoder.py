@@ -87,6 +87,43 @@ def test_padded_position_gradients_exactly_zero(rng):
     assert np.array_equal(pos_grad, np.zeros_like(pos_grad))
 
 
+def test_batch_trimmed_to_longest_sequence_is_exact(rng):
+    model = init_model(small_config(max_positions=32), seed=13)
+    seqs = [make_seq(rng, n, max_positions=32) for n in (6, 17, 24)]
+    batch = forward(model, seqs).energies()
+    alone = np.concatenate([forward(model, [s]).energies() for s in seqs])
+    assert np.abs(batch - alone).max() < 1e-12
+    # capturing attention runs the full padded length
+    padded = forward(model, seqs, capture_attention=True).energies()
+    assert np.abs(batch - padded).max() < 1e-12
+
+    # same parameters at more positions: the extra pos_emb rows are never read
+    wide = model.clone()
+    wide.config = small_config(max_positions=48)
+    wide.params["pos_emb"].data = np.vstack(
+        [model.params["pos_emb"].data, rng.normal(0.0, 0.02, (16, 16))])
+    wide_seqs = [TokenSequence(np.pad(s.ids, (0, 16), constant_values=PAD),
+                               np.pad(s.attention_mask, (0, 16))) for s in seqs]
+    assert np.abs(forward(wide, wide_seqs).energies() - batch).max() < 1e-12
+
+    ag.backward(ag.tensor_sum(forward(model, seqs).energy))
+    assert not np.any(model.params["tok_emb"].grad[PAD])
+    assert not np.any(model.params["pos_emb"].grad[24:])
+
+
+def test_forward_without_tape_is_bitwise_equal(rng):
+    model = init_model(small_config(), seed=14)
+    seqs = [make_seq(rng, n) for n in (5, 13, 20)]
+    taped = forward(model, seqs)
+    with ag.no_tape():
+        untaped = forward(model, seqs)
+    assert taped.energy.requires_grad
+    assert np.array_equal(untaped.energies(), taped.energies())
+    for t in (untaped.energy, untaped.pooled):
+        assert not t.requires_grad
+        assert t._parents == () and t._backward is None
+
+
 def test_permutation_sensitivity(rng):
     model = init_model(small_config(), seed=4)
     seq = make_seq(rng, 12)
@@ -199,6 +236,17 @@ def test_checkpoint_truncation_detected(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 100])
     with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_unknown_config_key(tmp_path):
+    model = init_model(small_config(), seed=10)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    blob = path.read_bytes()
+    # same length, so the header-length field stays valid
+    path.write_bytes(blob.replace(b'"pre_norm"', b'"pre_nrom"', 1))
+    with pytest.raises(CheckpointError, match=r"model\.ckpt.*pre_nrom"):
         load_checkpoint(path)
 
 

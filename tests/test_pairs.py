@@ -297,6 +297,18 @@ def test_predictions_bad_header(tmp_path):
         read_predictions(path)
 
 
+@pytest.mark.parametrize("label, prediction", [
+    ("nan", "0.5"), ("0.5", "inf"), ("-inf", "0.5"), ("x", "0.5")])
+def test_predictions_non_finite_value_names_record(tmp_path, label, prediction):
+    path = tmp_path / "preds.tsv"
+    write_predictions([_rec(0), _rec(1)], path)
+    lines = path.read_text().splitlines()
+    lines[2] = f"sys1\tID\tNH\tAl20Rh8\t{label}\t{prediction}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"preds\.tsv:3: sys1: .*finite"):
+        read_predictions(path)
+
+
 def test_parity_export_schema(tmp_path, rng):
     splits = ["ID", "OOD_ads", "OOD_cat", "OOD_both"]
     records = [_rec(i, split=splits[i % 4], err=float(rng.normal()))

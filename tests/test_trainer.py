@@ -3,7 +3,8 @@ import logging
 import numpy as np
 import pytest
 
-from adsorbtext.encoder import EncoderConfig, init_model, mlm_logits
+import adsorbtext.autograd as ag
+from adsorbtext.encoder import EncoderConfig, forward, init_model, mlm_logits
 from adsorbtext.featurize import CorpusRecord
 from adsorbtext.tokens import build_vocab, dynamic_mask, encode, tokenize
 from adsorbtext.trainer import (
@@ -13,6 +14,7 @@ from adsorbtext.trainer import (
     TrainRunConfig,
     adamw_step,
     masked_top1_accuracy,
+    predict_energies,
     pretrain_mlm,
     train_regression,
     write_history,
@@ -154,6 +156,21 @@ def test_perfect_predictions_have_zero_mae():
     run = TrainRunConfig(batch_size=8, max_epochs=1, seed=0, base_lr=0.0)
     result = train_regression(model, labeled, labeled, run, vocab)
     assert result.history[0]["val_mae"] == 0.0
+
+
+def test_predict_energies_leaves_no_tape_or_gradients():
+    records = _toy_records(10)
+    vocab = build_vocab([r.text for r in records])
+    model = init_model(_desk_config(vocab), seed=3)
+    seqs = [encode(r.text, vocab, 16) for r in records]
+    preds = predict_energies(model, seqs, batch_size=4)
+    taped = np.concatenate([forward(model, seqs[i:i + 4]).energies()
+                            for i in range(0, 10, 4)])
+    assert np.array_equal(preds, taped)
+    assert all(p.grad is None for p in model.params.values())
+    # recording is back on after the call
+    ag.backward(ag.tensor_sum(forward(model, seqs[:2]).energy))
+    assert model.params["tok_emb"].grad is not None
 
 
 def test_unlabeled_sample_rejected():
