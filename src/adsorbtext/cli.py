@@ -432,9 +432,9 @@ def cmd_embeddings(args) -> None:
 
 def cmd_pairs(args) -> None:
     _require_inputs(args.pred)
-    records = pairs_mod.read_predictions(args.pred)
-    reports = pairs_mod.split_pair_stats(records,
-                                         within_split=not args.across_splits)
+    columns = pairs_mod.read_prediction_columns(args.pred)
+    reports = pairs_mod.column_pair_stats(columns,
+                                          within_split=not args.across_splits)
     args.report.mkdir(parents=True, exist_ok=True)
     report_path = args.report / "pairs_report.tsv"
     with open(report_path, "w", encoding="utf-8") as fh:

@@ -402,15 +402,19 @@ def load_checkpoint(
     params: dict[str, Tensor] = {}
     with open(path, "rb") as fh:
         fh.seek(offset)
-        for entry in manifest["params"]:
-            shape = tuple(entry["shape"])
+        for index, entry in enumerate(manifest["params"]):
+            try:
+                name, shape = entry["name"], tuple(entry["shape"])
+            except KeyError as exc:
+                raise CheckpointError(
+                    f"{path}: manifest params[{index}] has no key {exc}") from None
             count = int(np.prod(shape)) if shape else 1
             buf = fh.read(count * itemsize)
             if len(buf) != count * itemsize:
-                raise CheckpointError(f"{path}: truncated blob at {entry['name']}")
+                raise CheckpointError(f"{path}: truncated blob at {name}")
             data = np.frombuffer(buf, dtype=wire_dtype).reshape(shape).astype(
                 config.np_dtype)
-            params[entry["name"]] = Tensor(data.copy(), requires_grad=True)
+            params[name] = Tensor(data.copy(), requires_grad=True)
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after parameter blob")
     return EncoderModel(config, params), manifest

@@ -359,10 +359,15 @@ def read_corpus(path: str | Path) -> list[CorpusRecord]:
                 continue
             try:
                 rec = json.loads(line)
-                records.append(CorpusRecord(
+                record = CorpusRecord(
                     rec["system_id"], rec["format"], rec["text"],
                     rec.get("energy_ev"), rec.get("split", "train"),
-                ))
-            except (json.JSONDecodeError, KeyError) as exc:
+                )
+                finite = record.energy_ev is None or math.isfinite(record.energy_ev)
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad corpus record ({exc})") from None
+            if not finite:
+                raise ValueError(f"{path}:{lineno}: {record.system_id}: energy_ev must be "
+                                 f"finite, got {record.energy_ev!r}")
+            records.append(record)
     return records

@@ -11,15 +11,18 @@ SECR% = 100 * (1 - RMSE(subgroup pair errors) / RMSE(all pair errors)),
 with population (divide-by-N) normalization throughout; the choice
 cancels in the ratio but is pinned for reproducibility.
 
-Exhaustive pair sets are never materialized: generate_pairs streams, and
-the report path accumulates moments one row at a time (all pairs (i, j>i)
-of one anchor i per numpy step), which keeps ~3M-pair splits in the
-seconds range.
+The report path visits no pair: the n_g*(n_g-1)/2 pairs of a group of
+n_g records have squared errors summing to n_g * sum (e - mean)^2, so
+adsorbate, bulk and (adsorbate, bulk) group sums give every count and
+RMSE in O(n log n), and rank weights give the moments of the ordered
+pairs (i, j>i). generate_pairs, secr and error_propagation_stats visit
+each pair and are the reference for tests.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -77,21 +80,22 @@ def chemically_similar(pair: PairRecord) -> bool:
     return pair.shares_adsorbate or pair.shares_bulk
 
 
+_HEADER = ["system_id", "split", "adsorbate_smiles", "bulk_formula", "label", "prediction"]
+
+
 def write_predictions(records: Iterable[PredictionRecord], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("system_id\tsplit\tadsorbate_smiles\tbulk_formula\tlabel\tprediction\n")
+        fh.write("\t".join(_HEADER) + "\n")
         for r in records:
             fh.write(f"{r.system_id}\t{r.split}\t{r.adsorbate_smiles}\t"
                      f"{r.bulk_formula}\t{r.label!r}\t{r.prediction!r}\n")
 
 
-def read_predictions(path: str | Path) -> list[PredictionRecord]:
-    records = []
+def _prediction_rows(path: str | Path) -> Iterator[tuple[list[str], float, float]]:
+    """Checked (columns, label, prediction) of each line of a predictions file."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
-        expected = ["system_id", "split", "adsorbate_smiles", "bulk_formula",
-                    "label", "prediction"]
-        if header != expected:
+        if header != _HEADER:
             raise ValueError(f"{path}: unexpected predictions header {header}")
         for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split("\t")
@@ -107,9 +111,38 @@ def read_predictions(path: str | Path) -> list[PredictionRecord]:
                 raise ValueError(
                     f"{path}:{lineno}: {parts[0]}: label and prediction must be "
                     f"finite numbers, got {parts[4]!r} and {parts[5]!r}")
-            records.append(PredictionRecord(
-                parts[0], parts[1], parts[2], parts[3], label, prediction))
-    return records
+            yield parts, label, prediction
+
+
+def read_predictions(path: str | Path) -> list[PredictionRecord]:
+    return [PredictionRecord(*parts[:4], label, prediction)
+            for parts, label, prediction in _prediction_rows(path)]
+
+
+class PredictionColumns(NamedTuple):
+    """Records in order; codes number a column's strings by first appearance."""
+    split_names: list[str]  # split_names[c] is the name of split code c
+    split: np.ndarray
+    adsorbate: np.ndarray
+    bulk: np.ndarray
+    error: np.ndarray  # prediction - label, eV
+
+
+def _to_columns(rows: Iterable[tuple[str, str, str, float]]) -> PredictionColumns:
+    splits, adsorbates, bulks = {}, {}, {}
+    split, adsorbate, bulk, error = array("q"), array("q"), array("q"), array("d")
+    for s, a, b, e in rows:
+        split.append(splits.setdefault(s, len(splits)))
+        adsorbate.append(adsorbates.setdefault(a, len(adsorbates)))
+        bulk.append(bulks.setdefault(b, len(bulks)))
+        error.append(e)
+    return PredictionColumns(list(splits), *(np.array(c) for c in (split, adsorbate, bulk, error)))
+
+
+def read_prediction_columns(path: str | Path) -> PredictionColumns:
+    """read_predictions as columns, with its checks but no object per record."""
+    return _to_columns((parts[1], parts[2], parts[3], prediction - label)
+                       for parts, label, prediction in _prediction_rows(path))
 
 
 def mae_by_split(records: Sequence[PredictionRecord]) -> list[tuple[str, float, int]]:
@@ -127,36 +160,22 @@ def mae_by_split(records: Sequence[PredictionRecord]) -> list[tuple[str, float, 
     return rows
 
 
-def _split_groups(records: Sequence[PredictionRecord],
-                  within_split: bool) -> list[list[int]]:
-    if not within_split:
-        return [list(range(len(records)))]
-    order: dict[str, list[int]] = {}
-    for i, r in enumerate(records):
-        order.setdefault(r.split, []).append(i)
-    return list(order.values())
-
-
 def generate_pairs(records: Sequence[PredictionRecord],
                    within_split: bool = True) -> Iterator[PairRecord]:
-    """All unordered pairs (n*(n-1)/2 per group) in record order, streamed."""
+    """All unordered pairs (n*(n-1)/2 per split) in record order, streamed."""
     ids = [r.system_id for r in records]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate system ids in prediction records")
-    for group in _split_groups(records, within_split):
-        for a in range(len(group)):
-            i = group[a]
-            ri = records[i]
-            for b in range(a + 1, len(group)):
-                rj = records[group[b]]
-                yield PairRecord(
-                    ri.system_id, rj.system_id,
-                    ri.label - rj.label,
-                    ri.prediction - rj.prediction,
-                    ri.error - rj.error,
-                    ri.adsorbate_smiles == rj.adsorbate_smiles,
-                    ri.bulk_formula == rj.bulk_formula,
-                )
+    groups: dict[str, list[PredictionRecord]] = {}
+    for r in records:
+        groups.setdefault(r.split if within_split else "all", []).append(r)
+    for group in groups.values():
+        for a, ri in enumerate(group):
+            for rj in group[a + 1:]:
+                yield PairRecord(ri.system_id, rj.system_id, ri.label - rj.label,
+                                 ri.prediction - rj.prediction, ri.error - rj.error,
+                                 ri.adsorbate_smiles == rj.adsorbate_smiles,
+                                 ri.bulk_formula == rj.bulk_formula)
 
 
 def pair_count(n: int) -> int:
@@ -171,18 +190,14 @@ def secr(pairs: Iterable[PairRecord],
     sq_total = sq_sub = 0.0
     for pair in pairs:
         sq = pair.error * pair.error
-        n_total += 1
-        sq_total += sq
+        n_total, sq_total = n_total + 1, sq_total + sq
         if selector(pair):
-            n_sub += 1
-            sq_sub += sq
+            n_sub, sq_sub = n_sub + 1, sq_sub + sq
     if n_total == 0:
         raise ValueError("empty pair set")
     if n_sub == 0 or sq_total == 0.0:
         return None
-    rmse_total = math.sqrt(sq_total / n_total)
-    rmse_sub = math.sqrt(sq_sub / n_sub)
-    return 100.0 * (1.0 - rmse_sub / rmse_total)
+    return 100.0 * (1.0 - math.sqrt(sq_sub / n_sub) / math.sqrt(sq_total / n_total))
 
 
 @dataclass(frozen=True)
@@ -208,69 +223,29 @@ class PropagationStats:
         return abs(self.var_pair - self.var_i - self.var_j + 2.0 * self.cov)
 
 
-class _MomentAccumulator:
-    """Single-pass sums for PropagationStats and RMSE over a pair stream."""
-
-    __slots__ = ("n", "si", "sj", "sii", "sjj", "sij", "sd", "sdd")
-
-    def __init__(self):
-        self.n = 0
-        self.si = self.sj = self.sii = self.sjj = self.sij = 0.0
-        self.sd = self.sdd = 0.0
-
-    def add(self, ei: float, ej: float):
-        d = ei - ej
-        self.n += 1
-        self.si += ei
-        self.sj += ej
-        self.sii += ei * ei
-        self.sjj += ej * ej
-        self.sij += ei * ej
-        self.sd += d
-        self.sdd += d * d
-
-    def add_arrays(self, ei: float, ej: np.ndarray):
-        d = ei - ej
-        self.n += ej.size
-        self.si += ei * ej.size
-        self.sj += float(ej.sum())
-        self.sii += ei * ei * ej.size
-        self.sjj += float((ej * ej).sum())
-        self.sij += ei * float(ej.sum())
-        self.sd += float(d.sum())
-        self.sdd += float((d * d).sum())
-
-    @property
-    def rmse(self) -> float:
-        return math.sqrt(self.sdd / self.n) if self.n else float("nan")
-
-    def stats(self) -> PropagationStats:
-        if self.n == 0:
-            raise ValueError("no pairs accumulated")
-        n = self.n
-        var_i = self.sii / n - (self.si / n) ** 2
-        var_j = self.sjj / n - (self.sj / n) ** 2
-        cov = self.sij / n - (self.si / n) * (self.sj / n)
-        var_pair = self.sdd / n - (self.sd / n) ** 2
-        return PropagationStats(n, var_pair, var_i, var_j, cov)
-
-
 def error_propagation_stats(
     records: Sequence[PredictionRecord],
     pairs: Iterable[PairRecord],
     selector: Callable[[PairRecord], bool] | None = None,
 ) -> PropagationStats:
-    """Empirical Var(e_ij), Var(e_i), Var(e_j) and Cov over a pair stream
-    (optionally restricted to a subgroup); per-system errors come from the
-    prediction records."""
+    """Empirical Var(e_ij), Var(e_i), Var(e_j) and Cov over a pair stream,
+    optionally restricted to a subgroup, with the records' errors."""
     if len(records) < 2:
         raise ValueError("need at least two prediction records")
     err_by_id = {r.system_id: r.error for r in records}
-    acc = _MomentAccumulator()
+    n = 0
+    si = sj = sii = sjj = sij = sdd = 0.0
     for pair in pairs:
         if selector is None or selector(pair):
-            acc.add(err_by_id[pair.id_i], err_by_id[pair.id_j])
-    return acc.stats()
+            ei, ej = err_by_id[pair.id_i], err_by_id[pair.id_j]
+            n += 1
+            si, sj, sdd = si + ei, sj + ej, sdd + (ei - ej) ** 2
+            sii, sjj, sij = sii + ei * ei, sjj + ej * ej, sij + ei * ej
+    if n == 0:
+        raise ValueError("no pairs accumulated")
+    mi, mj = si / n, sj / n
+    return PropagationStats(n, sdd / n - (mi - mj) ** 2, sii / n - mi * mi,
+                            sjj / n - mj * mj, sij / n - mi * mj)
 
 
 SUBGROUPS = ("sharing_one", "sharing_two", "chemically_similar")
@@ -290,61 +265,85 @@ class SplitPairReport:
 
 def split_pair_stats(records: Sequence[PredictionRecord],
                      within_split: bool = True) -> list[SplitPairReport]:
-    """Streaming pair statistics per split: counts, RMSEs, SECR, moments.
-
-    Vectorizes over the trailing partners of each anchor record, so memory
-    stays O(n) while covering all n*(n-1)/2 pairs exactly.
-    """
-    reports = []
-    groups = _split_groups(records, within_split)
-    for group in groups:
-        split = records[group[0]].split if within_split else "all"
-        n = len(group)
-        errors = np.array([records[i].error for i in group])
-        smiles_codes = _codes([records[i].adsorbate_smiles for i in group])
-        bulk_codes = _codes([records[i].bulk_formula for i in group])
-
-        total = _MomentAccumulator()
-        subs = {name: _MomentAccumulator() for name in SUBGROUPS}
-        for a in range(n - 1):
-            ej = errors[a + 1:]
-            total.add_arrays(float(errors[a]), ej)
-            same_ads = smiles_codes[a + 1:] == smiles_codes[a]
-            same_bulk = bulk_codes[a + 1:] == bulk_codes[a]
-            masks = {
-                "sharing_one": same_ads ^ same_bulk,
-                "sharing_two": same_ads & same_bulk,
-                "chemically_similar": same_ads | same_bulk,
-            }
-            for name, mask in masks.items():
-                if mask.any():
-                    subs[name].add_arrays(float(errors[a]), ej[mask])
-
-        rmse_total = total.rmse if total.n else None
-        counts = {name: acc.n for name, acc in subs.items()}
-        rmses = {name: (acc.rmse if acc.n else None) for name, acc in subs.items()}
-        secrs = {}
-        for name, acc in subs.items():
-            if acc.n == 0 or not total.n or total.rmse == 0.0:
-                secrs[name] = None
-            else:
-                secrs[name] = 100.0 * (1.0 - acc.rmse / total.rmse)
-        reports.append(SplitPairReport(
-            split=split,
-            n_systems=n,
-            n_pairs=total.n,
-            rmse_total=rmse_total,
-            subgroup_counts=counts,
-            subgroup_rmse=rmses,
-            subgroup_secr=secrs,
-            propagation=total.stats() if total.n else None,
-        ))
-    return reports
+    return column_pair_stats(_to_columns(
+        (r.split, r.adsorbate_smiles, r.bulk_formula, r.error) for r in records), within_split)
 
 
-def _codes(values: list[str]) -> np.ndarray:
-    _, codes = np.unique(np.asarray(values, dtype=object), return_inverse=True)
-    return codes
+def column_pair_stats(columns: PredictionColumns,
+                      within_split: bool = True) -> list[SplitPairReport]:
+    """Counts, RMSEs, SECRs and moments over the pairs (i, j>i) of each split
+    in order of first appearance, or of all records as split "all"."""
+    split = columns.split if within_split else np.zeros_like(columns.split)
+    names = columns.split_names if within_split else ["all"]
+    order = np.argsort(split, kind="stable")
+    return [_split_report(name, columns.error[idx], columns.adsorbate[idx], columns.bulk[idx])
+            for name, idx in zip(names, np.split(order, np.cumsum(np.bincount(split))[:-1]))]
+
+
+class _Groups(NamedTuple):
+    index: np.ndarray  # group of each value
+    first: np.ndarray  # index of the first value of each group
+    size: np.ndarray
+    mean: np.ndarray
+    sq: np.ndarray     # sum of squared deviations from the mean
+
+
+def _groups(x: np.ndarray, keys: np.ndarray) -> _Groups:
+    """Sums of x by key. Each group is shifted by its first value before
+    averaging, so a group of equal values sums to exactly zero."""
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    size = np.bincount(index)
+    shifted = x - x[first][index]
+    offset = np.bincount(index, weights=shifted) / size
+    sq = np.bincount(index, weights=(shifted - offset[index]) ** 2)
+    return _Groups(index, first, size, x[first] + offset, sq)
+
+
+def _cross_sq(parent: _Groups, child: _Groups) -> float:
+    """Sum of (x_a - x_b)^2 over pairs in one parent group but different
+    child groups: sum (n_p - n_h) sq_h + n_p n_h (mean_h - mean_p)^2 over
+    the children h. No term is negative, so nothing cancels."""
+    p = parent.index[child.first]
+    n_p = parent.size[p]
+    return float(((n_p - child.size) * child.sq
+                  + n_p * child.size * (child.mean - parent.mean[p]) ** 2).sum())
+
+
+def _split_report(split: str, errors: np.ndarray, adsorbate: np.ndarray,
+                  bulk: np.ndarray) -> SplitPairReport:
+    n, n_pairs = len(errors), pair_count(len(errors))
+    whole, ads, blk = (_groups(errors, keys) for keys in (np.zeros(n, int), adsorbate, bulk))
+    both = _groups(errors, ads.index * len(blk.size) + blk.index)
+    sq_total = n * float(whole.sq.sum())
+    n_ads, n_blk, n_two = (int(pair_count(g.size).sum()) for g in (ads, blk, both))
+    sq_one = _cross_sq(ads, both) + _cross_sq(blk, both)
+    sq_two = float((both.size * both.sq).sum())
+    sums = {"sharing_one": (n_ads + n_blk - 2 * n_two, sq_one),
+            "sharing_two": (n_two, sq_two),
+            "chemically_similar": (n_ads + n_blk - n_two, sq_one + sq_two)}
+    rmse_total = math.sqrt(sq_total / n_pairs) if n_pairs else None
+    # a subgroup of every pair is the total, with a SECR of exactly 0
+    rmses = {name: math.sqrt((sq_total if count == n_pairs else sq) / count) if count else None
+             for name, (count, sq) in sums.items()}
+    propagation = None
+    if n_pairs:
+        # the pair (a, b), a < b, has x_a on its i side and x_b on its j side,
+        # so x_k is on the i side of n-1-k pairs and on the j side of k pairs;
+        # shifting by the first error keeps a constant split exactly zero
+        x = errors - errors[0]
+        w_j = np.arange(n)
+        w_i = n - 1 - w_j
+        mean_i, mean_j = float((w_i * x).sum()) / n_pairs, float((w_j * x).sum()) / n_pairs
+        u, v = x - mean_i, x - mean_j
+        u_before = np.concatenate(([0.0], np.cumsum(u)[:-1]))  # sum of u_a over a < b
+        propagation = PropagationStats(
+            n_pairs, sq_total / n_pairs - (mean_i - mean_j) ** 2,
+            float((w_i * u * u).sum()) / n_pairs, float((w_j * v * v).sum()) / n_pairs,
+            float((u_before * v).sum()) / n_pairs)
+    secrs = {name: 100.0 * (1.0 - rmse / rmse_total) if rmse is not None and rmse_total
+             else None for name, rmse in rmses.items()}
+    counts = {name: count for name, (count, _) in sums.items()}
+    return SplitPairReport(split, n, n_pairs, rmse_total, counts, rmses, secrs, propagation)
 
 
 def export_parity(records: Sequence[PredictionRecord],

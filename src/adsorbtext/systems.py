@@ -59,6 +59,8 @@ class AtomicSystem:
     def __post_init__(self):
         if self.split not in SPLITS:
             raise DatasetError(f"{self.id}: unknown split {self.split!r}")
+        if self.energy_ev is not None and not math.isfinite(self.energy_ev):
+            raise DatasetError(f"{self.id}: energy_ev must be finite, got {self.energy_ev!r}")
         cell = np.asarray(self.cell, dtype=float)
         if cell.shape != (3, 3):
             raise DatasetError(f"{self.id}: cell must be 3x3")

@@ -1,6 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from adsorbtext.encoder import CHECKPOINT_MAGIC
 from adsorbtext.featurize import detect_configuration, render_system_description, serialize
 from adsorbtext.synth import table_fixture_system
 
@@ -51,3 +55,16 @@ def fixture_corpus(table_system, table_config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240915)
+
+
+def rewrite_checkpoint_manifest(path, edit):
+    """Apply edit(manifest) to a saved checkpoint's JSON header in place,
+    keeping the parameter blob and fixing the header-length field."""
+    blob = path.read_bytes()
+    start = len(CHECKPOINT_MAGIC) + 4
+    (length,) = struct.unpack("<I", blob[len(CHECKPOINT_MAGIC):start])
+    manifest = json.loads(blob[start:start + length])
+    edit(manifest)
+    header = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    path.write_bytes(blob[:len(CHECKPOINT_MAGIC)] + struct.pack("<I", len(header))
+                     + header + blob[start + length:])

@@ -1,7 +1,10 @@
 import dataclasses
 import json
+import math
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adsorbtext.cli import (
@@ -18,7 +21,7 @@ from adsorbtext.featurize import read_corpus
 from adsorbtext.synth import fixture_dataset
 from adsorbtext.systems import save_dataset
 from adsorbtext.tokens import Vocabulary
-from conftest import REFERENCE_TEXTS
+from conftest import REFERENCE_TEXTS, rewrite_checkpoint_manifest
 
 
 def test_no_arguments_prints_usage(capsys):
@@ -229,3 +232,123 @@ def test_attention_cli_selects_system(tmp_path):
                 "--ckpt", str(out / "model.ckpt"),
                 "--out", str(heat), "--id", "no-such-id"])
     assert code == EXIT_USER_ERROR
+
+
+def _write_with_energy(src: Path, dst: Path, lineno: int, energy: float) -> None:
+    """Copy a JSON-lines file, setting energy_ev on line lineno (1-based)."""
+    lines = src.read_text().splitlines()
+    rec = json.loads(lines[lineno - 1])
+    rec["energy_ev"] = energy
+    lines[lineno - 1] = json.dumps(rec)
+    dst.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+def test_non_finite_energy_is_user_error(tmp_path, capsys, energy):
+    systems = fixture_dataset(6)
+    dataset, corpus, vocab_path = (tmp_path / n for n in ("s.jsonl", "c.jsonl", "v.txt"))
+    save_dataset(systems, dataset)
+    assert run(["featurize", "--in", str(dataset), "--out", str(corpus),
+                "--format", "s1"]) == EXIT_OK
+    assert run(["build-vocab", "--in", str(corpus), "--out", str(vocab_path)]) == EXIT_OK
+    vocab = Vocabulary.load(vocab_path)
+    model = init_model(EncoderConfig(vocab_size=len(vocab), n_layers=1, n_heads=1,
+                                     hidden_size=8, max_positions=16))
+    save_checkpoint(model, tmp_path / "m.ckpt", vocab_sha256=vocab.sha256)
+    bad_dataset, bad_corpus = tmp_path / "bad_s.jsonl", tmp_path / "bad_c.jsonl"
+    _write_with_energy(dataset, bad_dataset, 3, energy)
+    _write_with_energy(corpus, bad_corpus, 3, energy)
+    capsys.readouterr()
+
+    assert run(["featurize", "--in", str(bad_dataset), "--out", str(tmp_path / "c2.jsonl"),
+                "--format", "s1"]) == EXIT_USER_ERROR
+    assert f"bad_s.jsonl:3: {systems[2].id}: energy_ev must be finite" in capsys.readouterr().err
+    assert run(["predict", "--systems", str(bad_dataset), "--corpus", str(corpus),
+                "--vocab", str(vocab_path), "--ckpt", str(tmp_path / "m.ckpt"),
+                "--out", str(tmp_path / "p.tsv")]) == EXIT_USER_ERROR
+    assert f"bad_s.jsonl:3: {systems[2].id}: energy_ev must be finite" in capsys.readouterr().err
+    assert run(["train", "--corpus", str(bad_corpus), "--vocab", str(vocab_path),
+                "--out", str(tmp_path / "m2.ckpt"), "--train-split", "train"]) == EXIT_USER_ERROR
+    assert f"bad_c.jsonl:3: {systems[2].id}: energy_ev must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ['[1, 2]', '{"system_id": "x", "format": "S1", "text": "t", '
+                                          '"energy_ev": "1.0"}'])
+def test_malformed_corpus_record_is_user_error(tmp_path, capsys, line):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(line + "\n")
+    assert run(["build-vocab", "--in", str(corpus), "--out", str(tmp_path / "v.txt")]) \
+        == EXIT_USER_ERROR
+    assert "c.jsonl:1: bad corpus record" in capsys.readouterr().err
+
+
+def test_attention_checkpoint_missing_manifest_key(tmp_path, capsys):
+    systems = fixture_dataset(4)
+    dataset, corpus, vocab_path = (tmp_path / n for n in ("s.jsonl", "c.jsonl", "v.txt"))
+    save_dataset(systems, dataset)
+    assert run(["featurize", "--in", str(dataset), "--out", str(corpus),
+                "--format", "s4"]) == EXIT_OK
+    assert run(["build-vocab", "--in", str(corpus), "--out", str(vocab_path)]) == EXIT_OK
+    vocab = Vocabulary.load(vocab_path)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(init_model(EncoderConfig(vocab_size=len(vocab), n_layers=1, n_heads=1,
+                                             hidden_size=8, max_positions=128)),
+                    ckpt, vocab_sha256=vocab.sha256)
+    argv = ["attention", "--systems", str(dataset), "--vocab", str(vocab_path),
+            "--ckpt", str(ckpt), "--out", str(tmp_path / "heat.tsv"), "--format", "s4"]
+    assert run(argv) == EXIT_OK
+    rewrite_checkpoint_manifest(ckpt, lambda m: m["params"][0].pop("shape"))
+    capsys.readouterr()
+    assert run(argv) == EXIT_USER_ERROR
+    assert "m.ckpt: manifest params[0] has no key 'shape'" in capsys.readouterr().err
+
+
+def _oc20_size_predictions(path: Path, rng) -> dict[str, list[tuple[int, int, float]]]:
+    """About 100k prediction records in four OC20-validation-size splits, 82
+    adsorbates and 11,500 bulks; returns (adsorbate, bulk, error) per split."""
+    sizes = {"ID": 24943, "OOD_ads": 24961, "OOD_cat": 24963, "OOD_both": 24987}
+    lines = ["system_id\tsplit\tadsorbate_smiles\tbulk_formula\tlabel\tprediction\n"]
+    columns = {}
+    for split, n in sizes.items():
+        ads, bulk = rng.integers(82, size=n), rng.integers(11500, size=n)
+        label = np.round(rng.normal(0.0, 1.0, n), 4)
+        pred = np.round(label + 0.3 * rng.normal(size=82)[ads] + rng.normal(0.0, 0.4, n), 4)
+        columns[split] = list(zip(ads.tolist(), bulk.tolist(), (pred - label).tolist()))
+        lines += [f"{split}-{i}\t{split}\tads{a}\tbulk{b}\t{y!r}\t{p!r}\n" for i, (a, b, y, p)
+                  in enumerate(zip(ads.tolist(), bulk.tolist(), label.tolist(), pred.tolist()))]
+    path.write_text("".join(lines))
+    return columns
+
+
+def _report_rows(path: Path) -> dict[tuple[str, str], list[str]]:
+    lines = path.read_text().split("\n\n")[0].splitlines()
+    return {(f[0], f[4]): f for f in (line.split("\t") for line in lines[1:])}
+
+
+def _expected_counts(records: list[tuple[int, int, float]]) -> dict[str, int]:
+    def pairs(counter):
+        return sum(c * (c - 1) // 2 for c in counter.values())
+    ads = pairs(Counter(a for a, _, _ in records))
+    bulk = pairs(Counter(b for _, b, _ in records))
+    both = pairs(Counter((a, b) for a, b, _ in records))
+    return {"total": len(records) * (len(records) - 1) // 2, "sharing_one": ads + bulk - 2 * both,
+            "sharing_two": both, "chemically_similar": ads + bulk - both}
+
+
+def test_pairs_cli_at_oc20_size(tmp_path, rng):
+    pred = tmp_path / "predictions.tsv"
+    columns = _oc20_size_predictions(pred, rng)
+    everything = [rec for split in columns.values() for rec in split]
+    for flag, groups in (([], columns), (["--across-splits"], {"all": everything})):
+        report = tmp_path / ("across" if flag else "within")
+        assert run(["pairs", "--pred", str(pred), "--report", str(report)] + flag) == EXIT_OK
+        rows = _report_rows(report / "pairs_report.tsv")
+        assert {split for split, _ in rows} == set(groups)
+        for split, records in groups.items():
+            n = len(records)
+            assert rows[split, "total"][1:3] == [str(n), str(n * (n - 1) // 2)]
+            for name, count in _expected_counts(records).items():
+                assert int(rows[split, name][5]) == count, (split, name)
+            errors = np.array([e for _, _, e in records])
+            want = math.sqrt(n * ((errors - errors.mean()) ** 2).sum() / (n * (n - 1) // 2))
+            assert float(rows[split, "total"][3]) == pytest.approx(want, rel=1e-12)

@@ -16,6 +16,7 @@ from adsorbtext.encoder import (
     scaled_dot_attention,
 )
 from adsorbtext.tokens import BOS, EOS, PAD, TokenSequence
+from conftest import rewrite_checkpoint_manifest
 
 
 def small_config(**overrides):
@@ -247,6 +248,16 @@ def test_checkpoint_unknown_config_key(tmp_path):
     # same length, so the header-length field stays valid
     path.write_bytes(blob.replace(b'"pre_norm"', b'"pre_nrom"', 1))
     with pytest.raises(CheckpointError, match=r"model\.ckpt.*pre_nrom"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["name", "shape"])
+def test_checkpoint_param_entry_missing_key(tmp_path, key):
+    model = init_model(small_config(), seed=10)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    rewrite_checkpoint_manifest(path, lambda m: m["params"][3].pop(key))
+    with pytest.raises(CheckpointError, match=rf"model\.ckpt: .*params\[3\].*'{key}'"):
         load_checkpoint(path)
 
 

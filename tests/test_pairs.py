@@ -5,12 +5,14 @@ import pytest
 from adsorbtext.pairs import (
     PredictionRecord,
     chemically_similar,
+    column_pair_stats,
     error_propagation_stats,
     export_parity,
     format_pairs_report,
     generate_pairs,
     mae_by_split,
     pair_count,
+    read_prediction_columns,
     read_predictions,
     secr,
     sharing_one,
@@ -340,3 +342,111 @@ def test_pairs_report_text_stable(rng):
     assert text1 == text2
     assert "sharing_two" in text1
     assert "residual" in text1
+
+
+SELECTORS = (("sharing_one", sharing_one), ("sharing_two", sharing_two),
+             ("chemically_similar", chemically_similar))
+
+
+def _close(got, want):
+    """Within 1e-12 relative; within 1e-15 where the streaming value is exactly 0."""
+    if want == 0.0:
+        return abs(got) <= 1e-15
+    return abs(got - want) <= 1e-12 * abs(want)
+
+
+def _random_records(rng):
+    """One to three splits of 1, 2 or 3-12 records, few adsorbates and bulks,
+    the splits interleaved."""
+    records = []
+    for s in range(int(rng.integers(1, 4))):
+        n = int(rng.choice([1, 2, int(rng.integers(3, 13))]))
+        n_ads, n_bulk = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        for _ in range(n):
+            label = float(rng.normal())
+            records.append(PredictionRecord(
+                f"r{len(records)}", f"split{s}", f"a{rng.integers(n_ads)}",
+                f"b{rng.integers(n_bulk)}", label, label + float(rng.normal())))
+    return [records[i] for i in rng.permutation(len(records))]
+
+
+def test_closed_form_matches_streaming(rng):
+    sizes = set()
+    for _ in range(200):
+        records = _random_records(rng)
+        for within_split in (True, False):
+            reports = split_pair_stats(records, within_split)
+            assert [rep.split for rep in reports] == (
+                list(dict.fromkeys(r.split for r in records)) if within_split else ["all"])
+            for rep in reports:
+                subset = [r for r in records if r.split == rep.split or not within_split]
+                pairs = list(generate_pairs(subset, within_split=False))
+                sizes.add(len(subset))
+                assert (rep.n_systems, rep.n_pairs) == (len(subset), len(pairs))
+                if not pairs:
+                    assert rep.rmse_total is None and rep.propagation is None
+                    assert set(rep.subgroup_counts.values()) == {0}
+                    assert set(rep.subgroup_secr.values()) == {None}
+                    continue
+                assert _close(rep.rmse_total,
+                              math.sqrt(sum(p.error ** 2 for p in pairs) / len(pairs)))
+                for name, selector in SELECTORS:
+                    chosen = [p.error ** 2 for p in pairs if selector(p)]
+                    assert rep.subgroup_counts[name] == len(chosen)
+                    if chosen:
+                        assert _close(rep.subgroup_rmse[name],
+                                      math.sqrt(sum(chosen) / len(chosen)))
+                    else:
+                        assert rep.subgroup_rmse[name] is None
+                    want, got = secr(iter(pairs), selector), rep.subgroup_secr[name]
+                    if want is None:
+                        assert got is None
+                    else:
+                        # near 0 % a SECR keeps only the absolute precision of
+                        # the RMSE ratio it is made from, in either method
+                        assert _close(got, want) or (
+                            want != 0.0 and _close(1.0 - got / 100.0, 1.0 - want / 100.0)), name
+                streamed = error_propagation_stats(subset, iter(pairs))
+                for field in ("var_pair", "var_i", "var_j", "cov"):
+                    assert _close(getattr(rep.propagation, field),
+                                  getattr(streamed, field)), field
+    assert {1, 2} <= sizes
+
+
+@pytest.mark.parametrize("err", [0.3, 1 / 3, 2.7])
+def test_equal_errors_give_zero_rmse_and_undefined_secr(err):
+    records = [_rec(f"{n}-{i}", split=f"n{n}", smiles=f"s{i % 3}", bulk=f"b{i % 2}", err=err)
+               for n in (5, 7, 9) for i in range(n)]
+    for rep in split_pair_stats(records):
+        assert rep.rmse_total == 0.0
+        assert set(rep.subgroup_secr.values()) == {None}
+        assert set(rep.subgroup_rmse.values()) <= {0.0, None}
+        p = rep.propagation
+        assert (p.var_pair, p.var_i, p.var_j, p.cov) == (0.0, 0.0, 0.0, 0.0)
+
+
+def test_prediction_columns_report_matches_records(tmp_path, rng):
+    records = _random_records(rng) + _correlated_fixture(rng, 30)
+    path = tmp_path / "preds.tsv"
+    write_predictions(records, path)
+    columns = read_prediction_columns(path)
+    for within_split in (True, False):
+        assert format_pairs_report(column_pair_stats(columns, within_split)) == \
+            format_pairs_report(split_pair_stats(read_predictions(path), within_split))
+
+
+@pytest.mark.parametrize("body", [
+    "wrong\theader\n",
+    "system_id\tsplit\tadsorbate_smiles\tbulk_formula\tlabel\tprediction\n"
+    "sys0\tID\tNH\tAl\t0.5\n",
+    "system_id\tsplit\tadsorbate_smiles\tbulk_formula\tlabel\tprediction\n"
+    "sys0\tID\tNH\tAl\t0.5\t0.5\nsys1\tID\tNH\tAl\tnan\t0.5\n",
+], ids=["header", "columns", "non_finite"])
+def test_prediction_columns_check_like_records(tmp_path, body):
+    path = tmp_path / "preds.tsv"
+    path.write_text(body)
+    with pytest.raises(ValueError) as by_record:
+        read_predictions(path)
+    with pytest.raises(ValueError) as by_column:
+        read_prediction_columns(path)
+    assert str(by_column.value) == str(by_record.value)

@@ -181,3 +181,17 @@ def test_pairwise_matrix_matches_scalar(rng):
         for j in range(6):
             assert dm[i, j] == pytest.approx(
                 minimum_image_distance(pos[i], pos[j], cell), abs=1e-12)
+
+
+@pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+def test_load_dataset_rejects_non_finite_energy(tmp_path, energy):
+    system = table_fixture_system()
+    path = tmp_path / "s.jsonl"
+    save_dataset([system], path)
+    rec = system.to_record()
+    rec["energy_ev"] = energy
+    rec["id"] = "edited"
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(rec) + "\n")
+    with pytest.raises(DatasetError, match=r"s\.jsonl:2: edited: energy_ev must be finite"):
+        load_dataset(path)
