@@ -7,6 +7,13 @@ that requires gradients; calling backward again without zeroing
 accumulates further. Inside `no_tape()` ops record nothing, so pure
 inference keeps no intermediate arrays alive.
 
+Besides elementwise and matrix ops the engine has two fused ones that
+the encoder runs on packed tokens (one row per real token): `linear`,
+whose weight gradient is a single 2-D GEMM over all rows, and
+multi-head `attention`, which lays the packed rows out on the padded
+(batch, heads, length, length) grid only inside itself and writes its
+backward by hand. `scatter` puts packed rows back on a padded grid.
+
 Double precision is the default so finite-difference checks are
 meaningful; single precision is supported for training speed by creating
 parameters as float32 (ops preserve the widest parent dtype).
@@ -130,6 +137,27 @@ def matmul(a, b) -> Tensor:
     return _result(out_data, (a, b), backward)
 
 
+def linear(x, w, b=None) -> Tensor:
+    """x @ w (+ b) with x of any rank viewed as rows of its last axis, so
+    the weight gradient is one 2-D GEMM and the bias gradient one column sum.
+    w may be a view, such as the transpose of a tied embedding table."""
+    x, w = _wrap(x), _wrap(w)
+    x2 = x.data.reshape(-1, x.data.shape[-1])
+    out_data = x2 @ w.data
+    if b is not None:
+        b = _wrap(b)
+        out_data += b.data
+
+    def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        dx = (g2 @ w.data.T).reshape(x.data.shape) if x.requires_grad else None
+        dw = x2.T @ g2
+        return (dx, dw) if b is None else (dx, dw, g2.sum(axis=0))
+
+    out_data = out_data.reshape(*x.data.shape[:-1], w.data.shape[-1])
+    return _result(out_data, (x, w) if b is None else (x, w, b), backward)
+
+
 def transpose(a, axes) -> Tensor:
     a = _wrap(a)
     inverse = np.argsort(axes)
@@ -162,6 +190,19 @@ def take(a, index) -> Tensor:
     return _result(a.data[index], (a,), backward)
 
 
+def scatter(a, index, shape) -> Tensor:
+    """Zeros of `shape` with a written at a non-repeating index; the
+    inverse of take, used to lay packed rows out on a padded grid."""
+    a = _wrap(a)
+    out_data = np.zeros(shape, dtype=a.data.dtype)
+    out_data[index] = a.data
+
+    def backward(g):
+        return (g[index],)
+
+    return _result(out_data, (a,), backward)
+
+
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     out_data = table.data[ids]
 
@@ -187,26 +228,84 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _result(out_data, (a,), backward)
 
 
+def attention(q, k, v, rows, batch: int, length: int, key_bias: np.ndarray,
+              n_heads: int, keep: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """Multi-head softmax(QK^T / sqrt(d_head) + key_bias) V on packed rows.
+
+    q, k and v are (N, hidden): one row per real token, row i sitting at
+    flat position rows[i] of a (batch, length) grid. The padded
+    (batch, heads, length, length) layout exists only inside this op.
+    key_bias (batch, length) is added to every query's scores (-inf blocks
+    a key); keep, if given, multiplies the weights (inverted dropout).
+    Padded query rows are zero, so their weights are uniform over the
+    real keys; no output row reads them. Returns the packed context
+    (N, hidden) and the weights (batch, heads, query, key) before keep.
+    """
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    hidden = q.data.shape[-1]
+    d_head = hidden // n_heads
+    scale_by = 1.0 / math.sqrt(d_head)
+    b_idx, l_idx = np.divmod(rows, length)
+
+    def split(t):  # packed (N, hidden) -> zero-padded (B, heads, L, d_head)
+        out = np.zeros((batch, n_heads, length, d_head), dtype=t.dtype)
+        out[b_idx, :, l_idx] = t.reshape(-1, n_heads, d_head)
+        return out
+
+    def merge(t):  # (B, heads, L, d_head) -> packed (N, hidden)
+        return t[b_idx, :, l_idx].reshape(-1, hidden)
+
+    # Scores are held key-major, (B, heads, key, query): numpy's max over the
+    # second-to-last axis is about twice as fast as over the last.
+    qh, kh, vh = split(q.data * scale_by), split(k.data), split(v.data)
+    wt = np.matmul(kh, qh.swapaxes(-1, -2))
+    wt += key_bias[:, None, :, None]
+    wt -= wt.max(axis=-2, keepdims=True)
+    np.exp(wt, out=wt)
+    wt /= np.einsum("...kq->...q", wt)[..., None, :]
+    kept = wt if keep is None else wt * keep.swapaxes(-1, -2)
+    ctx = merge(np.matmul(kept.swapaxes(-1, -2), vh))
+
+    def backward(g):
+        gh = split(g)
+        dv = np.matmul(kept, gh)
+        dwt = np.matmul(vh, gh.swapaxes(-1, -2))
+        if keep is not None:
+            dwt *= keep.swapaxes(-1, -2)
+        dwt -= np.einsum("...kq,...kq->...q", dwt, wt)[..., None, :]
+        dwt *= wt
+        dq = np.matmul(dwt.swapaxes(-1, -2), kh)
+        dq *= scale_by
+        return merge(dq), merge(np.matmul(dwt, qh)), merge(dv)
+
+    return _result(ctx, (q, k, v), backward), wt.swapaxes(-1, -2)
+
+
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out_data = xhat * gain.data + bias.data
+    h = x.data.shape[-1]
+    # einsum sums a short last axis several times faster than mean or sum
+    xhat = x.data - np.einsum("...i->...", x.data)[..., None] / h
+    inv = np.einsum("...i,...i->...", xhat, xhat)[..., None]
+    inv /= h
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.reciprocal(inv, out=inv)
+    xhat *= inv
+    out_data = xhat * gain.data
+    out_data += bias.data
 
     def backward(g):
-        reduce_axes = tuple(range(g.ndim - 1))
-        dgain = np.sum(g * xhat, axis=reduce_axes)
-        dbias = np.sum(g, axis=reduce_axes)
+        g2 = g.reshape(-1, h)
+        dgain = np.einsum("ni,ni->i", g2, xhat.reshape(-1, h))
+        dbias = g2.sum(axis=0)
         dxhat = g * gain.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)
-        )
+        proj = np.einsum("...i,...i->...", dxhat, xhat)[..., None]
+        proj /= h
+        dx = dxhat - np.einsum("...i->...", dxhat)[..., None] / h
+        dx -= xhat * proj
+        dx *= inv
         return dx, dgain, dbias
 
     return _result(out_data, (x, gain, bias), backward)
@@ -226,17 +325,34 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a) -> Tensor:
-    """tanh-formulation GELU."""
+    """tanh-formulation GELU: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))."""
     a = _wrap(a)
     x = a.data
-    # x**3 would take numpy's generic pow routine, tens of times slower
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    out_data = 0.5 * x * (1.0 + t)
+    # in place, powers by multiplication: numpy's generic pow is tens of times slower
+    t = x * x
+    t *= 0.044715
+    t += 1.0
+    t *= x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out_data = t + 1.0
+    out_data *= x
+    out_data *= 0.5
 
     def backward(g):
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner),)
+        # d/dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2)
+        d = x * x
+        d *= 3 * 0.044715
+        d += 1.0
+        d *= x
+        d *= 0.5 * _GELU_C
+        tmp = t * t
+        np.subtract(1.0, tmp, out=tmp)
+        d *= tmp
+        d += 0.5
+        d += np.multiply(t, 0.5, out=tmp)
+        d *= g
+        return (d,)
 
     return _result(out_data, (a,), backward)
 

@@ -7,6 +7,13 @@ head is dense -> activation -> dense over the final-layer state at
 position 0. Padded key positions are masked to -inf before the attention
 softmax, so their weights and their gradients are exactly zero.
 
+The stack runs on packed tokens: hidden states are (N, hidden), one row
+per real token, taken from the flat positions np.flatnonzero(mask) of the
+(batch, length) grid, so projections, GELU and layer norms never touch
+padding. Only `autograd.attention` builds the padded (batch, heads,
+length, length) layout, inside itself. `mlm_logits` scatters its final
+states back onto the grid to keep its (batch, length, vocab) shape.
+
 Checkpoints are a single file: magic, JSON manifest (config, vocabulary
 hash, step, seed, tensor order) and the raw little-endian parameter blob.
 """
@@ -99,67 +106,52 @@ class EncoderModel:
         return copied
 
 
+def _layout(config: EncoderConfig) -> dict[str, tuple[str, tuple[int, ...]]]:
+    """Parameter name -> (initializer, shape), in checkpoint order."""
+    h, f = config.hidden_size, config.ffn_size
+    layout = {"tok_emb": ("normal", (config.vocab_size, h)),
+              "pos_emb": ("normal", (config.max_positions, h))}
+    for i in range(config.n_layers):
+        pre = f"layer{i}."
+        layout.update({pre + mat: ("normal", (h, h)) for mat in ("wq", "wk", "wv", "wo")})
+        layout.update({pre + vec: ("zeros", (h,)) for vec in ("bq", "bk", "bv", "bo")})
+        layout.update({pre + "ln1_g": ("ones", (h,)), pre + "ln1_b": ("zeros", (h,)),
+                       pre + "w1": ("normal", (h, f)), pre + "b1": ("zeros", (f,)),
+                       pre + "w2": ("normal", (f, h)), pre + "b2": ("zeros", (h,)),
+                       pre + "ln2_g": ("ones", (h,)), pre + "ln2_b": ("zeros", (h,))})
+    layout.update({"head.w1": ("normal", (h, h)), "head.b1": ("zeros", (h,)),
+                   "head.w2": ("normal", (h, 1)), "head.b2": ("zeros", (1,))})
+    return layout
+
+
+def _mlm_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """The optional masked-token head: bias always, projection when untied."""
+    return {"mlm.bias": (config.vocab_size,),
+            "mlm.w": (config.hidden_size, config.vocab_size)}
+
+
 def init_model(config: EncoderConfig, seed: int = 0) -> EncoderModel:
     """Seeded N(0, 0.02) weights, zero biases, unit layer-norm gains."""
     rng = np.random.default_rng(seed)
-    dt = config.np_dtype
     params: dict[str, Tensor] = {}
-
-    def weight(name, *shape):
-        params[name] = Tensor(rng.normal(0.0, 0.02, shape).astype(dt), requires_grad=True)
-
-    def zeros(name, *shape):
-        params[name] = Tensor(np.zeros(shape, dtype=dt), requires_grad=True)
-
-    def ones(name, *shape):
-        params[name] = Tensor(np.ones(shape, dtype=dt), requires_grad=True)
-
-    h, f = config.hidden_size, config.ffn_size
-    weight("tok_emb", config.vocab_size, h)
-    weight("pos_emb", config.max_positions, h)
-    for i in range(config.n_layers):
-        pre = f"layer{i}."
-        for mat in ("wq", "wk", "wv", "wo"):
-            weight(pre + mat, h, h)
-        for vec in ("bq", "bk", "bv", "bo"):
-            zeros(pre + vec, h)
-        ones(pre + "ln1_g", h)
-        zeros(pre + "ln1_b", h)
-        weight(pre + "w1", h, f)
-        zeros(pre + "b1", f)
-        weight(pre + "w2", f, h)
-        zeros(pre + "b2", h)
-        ones(pre + "ln2_g", h)
-        zeros(pre + "ln2_b", h)
-    weight("head.w1", h, h)
-    zeros("head.b1", h)
-    weight("head.w2", h, 1)
-    zeros("head.b2", 1)
+    for name, (init, shape) in _layout(config).items():
+        data = (rng.normal(0.0, 0.02, shape) if init == "normal"
+                else np.full(shape, 1.0 if init == "ones" else 0.0))
+        params[name] = Tensor(data.astype(config.np_dtype), requires_grad=True)
     return EncoderModel(config, params)
 
 
 def ensure_mlm_head(model: EncoderModel, tied: bool = True, seed: int = 0) -> None:
     """Add the vocabulary projection used by masked-token pretraining."""
     dt = model.config.np_dtype
+    shapes = _mlm_shapes(model.config)
     if "mlm.bias" not in model.params:
-        model.params["mlm.bias"] = Tensor(
-            np.zeros(model.config.vocab_size, dtype=dt), requires_grad=True)
+        model.params["mlm.bias"] = Tensor(np.zeros(shapes["mlm.bias"], dtype=dt),
+                                          requires_grad=True)
     if not tied and "mlm.w" not in model.params:
         rng = np.random.default_rng(seed)
         model.params["mlm.w"] = Tensor(
-            rng.normal(0.0, 0.02,
-                       (model.config.hidden_size, model.config.vocab_size)).astype(dt),
-            requires_grad=True)
-
-
-def _attention_weights(q: Tensor, k: Tensor, mask) -> Tensor:
-    d_head = q.data.shape[-1]
-    axes = list(range(k.data.ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    scores = ag.scale(ag.matmul(q, ag.transpose(k, axes)), 1.0 / math.sqrt(d_head))
-    if mask is not None:
-        scores = ag.add(scores, mask)
-    return ag.softmax(scores, axis=-1)
+            rng.normal(0.0, 0.02, shapes["mlm.w"]).astype(dt), requires_grad=True)
 
 
 def scaled_dot_attention(q, k, v, mask=None) -> tuple[Tensor, Tensor]:
@@ -167,11 +159,18 @@ def scaled_dot_attention(q, k, v, mask=None) -> tuple[Tensor, Tensor]:
 
     Works for single (L, d) matrices and batched (..., L, d) stacks; mask
     is an additive bias broadcast onto the score matrix (-inf blocks a key).
+    The encoder runs the fused `autograd.attention`; this composition of
+    elementary ops is the reference the tests hold it to.
     """
     q, k, v = ag._wrap(q), ag._wrap(k), ag._wrap(v)
     if q.data.shape[-1] != k.data.shape[-1] or k.data.shape[-2] != v.data.shape[-2]:
         raise ValueError("Q/K/V shape mismatch")
-    weights = _attention_weights(q, k, mask)
+    axes = list(range(k.data.ndim))
+    axes[-1], axes[-2] = axes[-2], axes[-1]
+    scores = ag.scale(ag.matmul(q, ag.transpose(k, axes)), 1.0 / math.sqrt(q.data.shape[-1]))
+    if mask is not None:
+        scores = ag.add(scores, mask)
+    weights = ag.softmax(scores, axis=-1)
     return ag.matmul(weights, v), weights
 
 
@@ -215,44 +214,45 @@ def _encode(
     capture_attention: bool,
     train: bool,
     rng: np.random.Generator | None,
-) -> tuple[Tensor, list[np.ndarray]]:
-    """Shared encoder stack; returns final hidden states (B, L, H)."""
+) -> tuple[Tensor, np.ndarray, list[np.ndarray]]:
+    """Shared encoder stack on packed tokens.
+
+    Returns the final hidden states (N, H), one row per real token, the
+    flat (B * L) positions of those rows, and the captured attention.
+    """
     cfg = model.config
     p = model.params
+    dt = cfg.np_dtype
     batch, length = ids.shape
     drop = cfg.dropout_rate if train else 0.0
-
+    rows = np.flatnonzero(mask)
     # -inf on padded keys makes their softmax weight exactly zero
-    key_bias = np.where(mask == 1, 0.0, -np.inf).astype(cfg.np_dtype)[:, None, None, :]
+    key_bias = np.where(mask == 1, 0.0, -np.inf).astype(dt)
 
-    x = ag.add(ag.embedding(p["tok_emb"], ids),
-               ag.take(p["pos_emb"], slice(0, length)))
+    x = ag.add(ag.embedding(p["tok_emb"], ids.reshape(-1)[rows]),
+               ag.embedding(p["pos_emb"], rows % length))
     captured: list[np.ndarray] = []
-
-    def heads(t: Tensor) -> Tensor:
-        t = ag.reshape(t, (batch, length, cfg.n_heads, cfg.head_dim))
-        return ag.transpose(t, (0, 2, 1, 3))
 
     for i in range(cfg.n_layers):
         pre = f"layer{i}."
 
         def attention_block(inp: Tensor) -> Tensor:
-            q = heads(ag.add(ag.matmul(inp, p[pre + "wq"]), p[pre + "bq"]))
-            k = heads(ag.add(ag.matmul(inp, p[pre + "wk"]), p[pre + "bk"]))
-            v = heads(ag.add(ag.matmul(inp, p[pre + "wv"]), p[pre + "bv"]))
-            weights = _attention_weights(q, k, key_bias)
+            q = ag.linear(inp, p[pre + "wq"], p[pre + "bq"])
+            k = ag.linear(inp, p[pre + "wk"], p[pre + "bk"])
+            v = ag.linear(inp, p[pre + "wv"], p[pre + "bv"])
+            keep = None
+            if drop:  # drawn as ag.dropout draws its mask
+                shape = (batch, cfg.n_heads, length, length)
+                keep = (rng.random(shape) >= drop).astype(dt) / (1.0 - drop)
+            ctx, weights = ag.attention(q, k, v, rows, batch, length, key_bias,
+                                        cfg.n_heads, keep)
             if capture_attention:
-                captured.append(weights.data.copy())
-            if drop:
-                weights = ag.dropout(weights, drop, rng)
-            ctx = ag.matmul(weights, v)
-            ctx = ag.reshape(ag.transpose(ctx, (0, 2, 1, 3)),
-                             (batch, length, cfg.hidden_size))
-            return ag.add(ag.matmul(ctx, p[pre + "wo"]), p[pre + "bo"])
+                captured.append(weights)
+            return ag.linear(ctx, p[pre + "wo"], p[pre + "bo"])
 
         def ffn_block(inp: Tensor) -> Tensor:
-            hidden = ag.gelu(ag.add(ag.matmul(inp, p[pre + "w1"]), p[pre + "b1"]))
-            out = ag.add(ag.matmul(hidden, p[pre + "w2"]), p[pre + "b2"])
+            hidden = ag.gelu(ag.linear(inp, p[pre + "w1"], p[pre + "b1"]))
+            out = ag.linear(hidden, p[pre + "w2"], p[pre + "b2"])
             return ag.dropout(out, drop, rng) if drop else out
 
         if cfg.pre_norm:
@@ -265,7 +265,7 @@ def _encode(
                               p[pre + "ln1_g"], p[pre + "ln1_b"])
             x = ag.layer_norm(ag.add(x, ffn_block(x)),
                               p[pre + "ln2_g"], p[pre + "ln2_b"])
-    return x, captured
+    return x, rows, captured
 
 
 def forward(
@@ -278,10 +278,11 @@ def forward(
     """Run a batch through the encoder and the first-token regression head.
 
     Dropout (attention weights and feed-forward outputs) is active only
-    when train=True, in which case rng must be provided. The batch is cut
-    to its longest real sequence, since later positions are padding in
-    every row and masked keys never reach a real position; captured
-    attention keeps the full padded (B, heads, L, L) shape.
+    when train=True, in which case rng must be provided. Every sequence
+    must have a real token at position 0, which the head reads. The batch
+    is cut to its longest real sequence, since later positions are
+    padding in every row; captured attention keeps the full padded
+    (B, heads, L, L) shape.
     """
     cfg = model.config
     ids, mask = _stack_batch(seqs)
@@ -291,18 +292,21 @@ def forward(
         raise ValueError("token id out of range")
     if train and rng is None:
         raise ValueError("training forward needs an rng for dropout")
+    padded_first = np.flatnonzero(mask[:, 0] == 0)
+    if padded_first.size:
+        raise ValueError(f"batch row {padded_first[0]} has padding at position 0, "
+                         "where the regression head reads")
     if not capture_attention:
-        real = np.flatnonzero(mask.any(axis=0))
-        if real.size:
-            ids, mask = ids[:, :real[-1] + 1], mask[:, :real[-1] + 1]
+        last = np.flatnonzero(mask.any(axis=0))[-1]
+        ids, mask = ids[:, :last + 1], mask[:, :last + 1]
 
-    x, captured = _encode(model, ids, mask, capture_attention, train, rng)
+    x, rows, captured = _encode(model, ids, mask, capture_attention, train, rng)
     p = model.params
-    pooled = ag.take(x, (slice(None), 0))
+    batch, length = ids.shape
+    pooled = ag.take(x, (np.searchsorted(rows, np.arange(batch) * length),))
     act = ag.tanh if cfg.head_activation == "tanh" else ag.gelu
-    hidden = act(ag.add(ag.matmul(pooled, p["head.w1"]), p["head.b1"]))
-    energy = ag.reshape(ag.add(ag.matmul(hidden, p["head.w2"]), p["head.b2"]),
-                        (ids.shape[0],))
+    hidden = act(ag.linear(pooled, p["head.w1"], p["head.b1"]))
+    energy = ag.reshape(ag.linear(hidden, p["head.w2"], p["head.b2"]), (batch,))
     return ForwardResult(pooled=pooled, energy=energy,
                          attention=captured if capture_attention else None)
 
@@ -316,16 +320,17 @@ def mlm_logits(
     """Vocabulary logits at every position, (B, L, V).
 
     Projects with the transposed token-embedding table (tied) unless an
-    untied "mlm.w" parameter exists; "mlm.bias" is always added.
+    untied "mlm.w" parameter exists; "mlm.bias" is always added. Padded
+    positions carry a zero state, so their logits are the bias alone.
     """
     p = model.params
     if "mlm.bias" not in p:
         raise ValueError("model has no MLM head; call ensure_mlm_head first")
     ids, mask = _stack_batch(seqs)
-    x, _ = _encode(model, ids, mask, False, train, rng)
-    if "mlm.w" in p:
-        return ag.add(ag.matmul(x, p["mlm.w"]), p["mlm.bias"])
-    return ag.add(ag.matmul(x, ag.transpose(p["tok_emb"], (1, 0))), p["mlm.bias"])
+    x, rows, _ = _encode(model, ids, mask, False, train, rng)
+    states = ag.scatter(x, np.unravel_index(rows, ids.shape), (*ids.shape, x.data.shape[-1]))
+    w = p["mlm.w"] if "mlm.w" in p else ag.transpose(p["tok_emb"], (1, 0))
+    return ag.linear(states, w, p["mlm.bias"])
 
 
 def save_checkpoint(
@@ -378,6 +383,27 @@ def _read_header(path: str | Path) -> tuple[dict, int]:
     return manifest, len(CHECKPOINT_MAGIC) + 4 + header_len
 
 
+def _check_layout(path, config: EncoderConfig, entries) -> None:
+    """Names and shapes must be those init_model(config) makes, plus the
+    optional MLM head, each once."""
+    required = {name: shape for name, (_, shape) in _layout(config).items()}
+    allowed = {**required, **_mlm_shapes(config)}
+    seen = set()
+    for name, shape in entries:
+        if name not in allowed:
+            raise CheckpointError(f"{path}: tensor {name!r} is not in the layout "
+                                  "its config implies")
+        if name in seen:
+            raise CheckpointError(f"{path}: tensor {name!r} appears twice")
+        if shape != allowed[name]:
+            raise CheckpointError(f"{path}: tensor {name!r} has shape {list(shape)}, "
+                                  f"its config implies {list(allowed[name])}")
+        seen.add(name)
+    missing = [name for name in required if name not in seen]
+    if missing:
+        raise CheckpointError(f"{path}: tensor {missing[0]!r} is missing")
+
+
 def load_checkpoint(
     path: str | Path, expected_vocab_sha256: str | None = None
 ) -> tuple[EncoderModel, dict]:
@@ -399,15 +425,18 @@ def load_checkpoint(
             f"({manifest['vocab_sha256'][:12]}... != {expected_vocab_sha256[:12]}...)",
             stacklevel=2,
         )
+    entries = []
+    for index, entry in enumerate(manifest["params"]):
+        try:
+            entries.append((entry["name"], tuple(entry["shape"])))
+        except KeyError as exc:
+            raise CheckpointError(
+                f"{path}: manifest params[{index}] has no key {exc}") from None
+    _check_layout(path, config, entries)
     params: dict[str, Tensor] = {}
     with open(path, "rb") as fh:
         fh.seek(offset)
-        for index, entry in enumerate(manifest["params"]):
-            try:
-                name, shape = entry["name"], tuple(entry["shape"])
-            except KeyError as exc:
-                raise CheckpointError(
-                    f"{path}: manifest params[{index}] has no key {exc}") from None
+        for name, shape in entries:
             count = int(np.prod(shape)) if shape else 1
             buf = fh.read(count * itemsize)
             if len(buf) != count * itemsize:

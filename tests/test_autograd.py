@@ -3,6 +3,7 @@ import pytest
 
 import adsorbtext.autograd as ag
 from adsorbtext.autograd import Tensor
+from adsorbtext.encoder import scaled_dot_attention
 
 
 def test_softmax_symmetry():
@@ -208,3 +209,132 @@ def test_no_tape_records_nothing_and_restores_after_error():
             raise RuntimeError("inside the context")
     taped = ag.gelu(ag.matmul(w, w))
     assert taped.requires_grad and taped._backward is not None
+
+
+def test_linear_matches_matmul_plus_bias(rng):
+    x = Tensor(rng.normal(size=(3, 4, 6)), requires_grad=True)
+    w = Tensor(rng.normal(size=(6, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=5), requires_grad=True)
+    target = rng.normal(size=(3, 4, 5))
+    out = ag.linear(x, w, b).data
+    assert out.shape == (3, 4, 5)
+    assert np.abs(out - (np.einsum("bij,jk->bik", x.data, w.data) + b.data)).max() < 1e-12
+    _fd_check(lambda: ag.l1_loss(ag.gelu(ag.linear(x, w, b)), target), [x, w, b])
+
+
+def test_linear_transposed_view_weight(rng):
+    # the tied MLM head projects with the transpose of the embedding table
+    table = Tensor(rng.normal(size=(7, 4)), requires_grad=True)
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    target = rng.normal(size=(2, 3, 7))
+
+    def fn():
+        return ag.l1_loss(ag.tanh(ag.linear(x, ag.transpose(table, (1, 0)))), target)
+
+    assert np.abs(ag.linear(x, ag.transpose(table, (1, 0))).data
+                  - x.data @ table.data.T).max() < 1e-12
+    _fd_check(fn, [x, table])
+
+
+def test_scatter_lays_rows_on_grid(rng):
+    a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    index = (np.array([0, 0, 1, 2]), np.array([0, 2, 1, 0]))
+    out = ag.scatter(a, index, (3, 3, 3)).data
+    assert np.array_equal(out[index], a.data)
+    assert np.count_nonzero(np.abs(out).sum(axis=-1)) == 4
+    target = rng.normal(size=(3, 3, 3))
+    _fd_check(lambda: ag.l1_loss(ag.tanh(ag.scatter(a, index, (3, 3, 3))), target), [a])
+
+
+# three sequences of lengths 3, 5 and 5 packed into a grid of 5 positions
+ATT_LENGTHS = (3, 5, 5)
+ATT_LEN, ATT_HEADS, ATT_HIDDEN = 5, 2, 8
+
+
+def _packed_attention_inputs(rng):
+    mask = (np.arange(ATT_LEN)[None] < np.array(ATT_LENGTHS)[:, None]).astype(int)
+    rows = np.flatnonzero(mask)
+    key_bias = np.where(mask == 1, 0.0, -np.inf)
+    q, k, v = (Tensor(rng.normal(size=(rows.size, ATT_HIDDEN)), requires_grad=True)
+               for _ in range(3))
+    return q, k, v, rows, key_bias
+
+
+def _per_sequence_reference(q, k, v, keep):
+    """Each sequence alone through the elementary-op reference, head by head."""
+    d = ATT_HIDDEN // ATT_HEADS
+    ctx, weights, start = [], [], 0
+    for b, n in enumerate(ATT_LENGTHS):
+        part = []
+        for h in range(ATT_HEADS):
+            cols = slice(h * d, (h + 1) * d)
+            out, w = scaled_dot_attention(q.data[start:start + n, cols],
+                                          k.data[start:start + n, cols],
+                                          v.data[start:start + n, cols])
+            weights.append(w.data)
+            part.append(out.data if keep is None else
+                        (w.data * keep[b, h, :n, :n]) @ v.data[start:start + n, cols])
+        ctx.append(np.concatenate(part, axis=1))
+        start += n
+    return np.concatenate(ctx), weights
+
+
+@pytest.mark.parametrize("with_keep", [False, True])
+def test_attention_matches_reference_per_sequence(rng, with_keep):
+    q, k, v, rows, key_bias = _packed_attention_inputs(rng)
+    shape = (len(ATT_LENGTHS), ATT_HEADS, ATT_LEN, ATT_LEN)
+    keep = (rng.random(shape) >= 0.3) / 0.7 if with_keep else None
+    ctx, weights = ag.attention(q, k, v, rows, len(ATT_LENGTHS), ATT_LEN, key_bias,
+                                ATT_HEADS, keep)
+    want_ctx, want_weights = _per_sequence_reference(q, k, v, keep)
+    assert ctx.data.shape == (rows.size, ATT_HIDDEN)
+    assert np.abs(ctx.data - want_ctx).max() < 1e-12
+    for b, n in enumerate(ATT_LENGTHS):
+        for h in range(ATT_HEADS):
+            got = weights[b, h]
+            assert np.abs(got[:n, :n] - want_weights[b * ATT_HEADS + h]).max() < 1e-12
+            assert np.all(got[:, n:] == 0.0)  # padded keys
+            if n < ATT_LEN:  # padded queries
+                assert np.abs(got[n:, :n] - 1.0 / n).max() < 1e-15
+    target = rng.normal(size=(rows.size, ATT_HIDDEN))
+
+    def fn():
+        out, _ = ag.attention(q, k, v, rows, len(ATT_LENGTHS), ATT_LEN, key_bias,
+                              ATT_HEADS, keep)
+        return ag.l1_loss(ag.tanh(out), target)
+
+    _fd_check(fn, [q, k, v])
+
+
+def test_gelu_matches_textbook(rng):
+    x = rng.normal(0.0, 3.0, size=(5, 40))
+    t = np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x ** 3))
+    a = Tensor(x.copy(), requires_grad=True)
+    out = ag.gelu(a)
+    assert np.abs(out.data - 0.5 * x * (1.0 + t)).max() < 1e-12
+    g = rng.normal(size=x.shape)
+    ag.backward(ag.tensor_sum(ag.mul(out, g)))
+    d = (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2)
+         * np.sqrt(2.0 / np.pi) * (1.0 + 3 * 0.044715 * x ** 2))
+    assert np.abs(a.grad - g * d).max() < 1e-12
+    assert np.array_equal(a.data, x)  # in-place work never touches the input
+
+
+def test_layer_norm_matches_textbook(rng):
+    x = rng.normal(2.0, 3.0, size=(2, 3, 16))
+    gain, bias = rng.normal(1.0, 0.2, 16), rng.normal(size=16)
+    a, gn, bs = (Tensor(t.copy(), requires_grad=True) for t in (x, gain, bias))
+    out = ag.layer_norm(a, gn, bs)
+    mu = x.mean(axis=-1, keepdims=True)
+    sd = np.sqrt(((x - mu) ** 2).mean(axis=-1, keepdims=True) + 1e-5)
+    xhat = (x - mu) / sd
+    assert np.abs(out.data - (xhat * gain + bias)).max() < 1e-12
+    g = rng.normal(size=x.shape)
+    ag.backward(ag.tensor_sum(ag.mul(out, g)))
+    dxhat = g * gain
+    dx = (dxhat - dxhat.mean(axis=-1, keepdims=True)
+          - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) / sd
+    assert np.abs(a.grad - dx).max() < 1e-12
+    assert np.abs(gn.grad - (g * xhat).sum(axis=(0, 1))).max() < 1e-12
+    assert np.abs(bs.grad - g.sum(axis=(0, 1))).max() < 1e-12
+    assert np.array_equal(a.data, x)

@@ -282,7 +282,8 @@ def test_malformed_corpus_record_is_user_error(tmp_path, capsys, line):
     assert "c.jsonl:1: bad corpus record" in capsys.readouterr().err
 
 
-def test_attention_checkpoint_missing_manifest_key(tmp_path, capsys):
+def _attention_on_saved_checkpoint(tmp_path) -> tuple[list[str], Path]:
+    """argv of an `attention` run that succeeds on the checkpoint it returns."""
     systems = fixture_dataset(4)
     dataset, corpus, vocab_path = (tmp_path / n for n in ("s.jsonl", "c.jsonl", "v.txt"))
     save_dataset(systems, dataset)
@@ -297,10 +298,23 @@ def test_attention_checkpoint_missing_manifest_key(tmp_path, capsys):
     argv = ["attention", "--systems", str(dataset), "--vocab", str(vocab_path),
             "--ckpt", str(ckpt), "--out", str(tmp_path / "heat.tsv"), "--format", "s4"]
     assert run(argv) == EXIT_OK
+    return argv, ckpt
+
+
+def test_attention_checkpoint_missing_manifest_key(tmp_path, capsys):
+    argv, ckpt = _attention_on_saved_checkpoint(tmp_path)
     rewrite_checkpoint_manifest(ckpt, lambda m: m["params"][0].pop("shape"))
     capsys.readouterr()
     assert run(argv) == EXIT_USER_ERROR
     assert "m.ckpt: manifest params[0] has no key 'shape'" in capsys.readouterr().err
+
+
+def test_attention_checkpoint_renamed_tensor(tmp_path, capsys):
+    argv, ckpt = _attention_on_saved_checkpoint(tmp_path)
+    rewrite_checkpoint_manifest(ckpt, lambda m: m["params"][2].update(name="layer0.query"))
+    capsys.readouterr()
+    assert run(argv) == EXIT_USER_ERROR
+    assert "m.ckpt: tensor 'layer0.query' is not in the layout" in capsys.readouterr().err
 
 
 def _oc20_size_predictions(path: Path, rng) -> dict[str, list[tuple[int, int, float]]]:

@@ -112,6 +112,25 @@ def test_batch_trimmed_to_longest_sequence_is_exact(rng):
     assert not np.any(model.params["pos_emb"].grad[24:])
 
 
+def test_head_reads_position_zero(rng):
+    # without layers the pooled state is the embedding sum at position 0
+    model = init_model(small_config(n_layers=0), seed=16)
+    seqs = [make_seq(rng, n) for n in (6, 17, 24)]
+    pooled = forward(model, seqs).pooled.data
+    want = model.params["tok_emb"].data[BOS] + model.params["pos_emb"].data[0]
+    assert np.array_equal(pooled, np.broadcast_to(want, pooled.shape))
+
+
+def test_forward_rejects_padding_at_position_zero(rng):
+    model = init_model(small_config(), seed=13)
+    seqs = [make_seq(rng, n) for n in (6, 9, 12)]
+    shifted = np.zeros_like(seqs[1].attention_mask)
+    shifted[1:10] = 1  # real tokens, but position 0 masked out
+    seqs[1] = TokenSequence(seqs[1].ids, shifted)
+    with pytest.raises(ValueError, match="batch row 1 has padding at position 0"):
+        forward(model, seqs)
+
+
 def test_forward_without_tape_is_bitwise_equal(rng):
     model = init_model(small_config(), seed=14)
     seqs = [make_seq(rng, n) for n in (5, 13, 20)]
@@ -261,6 +280,45 @@ def test_checkpoint_param_entry_missing_key(tmp_path, key):
         load_checkpoint(path)
 
 
+def _rename(name, new):
+    def edit(manifest):
+        next(e for e in manifest["params"] if e["name"] == name)["name"] = new
+    return edit
+
+
+def _reshape(name, shape):
+    def edit(manifest):
+        next(e for e in manifest["params"] if e["name"] == name)["shape"] = shape
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_rename("layer1.wq", "layer1.w_q"), "tensor 'layer1.w_q' is not in the layout"),
+    # same byte count, so the blob alone would load it without complaint
+    (_reshape("layer0.w1", [64, 16]), "tensor 'layer0.w1' has shape \\[64, 16\\], "
+                                      "its config implies \\[16, 64\\]"),
+    (_rename("head.b2", "layer0.bq"), "tensor 'layer0.bq' appears twice"),
+    (lambda m: m["params"].pop(), "tensor 'head.b2' is missing"),
+], ids=["renamed", "reshaped", "duplicate", "missing"])
+def test_checkpoint_layout_checked(tmp_path, edit, message):
+    model = init_model(small_config(), seed=10)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    rewrite_checkpoint_manifest(path, edit)
+    with pytest.raises(CheckpointError, match=rf"model\.ckpt: {message}"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_mlm_head_round_trips(tmp_path):
+    model = init_model(small_config(), seed=10)
+    ensure_mlm_head(model, tied=False, seed=10)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    loaded, _ = load_checkpoint(path)
+    assert list(loaded.params) == list(model.params)
+    assert np.array_equal(loaded.params["mlm.w"].data, model.params["mlm.w"].data)
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "nope.ckpt"
     path.write_bytes(b"definitely not a checkpoint")
@@ -279,6 +337,23 @@ def test_mlm_logits_tied_and_untied(rng):
     out_untied = mlm_logits(untied, seqs)
     assert "mlm.w" in untied.params
     assert not np.allclose(out_tied.data, out_untied.data)
+
+
+@pytest.mark.parametrize("tied", [True, False])
+def test_mlm_logits_match_each_sequence_alone(rng, tied):
+    model = init_model(small_config(), seed=15)
+    ensure_mlm_head(model, tied=tied, seed=15)
+    model.params["mlm.bias"].data = rng.normal(size=30)
+    seqs = [make_seq(rng, n) for n in (6, 17, 24)]
+    batch = mlm_logits(model, seqs).data
+    assert batch.shape == (3, 24, 30)
+    for b, seq in enumerate(seqs):
+        alone = mlm_logits(model, [seq]).data[0]
+        n = seq.n_real
+        assert np.abs(batch[b, :n] - alone[:n]).max() < 1e-12
+        # a padded position carries a zero state: its logits are the bias
+        assert np.array_equal(batch[b, n:], np.broadcast_to(
+            model.params["mlm.bias"].data, batch[b, n:].shape))
 
 
 def test_mlm_head_required(rng):
