@@ -9,9 +9,9 @@ It trains the criterion-10 desk benchmark of `tests/test_acceptance.py`
 4 heads, 64 hidden, float32, batch 16, seed 7) and records, per format,
 the validation MAE, the epochs run, each epoch's wall time and the mean
 forward, backward and AdamW milliseconds of a training step. It then
-runs `--steps` S4 training steps of a fresh model with every public
-`autograd` op wrapped from outside, the way `perfbench/trace.py` wraps
-the program: the wrapper times the op's forward call and swaps the
+runs PROFILE_STEPS (100) S4 training steps of a fresh model with every
+public `autograd` op wrapped from outside, the way `perfbench/trace.py`
+wraps the program: the wrapper times the op's forward call and swaps the
 backward closure on its result for a timed one, which gives per-op
 forward and backward milliseconds per step.
 
@@ -43,6 +43,7 @@ from adsorbtext.trainer import LrGroupPlan, OptimizerState, TrainRunConfig, trai
 SEED = 7
 NOISE_SIGMA = 0.1
 FORMATS = (("S4", 80), ("S1", 16))
+PROFILE_STEPS = 100  # S4 training steps of the per-op profile
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -224,8 +225,6 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="key of this run in the output file")
     parser.add_argument("--out", type=Path, default=Path("BENCH_train_step.json"))
-    parser.add_argument("--steps", type=int, default=100,
-                        help="S4 training steps of the per-op profile")
     args = parser.parse_args(argv)
 
     systems = synthetic_systems(2000, seed=123, noise_sigma=NOISE_SIGMA)
@@ -234,7 +233,7 @@ def main(argv=None) -> None:
                         "cpus": os.cpu_count(), "python": platform.python_version(),
                         "numpy": np.__version__},
         "criterion_10": criterion_10(systems),
-        "op_profile": op_profile(systems, args.steps),
+        "op_profile": op_profile(systems, PROFILE_STEPS),
     }
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("config", {

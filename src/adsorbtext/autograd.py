@@ -228,15 +228,15 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _result(out_data, (a,), backward)
 
 
-def attention(q, k, v, rows, batch: int, length: int, key_bias: np.ndarray,
-              n_heads: int, keep: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
-    """Multi-head softmax(QK^T / sqrt(d_head) + key_bias) V on packed rows.
+def attention(q, k, v, rows, batch: int, length: int, n_heads: int,
+              keep: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """Multi-head softmax(QK^T / sqrt(d_head)) V on packed rows.
 
     q, k and v are (N, hidden): one row per real token, row i sitting at
     flat position rows[i] of a (batch, length) grid. The padded
-    (batch, heads, length, length) layout exists only inside this op.
-    key_bias (batch, length) is added to every query's scores (-inf blocks
-    a key); keep, if given, multiplies the weights (inverted dropout).
+    (batch, heads, length, length) layout exists only inside this op, and
+    a query attends only to the real keys of its own sequence. keep, if
+    given, multiplies the weights (inverted dropout).
     Padded query rows are zero, so their weights are uniform over the
     real keys; no output row reads them. Returns the packed context
     (N, hidden) and the weights (batch, heads, query, key) before keep.
@@ -246,6 +246,9 @@ def attention(q, k, v, rows, batch: int, length: int, key_bias: np.ndarray,
     d_head = hidden // n_heads
     scale_by = 1.0 / math.sqrt(d_head)
     b_idx, l_idx = np.divmod(rows, length)
+    # -inf on padded keys makes their softmax weight exactly zero
+    key_bias = np.full((batch, length), -np.inf, dtype=q.data.dtype)
+    key_bias.flat[rows] = 0.0
 
     def split(t):  # packed (N, hidden) -> zero-padded (B, heads, L, d_head)
         out = np.zeros((batch, n_heads, length, d_head), dtype=t.dtype)

@@ -226,8 +226,6 @@ def _encode(
     batch, length = ids.shape
     drop = cfg.dropout_rate if train else 0.0
     rows = np.flatnonzero(mask)
-    # -inf on padded keys makes their softmax weight exactly zero
-    key_bias = np.where(mask == 1, 0.0, -np.inf).astype(dt)
 
     x = ag.add(ag.embedding(p["tok_emb"], ids.reshape(-1)[rows]),
                ag.embedding(p["pos_emb"], rows % length))
@@ -244,8 +242,7 @@ def _encode(
             if drop:  # drawn as ag.dropout draws its mask
                 shape = (batch, cfg.n_heads, length, length)
                 keep = (rng.random(shape) >= drop).astype(dt) / (1.0 - drop)
-            ctx, weights = ag.attention(q, k, v, rows, batch, length, key_bias,
-                                        cfg.n_heads, keep)
+            ctx, weights = ag.attention(q, k, v, rows, batch, length, cfg.n_heads, keep)
             if capture_attention:
                 captured.append(weights)
             return ag.linear(ctx, p[pre + "wo"], p[pre + "bo"])

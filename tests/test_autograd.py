@@ -254,10 +254,9 @@ ATT_LEN, ATT_HEADS, ATT_HIDDEN = 5, 2, 8
 def _packed_attention_inputs(rng):
     mask = (np.arange(ATT_LEN)[None] < np.array(ATT_LENGTHS)[:, None]).astype(int)
     rows = np.flatnonzero(mask)
-    key_bias = np.where(mask == 1, 0.0, -np.inf)
     q, k, v = (Tensor(rng.normal(size=(rows.size, ATT_HIDDEN)), requires_grad=True)
                for _ in range(3))
-    return q, k, v, rows, key_bias
+    return q, k, v, rows
 
 
 def _per_sequence_reference(q, k, v, keep):
@@ -281,11 +280,10 @@ def _per_sequence_reference(q, k, v, keep):
 
 @pytest.mark.parametrize("with_keep", [False, True])
 def test_attention_matches_reference_per_sequence(rng, with_keep):
-    q, k, v, rows, key_bias = _packed_attention_inputs(rng)
+    q, k, v, rows = _packed_attention_inputs(rng)
     shape = (len(ATT_LENGTHS), ATT_HEADS, ATT_LEN, ATT_LEN)
     keep = (rng.random(shape) >= 0.3) / 0.7 if with_keep else None
-    ctx, weights = ag.attention(q, k, v, rows, len(ATT_LENGTHS), ATT_LEN, key_bias,
-                                ATT_HEADS, keep)
+    ctx, weights = ag.attention(q, k, v, rows, len(ATT_LENGTHS), ATT_LEN, ATT_HEADS, keep)
     want_ctx, want_weights = _per_sequence_reference(q, k, v, keep)
     assert ctx.data.shape == (rows.size, ATT_HIDDEN)
     assert np.abs(ctx.data - want_ctx).max() < 1e-12
@@ -299,8 +297,7 @@ def test_attention_matches_reference_per_sequence(rng, with_keep):
     target = rng.normal(size=(rows.size, ATT_HIDDEN))
 
     def fn():
-        out, _ = ag.attention(q, k, v, rows, len(ATT_LENGTHS), ATT_LEN, key_bias,
-                              ATT_HEADS, keep)
+        out, _ = ag.attention(q, k, v, rows, len(ATT_LENGTHS), ATT_LEN, ATT_HEADS, keep)
         return ag.l1_loss(ag.tanh(out), target)
 
     _fd_check(fn, [q, k, v])
