@@ -7,8 +7,10 @@ Run from the repository root with single-threaded BLAS:
 It trains the criterion-10 desk benchmark of `tests/test_acceptance.py`
 (2,000 synthetic systems, S4 at 80 positions and S1 at 16, 4 layers,
 4 heads, 64 hidden, float32, batch 16, seed 7) and records, per format,
-the validation MAE, the epochs run, each epoch's wall time and the mean
-forward, backward and AdamW milliseconds of a training step. It then
+the validation MAE, the epochs run, each epoch's wall time, the mean
+forward, backward and AdamW milliseconds of a training step and a sha256
+of the best model's parameter bytes, so two entries with equal hashes
+trained bit for bit the same model. It then
 runs PROFILE_STEPS (100) S4 training steps of a fresh model with every
 public `autograd` op wrapped from outside, the way `perfbench/trace.py`
 wraps the program: the wrapper times the op's forward call and swaps the
@@ -24,6 +26,7 @@ before`, and once here with `--label after`, puts both sides in one file.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import inspect
 import json
 import os
@@ -127,6 +130,14 @@ def ms_per_step(timers: Timers, name: str, steps: int) -> float:
     return round(1e3 * timers.seconds.get(name, 0.0) / steps, 3)
 
 
+def parameter_sha256(model) -> str:
+    """sha256 over every parameter's bytes in checkpoint order."""
+    digest = hashlib.sha256()
+    for p in model.params.values():
+        digest.update(np.ascontiguousarray(p.data).tobytes())
+    return digest.hexdigest()
+
+
 def corpus(systems, fmt: str):
     records, report = featurize_systems(systems, fmt)
     if report["fallback_s1"]:
@@ -171,6 +182,7 @@ def criterion_10(systems) -> dict:
             "backward_ms_per_step": ms_per_step(timers, "backward", steps),
             "adamw_ms_per_step": ms_per_step(timers, "adamw", steps),
             "validation_s": round(timers.seconds.get("forward_infer", 0.0), 3),
+            "param_sha256": parameter_sha256(result.model),
         }
     s4, s1 = out["S4"]["val_mae"], out["S1"]["val_mae"]
     out["gate"] = {"s4_below": 2 * NOISE_SIGMA, "margin_to_gate": 2 * NOISE_SIGMA - s4,

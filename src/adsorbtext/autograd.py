@@ -10,9 +10,23 @@ inference keeps no intermediate arrays alive.
 Besides elementwise and matrix ops the engine has two fused ones that
 the encoder runs on packed tokens (one row per real token): `linear`,
 whose weight gradient is a single 2-D GEMM over all rows, and
-multi-head `attention`, which lays the packed rows out on the padded
-(batch, heads, length, length) grid only inside itself and writes its
-backward by hand. `scatter` puts packed rows back on a padded grid.
+multi-head `attention`, which writes its backward by hand. An
+`AttentionLayout`, built once per batch from the attention mask, sorts
+the sequences by length and cuts them into a few buckets; the op lays
+each bucket out on its own (sequences, heads, length, length) grid,
+padded only to that bucket's longest sequence. Masks are prefixes, so a
+sequence's real tokens sit at positions 0..n-1 on any grid at least n
+long, and a longer grid adds only exact zeros at the end of each sum over
+keys or queries: in exact arithmetic the buckets change nothing. A BLAS
+may still round a product differently with the size of its matrices.
+With OpenBLAS 0.3.31 the results equal those of one grid padded to the
+batch's longest sequence bit for bit at 16 dimensions per head (the
+shipped configuration), though not always at 8 or 32. `scatter` puts packed
+rows back on a padded grid.
+
+A leaf whose owner keeps gradients in one flat buffer (EncoderModel) has
+a `grad_view` into it; backward writes that leaf's gradient there instead
+of binding a new array.
 
 Double precision is the default so finite-difference checks are
 meaningful; single precision is supported for training speed by creating
@@ -30,11 +44,15 @@ _taping = True  # switched off only inside no_tape()
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "retain_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "grad_view", "requires_grad", "retain_grad",
+                 "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
+        # where backward writes this leaf's gradient, if its owner keeps
+        # gradients in one buffer (see EncoderModel); grad stays None until then
+        self.grad_view: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.retain_grad = False  # set to keep .grad on non-leaf tensors
         self._parents: tuple[Tensor, ...] = ()
@@ -228,60 +246,161 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _result(out_data, (a,), backward)
 
 
-def attention(q, k, v, rows, batch: int, length: int, n_heads: int,
-              keep: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+# Cost of one more bucket in score cells (the n * L * L of a grid). Measured
+# once with `attention` forward and backward on one core (float32, 4 heads of
+# 16, 16 sequences): splitting equal lengths into more buckets adds about
+# 55 us per bucket, and a grid costs about 19 ns per cell. On S4 batches
+# (lengths 22-74) this still cuts three buckets and takes 0.63x the time of
+# one grid; on DESC batches (45-51), where a cut saves little, it keeps one
+# or two and the time does not move.
+BUCKET_COST_CELLS = 3000
+
+
+def _bucket_bounds(lengths: np.ndarray) -> np.ndarray:
+    """Bounds of at most three buckets over ascending lengths that minimise
+    the cells of their grids plus BUCKET_COST_CELLS per bucket; on a tie the
+    fewest cuts win, so equal lengths stay in one bucket."""
+    total = lengths.size
+    end = np.arange(total + 1)
+    top = np.concatenate(([0], lengths.astype(np.int64) ** 2))  # longest of [i, j) squared: top[j]
+    i, j = end[:, None], end[None, :]
+    cells = (j - i) * top[j] + BUCKET_COST_CELLS * (j > i)  # bucket [i, j), for j >= i
+    # buckets [0, i), [i, j) and [j, total); argmin takes the first, fewest-cut minimum
+    costs = np.where(j >= i, cells[0][:, None] + cells + cells[:, total], np.iinfo(np.int64).max)
+    i, j = np.unravel_index(np.argmin(costs), costs.shape)
+    return np.unique([0, i, j, total])
+
+
+class AttentionLayout:
+    """Where one batch's packed rows sit on the grids of `attention`.
+
+    mask is the (batch, length) attention mask, real tokens first in each
+    row; packed row i is the token at flat position rows[i] of that grid,
+    rows = np.flatnonzero(mask). The sequences are sorted by length and cut
+    into at most three buckets (see _bucket_bounds), each laid out as a
+    grid padded only to its own longest sequence; the buckets' grids are
+    stacked row after row, and packed row i sits at grid row grid_rows[i].
+    Every sequence keeps its real tokens at positions 0..n-1, as on the
+    full grid, so a larger grid would only add exact zeros at the end of
+    each reduction over keys or queries.
+    """
+
+    def __init__(self, mask: np.ndarray):
+        mask = np.asarray(mask, dtype=bool)
+        batch, length = mask.shape
+        lengths = mask.sum(axis=1)
+        if not np.array_equal(mask, np.arange(length) < lengths[:, None]):
+            raise ValueError("attention mask rows must be real tokens followed by padding")
+        self.shape = (batch, length)
+        self.lengths = lengths
+        self.rows = np.flatnonzero(mask)
+        self.starts = np.cumsum(lengths) - lengths  # first packed row of each sequence
+        order = np.argsort(lengths, kind="stable")
+        bounds = _bucket_bounds(lengths[order])
+        sizes = np.diff(bounds)
+        bucket_len = lengths[order[bounds[1:] - 1]]
+        offsets = np.cumsum(sizes * bucket_len) - sizes * bucket_len
+        # per sequence, in sorted order: its bucket, then its first grid row
+        bucket = np.repeat(np.arange(sizes.size), sizes)
+        first = offsets[bucket] + (np.arange(batch) - bounds[bucket]) * bucket_len[bucket]
+        self.bucket_length = np.empty(batch, dtype=np.int64)
+        self.bucket_length[order] = bucket_len[bucket]
+        seq_first = np.empty(batch, dtype=np.int64)
+        seq_first[order] = first
+        self.grid_rows = (np.repeat(seq_first - self.starts, lengths)
+                          + np.arange(self.rows.size))
+        self.grid_size = int(offsets[-1] + sizes[-1] * bucket_len[-1])
+        # (sequences, length, first grid row, key bias) per bucket; -inf on
+        # padded keys makes their softmax weight exactly zero
+        self.buckets = []
+        for lo, hi, n_max, off in zip(bounds[:-1], bounds[1:], bucket_len.tolist(),
+                                      offsets.tolist()):
+            seqs = order[lo:hi]
+            key_bias = np.where(np.arange(n_max) < lengths[seqs][:, None], 0.0, -np.inf)
+            self.buckets.append((seqs, n_max, off, key_bias))
+
+    def padded_weights(self, weights: list[np.ndarray]) -> np.ndarray:
+        """The buckets' (n_b, heads, query, key) weights from `attention` on
+        the full (batch, heads, length, length) grid. Padded keys get exactly
+        0 and padded queries, as inside a bucket, 1/n on each of the n real
+        keys, also past the bucket's own length."""
+        batch, length = self.shape
+        out = np.zeros((batch, weights[0].shape[1], length, length), dtype=weights[0].dtype)
+        for (seqs, n_max, _, _), w in zip(self.buckets, weights):
+            out[seqs, :, :n_max, :n_max] = w
+        pos = np.arange(length)
+        beyond = ((pos[None, :, None] >= self.bucket_length[:, None, None])
+                  & (pos[None, None, :] < self.lengths[:, None, None]))
+        uniform = np.divide(1, self.lengths.astype(out.dtype))
+        np.copyto(out, uniform[:, None, None, None], where=beyond[:, None])
+        return out
+
+
+def attention(q, k, v, layout: AttentionLayout, n_heads: int,
+              keep: np.ndarray | None = None) -> tuple[Tensor, list[np.ndarray]]:
     """Multi-head softmax(QK^T / sqrt(d_head)) V on packed rows.
 
-    q, k and v are (N, hidden): one row per real token, row i sitting at
-    flat position rows[i] of a (batch, length) grid. The padded
-    (batch, heads, length, length) layout exists only inside this op, and
-    a query attends only to the real keys of its own sequence. keep, if
-    given, multiplies the weights (inverted dropout).
-    Padded query rows are zero, so their weights are uniform over the
-    real keys; no output row reads them. Returns the packed context
-    (N, hidden) and the weights (batch, heads, query, key) before keep.
+    q, k and v are (N, hidden): one row per real token, laid out by
+    `layout`. The zero-padded (n_b, heads, L_b, L_b) grid of each bucket
+    exists only inside this op, and a query attends only to the real keys
+    of its own sequence. keep, if given, is drawn on the full
+    (batch, heads, length, length) grid and multiplies the weights
+    (inverted dropout). Padded query rows are zero, so their weights are
+    uniform over the real keys; no output row reads them. Returns the
+    packed context (N, hidden) and each bucket's weights (n_b, heads,
+    query, key) before keep, which layout.padded_weights lays out.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     hidden = q.data.shape[-1]
     d_head = hidden // n_heads
     scale_by = 1.0 / math.sqrt(d_head)
-    b_idx, l_idx = np.divmod(rows, length)
-    # -inf on padded keys makes their softmax weight exactly zero
-    key_bias = np.full((batch, length), -np.inf, dtype=q.data.dtype)
-    key_bias.flat[rows] = 0.0
 
-    def split(t):  # packed (N, hidden) -> zero-padded (B, heads, L, d_head)
-        out = np.zeros((batch, n_heads, length, d_head), dtype=t.dtype)
-        out[b_idx, :, l_idx] = t.reshape(-1, n_heads, d_head)
-        return out
+    def heads(grid, n_seqs, n_max, off):  # a bucket's (n_b, heads, L_b, d_head) view
+        block = grid[off:off + n_seqs * n_max]
+        return block.reshape(n_seqs, n_max, n_heads, d_head).transpose(0, 2, 1, 3)
 
-    def merge(t):  # (B, heads, L, d_head) -> packed (N, hidden)
-        return t[b_idx, :, l_idx].reshape(-1, hidden)
+    def split(t):  # packed (N, hidden) -> zero-padded rows of the stacked grids
+        grid = np.zeros((layout.grid_size, hidden), dtype=t.dtype)
+        grid[layout.grid_rows] = t
+        return grid
 
-    # Scores are held key-major, (B, heads, key, query): numpy's max over the
-    # second-to-last axis is about twice as fast as over the last.
-    qh, kh, vh = split(q.data * scale_by), split(k.data), split(v.data)
-    wt = np.matmul(kh, qh.swapaxes(-1, -2))
-    wt += key_bias[:, None, :, None]
-    wt -= wt.max(axis=-2, keepdims=True)
-    np.exp(wt, out=wt)
-    wt /= np.einsum("...kq->...q", wt)[..., None, :]
-    kept = wt if keep is None else wt * keep.swapaxes(-1, -2)
-    ctx = merge(np.matmul(kept.swapaxes(-1, -2), vh))
+    qg, kg, vg = split(q.data * scale_by), split(k.data), split(v.data)
+    ctx = np.empty_like(qg)
+    saved = []
+    for seqs, n_max, off, key_bias in layout.buckets:
+        qh, kh, vh = (heads(g, seqs.size, n_max, off) for g in (qg, kg, vg))
+        # Scores are held key-major, (n_b, heads, key, query): numpy's max over
+        # the second-to-last axis is about twice as fast as over the last.
+        wt = np.matmul(kh, qh.swapaxes(-1, -2))
+        wt += key_bias.astype(wt.dtype)[:, None, :, None]
+        wt -= wt.max(axis=-2, keepdims=True)
+        np.exp(wt, out=wt)
+        wt /= np.einsum("...kq->...q", wt)[..., None, :]
+        keep_t = None if keep is None else keep[seqs, :, :n_max, :n_max].swapaxes(-1, -2)
+        kept = wt if keep_t is None else wt * keep_t
+        np.matmul(kept.swapaxes(-1, -2), vh, out=heads(ctx, seqs.size, n_max, off))
+        saved.append((qh, kh, vh, wt, kept, keep_t))
 
     def backward(g):
-        gh = split(g)
-        dv = np.matmul(kept, gh)
-        dwt = np.matmul(vh, gh.swapaxes(-1, -2))
-        if keep is not None:
-            dwt *= keep.swapaxes(-1, -2)
-        dwt -= np.einsum("...kq,...kq->...q", dwt, wt)[..., None, :]
-        dwt *= wt
-        dq = np.matmul(dwt.swapaxes(-1, -2), kh)
-        dq *= scale_by
-        return merge(dq), merge(np.matmul(dwt, qh)), merge(dv)
+        gg = split(g)
+        dq, dk, dv = np.empty_like(gg), np.empty_like(gg), np.empty_like(gg)
+        for (seqs, n_max, off, _), (qh, kh, vh, wt, kept, keep_t) in zip(layout.buckets, saved):
+            gh = heads(gg, seqs.size, n_max, off)
+            np.matmul(kept, gh, out=heads(dv, seqs.size, n_max, off))
+            dwt = np.matmul(vh, gh.swapaxes(-1, -2))
+            if keep_t is not None:
+                dwt *= keep_t
+            dwt -= np.einsum("...kq,...kq->...q", dwt, wt)[..., None, :]
+            dwt *= wt
+            dqh = heads(dq, seqs.size, n_max, off)
+            np.matmul(dwt.swapaxes(-1, -2), kh, out=dqh)
+            dqh *= scale_by
+            np.matmul(dwt, qh, out=heads(dk, seqs.size, n_max, off))
+        rows = layout.grid_rows
+        return dq[rows], dk[rows], dv[rows]
 
-    return _result(ctx, (q, k, v), backward), wt.swapaxes(-1, -2)
+    out = _result(ctx[layout.grid_rows], (q, k, v), backward)
+    return out, [s[3].swapaxes(-1, -2) for s in saved]
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -450,7 +569,14 @@ def backward(loss: Tensor) -> None:
             continue
         if node._backward is None or node.retain_grad:
             # leaf parameter (or explicitly retained): persistent accumulation
-            node.grad = g if node.grad is None else node.grad + g
+            if node.grad_view is None:
+                node.grad = g if node.grad is None else node.grad + g
+            else:  # written into the owner's gradient buffer, never rebound
+                if node.grad is None:
+                    node.grad_view[...] = g
+                else:
+                    np.add(node.grad, g, out=node.grad_view)
+                node.grad = node.grad_view
         if node._backward is not None:
             parent_grads = node._backward(g)
             for parent, pg in zip(node._parents, parent_grads):

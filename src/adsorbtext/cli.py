@@ -257,13 +257,12 @@ def _model_config(args: argparse.Namespace, vocab_size: int) -> EncoderConfig:
     )
 
 
-def _run_config(args: argparse.Namespace, objective: str) -> TrainRunConfig:
+def _run_config(args: argparse.Namespace) -> TrainRunConfig:
     return TrainRunConfig(
         batch_size=args.batch_size,
         max_epochs=args.epochs,
         early_stopping_patience=args.patience,
         seed=args.seed,
-        objective=objective,
         base_lr=args.lr,
         weight_decay=args.weight_decay,
         clip_norm=args.clip_norm,
@@ -307,7 +306,7 @@ def cmd_pretrain(args) -> None:
     records = read_corpus(args.corpus)
     vocab = Vocabulary.load(args.vocab)
     model = init_model(_model_config(args, len(vocab)), seed=args.seed)
-    run_cfg = _run_config(args, "mlm")
+    run_cfg = _run_config(args)
     result = pretrain_mlm(model, [r.text for r in records], run_cfg, vocab)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.model, args.out, vocab_sha256=vocab.sha256,
@@ -335,7 +334,7 @@ def cmd_train(args) -> None:
                                         expected_vocab_sha256=vocab.sha256)
         copied = model.load_values(pretrained, skip_prefixes=("head.", "mlm."))
         log.info("train: seeded %d tensors from %s", len(copied), args.init_from)
-    run_cfg = _run_config(args, "regression_mae")
+    run_cfg = _run_config(args)
     result = train_regression(model, train_records, val_records, run_cfg, vocab)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.model, args.out, vocab_sha256=vocab.sha256,

@@ -10,9 +10,19 @@ softmax, so their weights and their gradients are exactly zero.
 The stack runs on packed tokens: hidden states are (N, hidden), one row
 per real token, taken from the flat positions np.flatnonzero(mask) of the
 (batch, length) grid, so projections, GELU and layer norms never touch
-padding. Only `autograd.attention` builds the padded (batch, heads,
-length, length) layout, inside itself. `mlm_logits` scatters its final
-states back onto the grid to keep its (batch, length, vocab) shape.
+padding. `_encode` builds one `autograd.AttentionLayout` per batch, and
+every layer's `autograd.attention`, forward and backward, reuses it: the
+op runs each length bucket on a grid padded only to that bucket's
+longest sequence. Real tokens come first in every row, so a bucket's
+smaller grid drops only trailing exact zeros from the sums over keys and
+queries, and the results equal those of one padded grid (bit for bit at
+the shipped 16 dimensions per head; see `autograd`). Captured attention
+is laid back out on the full (batch, heads, length, length) grid.
+`mlm_logits` scatters its final states back onto the grid to keep its
+(batch, length, vocab) shape.
+
+Parameters live in two flat buffers per model, one for values and one
+for gradients, in checkpoint order (see EncoderModel).
 
 Checkpoints are a single file: magic, JSON manifest (config, vocabulary
 hash, step, seed, tensor order) and the raw little-endian parameter blob.
@@ -79,18 +89,55 @@ class EncoderConfig:
 
 @dataclass
 class EncoderModel:
+    """A config and its named parameters, laid out in two flat buffers.
+
+    Each parameter's data is a view into `data_buffer` and, once backward
+    has written a gradient, its grad a view into `grad_buffer`, both in the
+    order of `params` (the checkpoint order), so the optimizer and the
+    checkpoint work on whole arrays. `buffers()` lays them out again when a
+    parameter was added, replaced or rebound since.
+    """
+
     config: EncoderConfig
     params: dict[str, Tensor]  # insertion order defines the checkpoint layout
+
+    def __post_init__(self):
+        self._pack()
+
+    def _pack(self) -> None:
+        tensors = list(self.params.values())
+        data = np.empty(sum(p.data.size for p in tensors), dtype=self.config.np_dtype)
+        grad = np.zeros_like(data)
+        start = 0
+        for p in tensors:
+            stop = start + p.data.size
+            view = data[start:stop].reshape(p.data.shape)
+            view[...] = p.data
+            p.data, p.grad_view = view, grad[start:stop].reshape(view.shape)
+            if p.grad is not None:
+                p.grad_view[...] = p.grad
+                p.grad = p.grad_view
+            start = stop
+        self.data_buffer, self.grad_buffer = data, grad
+        self._packed = [(p, p.data) for p in tensors]
+
+    def buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The flat data and gradient buffers, in `params` order."""
+        if len(self._packed) != len(self.params) or any(
+                t is not p or p.data is not view
+                or (p.grad is not None and p.grad is not p.grad_view)
+                for (t, view), p in zip(self._packed, self.params.values())):
+            self._pack()
+        return self.data_buffer, self.grad_buffer
 
     def zero_grads(self) -> None:
         for p in self.params.values():
             p.grad = None
 
     def clone(self) -> "EncoderModel":
-        return EncoderModel(
+        return EncoderModel(  # packing copies the values into new buffers
             self.config,
-            {n: Tensor(p.data.copy(), requires_grad=p.requires_grad)
-             for n, p in self.params.items()},
+            {n: Tensor(p.data, requires_grad=p.requires_grad) for n, p in self.params.items()},
         )
 
     def load_values(self, other: "EncoderModel",
@@ -101,7 +148,7 @@ class EncoderModel:
             if name in self.params and not any(name.startswith(s) for s in skip_prefixes):
                 if self.params[name].data.shape != p.data.shape:
                     raise ValueError(f"shape mismatch for {name}")
-                self.params[name].data = p.data.astype(self.config.np_dtype).copy()
+                self.params[name].data[...] = p.data  # into the view, cast to this dtype
                 copied.append(name)
         return copied
 
@@ -214,18 +261,20 @@ def _encode(
     capture_attention: bool,
     train: bool,
     rng: np.random.Generator | None,
-) -> tuple[Tensor, np.ndarray, list[np.ndarray]]:
+) -> tuple[Tensor, ag.AttentionLayout, list[np.ndarray]]:
     """Shared encoder stack on packed tokens.
 
     Returns the final hidden states (N, H), one row per real token, the
-    flat (B * L) positions of those rows, and the captured attention.
+    batch's attention layout (whose `rows` are the flat (B * L) positions
+    of those rows), and the captured attention.
     """
     cfg = model.config
     p = model.params
     dt = cfg.np_dtype
     batch, length = ids.shape
     drop = cfg.dropout_rate if train else 0.0
-    rows = np.flatnonzero(mask)
+    layout = ag.AttentionLayout(mask)  # one per batch, shared by every layer
+    rows = layout.rows
 
     x = ag.add(ag.embedding(p["tok_emb"], ids.reshape(-1)[rows]),
                ag.embedding(p["pos_emb"], rows % length))
@@ -242,9 +291,9 @@ def _encode(
             if drop:  # drawn as ag.dropout draws its mask
                 shape = (batch, cfg.n_heads, length, length)
                 keep = (rng.random(shape) >= drop).astype(dt) / (1.0 - drop)
-            ctx, weights = ag.attention(q, k, v, rows, batch, length, cfg.n_heads, keep)
+            ctx, weights = ag.attention(q, k, v, layout, cfg.n_heads, keep)
             if capture_attention:
-                captured.append(weights)
+                captured.append(layout.padded_weights(weights))
             return ag.linear(ctx, p[pre + "wo"], p[pre + "bo"])
 
         def ffn_block(inp: Tensor) -> Tensor:
@@ -262,7 +311,7 @@ def _encode(
                               p[pre + "ln1_g"], p[pre + "ln1_b"])
             x = ag.layer_norm(ag.add(x, ffn_block(x)),
                               p[pre + "ln2_g"], p[pre + "ln2_b"])
-    return x, rows, captured
+    return x, layout, captured
 
 
 def forward(
@@ -297,10 +346,10 @@ def forward(
         last = np.flatnonzero(mask.any(axis=0))[-1]
         ids, mask = ids[:, :last + 1], mask[:, :last + 1]
 
-    x, rows, captured = _encode(model, ids, mask, capture_attention, train, rng)
+    x, layout, captured = _encode(model, ids, mask, capture_attention, train, rng)
     p = model.params
-    batch, length = ids.shape
-    pooled = ag.take(x, (np.searchsorted(rows, np.arange(batch) * length),))
+    batch = ids.shape[0]
+    pooled = ag.take(x, (layout.starts,))
     act = ag.tanh if cfg.head_activation == "tanh" else ag.gelu
     hidden = act(ag.linear(pooled, p["head.w1"], p["head.b1"]))
     energy = ag.reshape(ag.linear(hidden, p["head.w2"], p["head.b2"]), (batch,))
@@ -324,8 +373,9 @@ def mlm_logits(
     if "mlm.bias" not in p:
         raise ValueError("model has no MLM head; call ensure_mlm_head first")
     ids, mask = _stack_batch(seqs)
-    x, rows, _ = _encode(model, ids, mask, False, train, rng)
-    states = ag.scatter(x, np.unravel_index(rows, ids.shape), (*ids.shape, x.data.shape[-1]))
+    x, layout, _ = _encode(model, ids, mask, False, train, rng)
+    states = ag.scatter(x, np.unravel_index(layout.rows, ids.shape),
+                        (*ids.shape, x.data.shape[-1]))
     w = p["mlm.w"] if "mlm.w" in p else ag.transpose(p["tok_emb"], (1, 0))
     return ag.linear(states, w, p["mlm.bias"])
 
@@ -350,13 +400,12 @@ def save_checkpoint(
     }
     header = json.dumps(manifest, sort_keys=True).encode("utf-8")
     wire_dtype = "<f8" if model.config.dtype == "float64" else "<f4"
+    data, _ = model.buffers()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        for n in names:
-            fh.write(np.ascontiguousarray(model.params[n].data,
-                                          dtype=wire_dtype).tobytes())
+        fh.write(data.astype(wire_dtype, copy=False).tobytes())
 
 
 def _read_header(path: str | Path) -> tuple[dict, int]:
@@ -438,9 +487,8 @@ def load_checkpoint(
             buf = fh.read(count * itemsize)
             if len(buf) != count * itemsize:
                 raise CheckpointError(f"{path}: truncated blob at {name}")
-            data = np.frombuffer(buf, dtype=wire_dtype).reshape(shape).astype(
-                config.np_dtype)
-            params[name] = Tensor(data.copy(), requires_grad=True)
+            params[name] = Tensor(np.frombuffer(buf, dtype=wire_dtype).reshape(shape),
+                                  requires_grad=True)  # EncoderModel copies it into its buffer
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after parameter blob")
     return EncoderModel(config, params), manifest

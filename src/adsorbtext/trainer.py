@@ -60,7 +60,12 @@ class LrGroupPlan:
 
 @dataclass
 class OptimizerState:
-    """Per-parameter AdamW moments plus the shared step counter."""
+    """AdamW moments plus the shared step counter.
+
+    The moments are two flat arrays laid out like the model's parameter
+    buffer; m and v map each parameter name to its slice. A parameter that
+    has had no gradient yet has zero moments.
+    """
 
     beta1: float = 0.9
     beta2: float = 0.999
@@ -69,49 +74,77 @@ class OptimizerState:
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    flat_m: np.ndarray | None = field(default=None, init=False, repr=False)
+    flat_v: np.ndarray | None = field(default=None, init=False, repr=False)
+    follows: np.ndarray | None = field(default=None, init=False, repr=False)  # parameter buffer
+
+    def fit(self, model: EncoderModel, data: np.ndarray) -> None:
+        """Lay the moments out like data, keeping each name's moments."""
+        if self.follows is data:
+            return
+        flat_m, flat_v = np.zeros_like(data), np.zeros_like(data)
+        m, v, start = {}, {}, 0
+        for name, p in model.params.items():
+            stop = start + p.data.size
+            m[name] = flat_m[start:stop].reshape(p.data.shape)
+            v[name] = flat_v[start:stop].reshape(p.data.shape)
+            if name in self.m and self.m[name].shape == p.data.shape:
+                m[name][...], v[name][...] = self.m[name], self.v[name]
+            start = stop
+        self.m, self.v, self.flat_m, self.flat_v, self.follows = m, v, flat_m, flat_v, data
 
 
 def adamw_step(model: EncoderModel, state: OptimizerState, plan: LrGroupPlan,
                clip_norm: float | None = None) -> None:
-    """One decoupled-weight-decay Adam update over all gradients in place."""
-    grads: dict[str, np.ndarray] = {}
-    for name, p in model.params.items():
-        if p.grad is None:
-            continue
-        if not np.all(np.isfinite(p.grad)):
-            raise NonFiniteGradientError(f"non-finite gradient in {name} at step {state.step + 1}")
-        grads[name] = p.grad
-    if not grads:
-        raise ValueError("adamw_step called with no gradients populated")
+    """One decoupled-weight-decay Adam update over all gradients in place.
 
+    Runs on the model's flat buffers. The parameters that have a gradient
+    form a few contiguous runs with one learning rate each, and every run
+    takes whole-array ops with the element-wise arithmetic, in the same
+    order, of an update tensor by tensor. A parameter without a gradient
+    (the regression head during masked-token pretraining) gets no update,
+    no weight decay and no moment update.
+    """
+    data, grad = model.buffers()
+    spans, runs, start = [], [], 0  # runs: [start, stop, lr]
+    for name, p in model.params.items():
+        stop = start + p.data.size
+        if p.grad is not None:
+            spans.append((name, p.grad))
+            lr = plan.lr_of(name)
+            if runs and runs[-1][1] == start and runs[-1][2] == lr:
+                runs[-1][1] = stop
+            else:
+                runs.append([start, stop, lr])
+        start = stop
+    if not runs:
+        raise ValueError("adamw_step called with no gradients populated")
+    if not all(np.isfinite(grad[lo:hi]).all() for lo, hi, _ in runs):
+        name = next(n for n, g in spans if not np.all(np.isfinite(g)))
+        raise NonFiniteGradientError(f"non-finite gradient in {name} at step {state.step + 1}")
+
+    factor = None
     if clip_norm is not None:
-        total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        total = np.sqrt(sum(float((g * g).sum()) for _, g in spans))
         if total > clip_norm:
             factor = clip_norm / total
-            grads = {n: g * factor for n, g in grads.items()}
 
+    state.fit(model, data)
     state.step += 1
     bc1 = 1.0 - state.beta1 ** state.step
     bc2 = 1.0 - state.beta2 ** state.step
-    for name, g in grads.items():
-        p = model.params[name]
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p.data)
-        v = state.v.get(name)
-        if v is None:
-            v = state.v[name] = np.zeros_like(p.data)
-        if m.shape != g.shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
+    for lo, hi, lr in runs:
+        g = grad[lo:hi] if factor is None else grad[lo:hi] * factor
+        m, v, p = state.flat_m[lo:hi], state.flat_v[lo:hi], data[lo:hi]
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2
         v += (1.0 - state.beta2) * (g * g)
-        lr = plan.lr_of(name)
         update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
         if state.weight_decay:
-            update = update + state.weight_decay * p.data
-        p.data = p.data - lr * update
+            update += state.weight_decay * p
+        update *= lr
+        p -= update
 
 
 @dataclass
@@ -119,9 +152,7 @@ class TrainRunConfig:
     batch_size: int = 12
     max_epochs: int = 100
     early_stopping_patience: int = 5
-    warmup_steps: int = 0  # schedules are out of scope; must stay 0
     seed: int = 0
-    objective: str = "regression_mae"  # or "mlm"
     base_lr: float = 1e-6
     weight_decay: float = 0.01
     clip_norm: float | None = None
@@ -133,10 +164,6 @@ class TrainRunConfig:
             raise ValueError("early_stopping_patience must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.warmup_steps != 0:
-            raise ValueError("warmup schedules are not supported (warmup_steps must be 0)")
-        if self.objective not in ("regression_mae", "mlm"):
-            raise ValueError(f"unknown objective {self.objective!r}")
 
 
 @dataclass

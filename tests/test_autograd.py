@@ -253,10 +253,10 @@ ATT_LEN, ATT_HEADS, ATT_HIDDEN = 5, 2, 8
 
 def _packed_attention_inputs(rng):
     mask = (np.arange(ATT_LEN)[None] < np.array(ATT_LENGTHS)[:, None]).astype(int)
-    rows = np.flatnonzero(mask)
-    q, k, v = (Tensor(rng.normal(size=(rows.size, ATT_HIDDEN)), requires_grad=True)
+    layout = ag.AttentionLayout(mask)
+    q, k, v = (Tensor(rng.normal(size=(layout.rows.size, ATT_HIDDEN)), requires_grad=True)
                for _ in range(3))
-    return q, k, v, rows
+    return q, k, v, layout
 
 
 def _per_sequence_reference(q, k, v, keep):
@@ -280,10 +280,12 @@ def _per_sequence_reference(q, k, v, keep):
 
 @pytest.mark.parametrize("with_keep", [False, True])
 def test_attention_matches_reference_per_sequence(rng, with_keep):
-    q, k, v, rows = _packed_attention_inputs(rng)
+    q, k, v, layout = _packed_attention_inputs(rng)
+    rows = layout.rows
     shape = (len(ATT_LENGTHS), ATT_HEADS, ATT_LEN, ATT_LEN)
     keep = (rng.random(shape) >= 0.3) / 0.7 if with_keep else None
-    ctx, weights = ag.attention(q, k, v, rows, len(ATT_LENGTHS), ATT_LEN, ATT_HEADS, keep)
+    ctx, weights = ag.attention(q, k, v, layout, ATT_HEADS, keep)
+    weights = layout.padded_weights(weights)
     want_ctx, want_weights = _per_sequence_reference(q, k, v, keep)
     assert ctx.data.shape == (rows.size, ATT_HIDDEN)
     assert np.abs(ctx.data - want_ctx).max() < 1e-12
@@ -297,7 +299,7 @@ def test_attention_matches_reference_per_sequence(rng, with_keep):
     target = rng.normal(size=(rows.size, ATT_HIDDEN))
 
     def fn():
-        out, _ = ag.attention(q, k, v, rows, len(ATT_LENGTHS), ATT_LEN, ATT_HEADS, keep)
+        out, _ = ag.attention(q, k, v, layout, ATT_HEADS, keep)
         return ag.l1_loss(ag.tanh(out), target)
 
     _fd_check(fn, [q, k, v])
@@ -335,3 +337,74 @@ def test_layer_norm_matches_textbook(rng):
     assert np.abs(gn.grad - (g * xhat).sum(axis=(0, 1))).max() < 1e-12
     assert np.abs(bs.grad - g.sum(axis=(0, 1))).max() < 1e-12
     assert np.array_equal(a.data, x)
+
+
+# Bucketed attention: 16 dimensions per head, the shipped head width, where
+# the buckets give the same bits as one padded grid (see the autograd docs).
+BUCKET_HEADS, BUCKET_HIDDEN = 2, 32
+BUCKET_CASES = {  # lengths -> buckets the layout cuts
+    "equal": ((20, 20, 20), 1),
+    "two": ((4, 5, 5, 4, 40, 40, 39, 40), 2),
+    "three": ((5, 6, 5, 6, 40, 39, 40, 39, 80, 79, 80, 80), 3),
+    "single": ((17,), 1),
+}
+
+
+def test_equal_lengths_make_one_bucket():
+    for batch, length in ((16, 40), (3, 7), (1, 1)):
+        assert len(ag.AttentionLayout(np.ones((batch, length), dtype=int)).buckets) == 1
+
+
+def test_layout_rejects_padding_before_a_real_token():
+    with pytest.raises(ValueError, match="real tokens followed by padding"):
+        ag.AttentionLayout(np.array([[1, 1, 0, 1], [1, 1, 1, 1]]))
+
+
+def _run_attention(layout, q, k, v, g, keep):
+    """Context, (dq, dk, dv) for upstream g, and the full-grid weights."""
+    ctx, weights = ag.attention(Tensor(q, requires_grad=True), Tensor(k, requires_grad=True),
+                                Tensor(v, requires_grad=True), layout, BUCKET_HEADS, keep)
+    return ctx.data, ctx._backward(g), layout.padded_weights(weights)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("with_keep", [False, True])
+@pytest.mark.parametrize("case", sorted(BUCKET_CASES))
+def test_attention_buckets_match_each_sequence_alone(rng, dtype, with_keep, case):
+    lengths, n_buckets = BUCKET_CASES[case]
+    length = max(lengths) + 3  # trailing padding on every row
+    mask = np.arange(length)[None] < np.array(lengths)[:, None]
+    layout = ag.AttentionLayout(mask)
+    assert len(layout.buckets) == n_buckets
+    n_rows = sum(lengths)
+    q, k, v, g = (rng.normal(size=(n_rows, BUCKET_HIDDEN)).astype(dtype) for _ in range(4))
+    shape = (len(lengths), BUCKET_HEADS, length, length)
+    keep = ((rng.random(shape) >= 0.3) / 0.7).astype(dtype) if with_keep else None
+    ctx, grads, weights = _run_attention(layout, q, k, v, g, keep)
+    assert weights.shape == shape and weights.dtype == dtype
+    start = 0
+    for b, n in enumerate(lengths):
+        rows = slice(start, start + n)
+        alone = ag.AttentionLayout(mask[b:b + 1])
+        want_ctx, want_grads, want_weights = _run_attention(
+            alone, q[rows], k[rows], v[rows], g[rows], None if keep is None else keep[b:b + 1])
+        np.testing.assert_array_equal(ctx[rows], want_ctx)
+        for got, want in zip(grads, want_grads):
+            np.testing.assert_array_equal(got[rows], want)
+        np.testing.assert_array_equal(weights[b:b + 1], want_weights)
+        start += n
+
+
+def test_padded_weights_beyond_each_bucket(rng):
+    lengths, _ = BUCKET_CASES["three"]
+    mask = np.arange(90)[None] < np.array(lengths)[:, None]
+    layout = ag.AttentionLayout(mask)
+    q, k, v, g = (rng.normal(size=(sum(lengths), BUCKET_HIDDEN)).astype(np.float32)
+                  for _ in range(4))
+    _, _, weights = _run_attention(layout, q, k, v, g, None)
+    for b, n in enumerate(lengths):
+        assert layout.bucket_length[b] < 90
+        assert np.all(weights[b, :, :, n:] == 0.0)  # padded keys
+        uniform = np.divide(1, np.float32(n))
+        assert np.all(weights[b, :, n:, :n] == uniform)  # padded queries, in and past the bucket
+        np.testing.assert_allclose(weights[b, :, :n].sum(axis=-1), 1.0, rtol=1e-6)

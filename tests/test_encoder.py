@@ -360,3 +360,72 @@ def test_mlm_head_required(rng):
     model = init_model(small_config(), seed=12)
     with pytest.raises(ValueError, match="MLM head"):
         mlm_logits(model, [make_seq(rng, 6)])
+
+
+def _assert_views(model):
+    """Each parameter's data, and its grad where set, sits at its place in
+    the model's buffers, in checkpoint order."""
+    data, grad = model.buffers()
+    start = 0
+    for p in model.params.values():
+        stop = start + p.data.size
+        assert p.data.ctypes.data == data[start:stop].ctypes.data
+        if p.grad is not None:
+            assert p.grad.ctypes.data == grad[start:stop].ctypes.data
+        start = stop
+    assert start == data.size == grad.size
+
+
+def test_parameters_stay_views_of_the_model_buffers(tmp_path, rng):
+    model = init_model(small_config(), seed=11)
+    ensure_mlm_head(model, tied=False, seed=11)
+    _assert_views(model)
+    data = model.data_buffer
+    seqs = [make_seq(rng, n) for n in (5, 9, 12)]
+    ag.backward(ag.tensor_sum(forward(model, seqs).energy))
+    assert model.params["mlm.w"].grad is None  # the regression loss does not reach it
+    _assert_views(model)
+    once = model.grad_buffer.copy()
+    ag.backward(ag.tensor_sum(forward(model, seqs).energy))  # accumulates in place
+    _assert_views(model)
+    np.testing.assert_array_equal(model.grad_buffer, once + once)
+    model.zero_grads()
+    assert all(p.grad is None for p in model.params.values())
+    ag.backward(ag.tensor_sum(forward(model, seqs).energy))
+    _assert_views(model)
+
+    copy = model.clone()
+    _assert_views(copy)
+    assert not np.shares_memory(copy.data_buffer, model.data_buffer)
+    np.testing.assert_array_equal(copy.data_buffer, model.data_buffer)
+
+    fresh = init_model(small_config(), seed=12)
+    fresh_data = fresh.data_buffer
+    fresh.load_values(model, skip_prefixes=("head.",))
+    assert fresh.buffers()[0] is fresh_data  # written into the views, not rebound
+    _assert_views(fresh)
+    np.testing.assert_array_equal(fresh.params["tok_emb"].data, model.params["tok_emb"].data)
+
+    save_checkpoint(model, tmp_path / "m.ckpt")
+    loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
+    _assert_views(loaded)
+    np.testing.assert_array_equal(loaded.data_buffer, model.data_buffer)
+    assert model.data_buffer is data  # nothing above laid the model out again
+
+
+def test_buffers_follow_a_rebound_tensor(rng):
+    model = init_model(small_config(), seed=13)
+    new = rng.normal(size=model.params["layer1.wq"].data.shape)
+    model.params["layer1.wq"].data = new
+    _assert_views(model)
+    np.testing.assert_array_equal(model.params["layer1.wq"].data, new)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_checkpoint_save_load_save_is_byte_identical(tmp_path, dtype):
+    model = init_model(small_config(dtype=dtype), seed=14)
+    ensure_mlm_head(model, tied=False, seed=14)
+    save_checkpoint(model, tmp_path / "a.ckpt", vocab_sha256="e" * 64, step=3, seed=14)
+    loaded, _ = load_checkpoint(tmp_path / "a.ckpt")
+    save_checkpoint(loaded, tmp_path / "b.ckpt", vocab_sha256="e" * 64, step=3, seed=14)
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import adsorbtext.autograd as ag
-from adsorbtext.encoder import EncoderConfig, forward, init_model, mlm_logits
+from adsorbtext.encoder import EncoderConfig, ensure_mlm_head, forward, init_model, mlm_logits
 from adsorbtext.featurize import CorpusRecord
 from adsorbtext.tokens import build_vocab, dynamic_mask, encode, tokenize
 from adsorbtext.trainer import (
@@ -89,6 +89,63 @@ def test_adamw_clip_norm_scales_update():
     adamw_step(model, state, LrGroupPlan(n_layers=1, base_lr=1e-3),
                clip_norm=1.0)
     assert state.m["head.b2"][0] == pytest.approx(0.1)  # (1-beta1) * clipped
+
+
+def _adamw_per_tensor(values, grads, m, v, step, plan, weight_decay, clip_norm=None,
+                      beta1=0.9, beta2=0.999, eps=1e-8):
+    """Oracle: AdamW as a loop over tensors, the arithmetic adamw_step runs on
+    flat buffers. values, m and v map names to arrays; a name missing from
+    grads is neither updated nor decayed, and gets no moments."""
+    if clip_norm is not None:
+        total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        if total > clip_norm:
+            factor = clip_norm / total
+            grads = {n: g * factor for n, g in grads.items()}
+    bc1 = 1.0 - beta1 ** step
+    bc2 = 1.0 - beta2 ** step
+    for name, g in grads.items():
+        p = values[name]
+        mm = m.setdefault(name, np.zeros_like(p))
+        vv = v.setdefault(name, np.zeros_like(p))
+        mm *= beta1
+        mm += (1.0 - beta1) * g
+        vv *= beta2
+        vv += (1.0 - beta2) * (g * g)
+        update = (mm / bc1) / (np.sqrt(vv / bc2) + eps)
+        if weight_decay:
+            update = update + weight_decay * p
+        values[name] = p - plan.lr_of(name) * update
+
+
+@pytest.mark.parametrize("dtype,clip_norm", [("float32", None), ("float32", 1e-3),
+                                             ("float64", None)])
+def test_adamw_matches_per_tensor_loop(dtype, clip_norm):
+    records = _toy_records(24)
+    vocab = build_vocab([r.text for r in records])
+    model = init_model(_desk_config(vocab, dtype=dtype), seed=4)
+    ensure_mlm_head(model, tied=False, seed=4)  # gets no gradient from the regression loss
+    seqs = [encode(r.text, vocab, 16) for r in records]
+    labels = np.array([r.energy_ev for r in records], dtype=model.config.np_dtype)
+    plan = LrGroupPlan(model.config.n_layers, base_lr=1e-2)
+    state = OptimizerState(weight_decay=0.01)
+    values = {n: p.data.copy() for n, p in model.params.items()}
+    m, v = {}, {}
+    for step in range(1, 5):
+        idx = np.arange(6 * step - 6, 6 * step)
+        model.zero_grads()
+        ag.backward(ag.l1_loss(forward(model, [seqs[i] for i in idx]).energy, labels[idx]))
+        grads = {n: p.grad.copy() for n, p in model.params.items() if p.grad is not None}
+        assert set(model.params) - set(grads) == {"mlm.w", "mlm.bias"}
+        adamw_step(model, state, plan, clip_norm=clip_norm)
+        _adamw_per_tensor(values, grads, m, v, step, plan, state.weight_decay, clip_norm)
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(p.data, values[name], err_msg=name)
+        for name in grads:
+            np.testing.assert_array_equal(state.m[name], m[name], err_msg=name)
+            np.testing.assert_array_equal(state.v[name], v[name], err_msg=name)
+    for name in ("mlm.w", "mlm.bias"):  # no update, no decay, no moments
+        assert name not in m
+        assert not state.m[name].any() and not state.v[name].any()
 
 
 def _toy_records(n=32, seed=0):
@@ -290,7 +347,7 @@ def test_mlm_no_masked_positions_skips_batch(caplog):
     vocab = build_vocab(texts)
     model = init_model(_desk_config(vocab, max_positions=8), seed=0)
     run = TrainRunConfig(batch_size=4, max_epochs=1, seed=0, base_lr=1e-3,
-                         mask_rate=1e-9, objective="mlm")
+                         mask_rate=1e-9)
     with caplog.at_level(logging.WARNING):
         result = pretrain_mlm(model, texts, run, vocab)
     assert "no masked positions" in caplog.text
@@ -301,7 +358,7 @@ def test_mlm_corpus_shorter_than_batch():
     texts = ["<s>a b</s>"]
     vocab = build_vocab(texts)
     model = init_model(_desk_config(vocab, max_positions=8), seed=0)
-    run = TrainRunConfig(batch_size=4, max_epochs=1, seed=0, objective="mlm")
+    run = TrainRunConfig(batch_size=4, max_epochs=1, seed=0)
     with pytest.raises(ValueError, match="shorter than one batch"):
         pretrain_mlm(model, texts, run, vocab)
 
@@ -310,8 +367,7 @@ def test_mlm_beats_majority_baseline():
     texts = _mlm_corpus()
     vocab = build_vocab(texts)
     model = init_model(_desk_config(vocab, max_positions=16), seed=0)
-    run = TrainRunConfig(batch_size=12, max_epochs=25, seed=0, base_lr=2e-3,
-                         objective="mlm")
+    run = TrainRunConfig(batch_size=12, max_epochs=25, seed=0, base_lr=2e-3)
     result = pretrain_mlm(model, texts, run, vocab)
     accuracy = masked_top1_accuracy(result.model, texts, vocab)
     from collections import Counter
@@ -325,8 +381,7 @@ def test_mlm_weights_transfer_to_regression():
     texts = _mlm_corpus()
     vocab = build_vocab(texts)
     model = init_model(_desk_config(vocab, max_positions=16), seed=0)
-    run = TrainRunConfig(batch_size=12, max_epochs=2, seed=0, base_lr=1e-3,
-                         objective="mlm")
+    run = TrainRunConfig(batch_size=12, max_epochs=2, seed=0, base_lr=1e-3)
     pretrained = pretrain_mlm(model, texts, run, vocab).model
     fresh = init_model(_desk_config(vocab, max_positions=16), seed=1)
     copied = fresh.load_values(pretrained, skip_prefixes=("head.", "mlm."))
@@ -344,7 +399,3 @@ def test_run_config_validation():
         TrainRunConfig(early_stopping_patience=0)
     with pytest.raises(ValueError, match="batch_size"):
         TrainRunConfig(batch_size=0)
-    with pytest.raises(ValueError, match="warmup"):
-        TrainRunConfig(warmup_steps=10)
-    with pytest.raises(ValueError, match="objective"):
-        TrainRunConfig(objective="mse")
