@@ -309,7 +309,6 @@ class AttentionLayout:
         seq_first[order] = first
         self.grid_rows = (np.repeat(seq_first - self.starts, lengths)
                           + np.arange(self.rows.size))
-        self.grid_size = int(offsets[-1] + sizes[-1] * bucket_len[-1])
         # (sequences, length, first grid row, key bias) per bucket; -inf on
         # padded keys makes their softmax weight exactly zero
         self.buckets = []
@@ -355,12 +354,18 @@ def attention(q, k, v, layout: AttentionLayout, n_heads: int,
     d_head = hidden // n_heads
     scale_by = 1.0 / math.sqrt(d_head)
 
+    # The stacked grids get the rows of the full padded (batch, length) grid
+    # and the buckets use their front. Their sizes then repeat from batch to
+    # batch and freed memory is reused; sized to the buckets alone they vary,
+    # and the peak RSS of 100 DESC pretraining steps grew by about 4 MB.
+    capacity = layout.shape[0] * layout.shape[1]
+
     def heads(grid, n_seqs, n_max, off):  # a bucket's (n_b, heads, L_b, d_head) view
         block = grid[off:off + n_seqs * n_max]
         return block.reshape(n_seqs, n_max, n_heads, d_head).transpose(0, 2, 1, 3)
 
     def split(t):  # packed (N, hidden) -> zero-padded rows of the stacked grids
-        grid = np.zeros((layout.grid_size, hidden), dtype=t.dtype)
+        grid = np.zeros((capacity, hidden), dtype=t.dtype)
         grid[layout.grid_rows] = t
         return grid
 

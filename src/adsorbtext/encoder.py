@@ -94,8 +94,9 @@ class EncoderModel:
     Each parameter's data is a view into `data_buffer` and, once backward
     has written a gradient, its grad a view into `grad_buffer`, both in the
     order of `params` (the checkpoint order), so the optimizer and the
-    checkpoint work on whole arrays. `buffers()` lays them out again when a
-    parameter was added, replaced or rebound since.
+    checkpoint work on whole arrays. The part of `grad_buffer` under a
+    parameter whose grad is None holds no meaningful values. `buffers()`
+    lays both out again when a parameter was added, replaced or rebound.
     """
 
     config: EncoderConfig
@@ -107,7 +108,7 @@ class EncoderModel:
     def _pack(self) -> None:
         tensors = list(self.params.values())
         data = np.empty(sum(p.data.size for p in tensors), dtype=self.config.np_dtype)
-        grad = np.zeros_like(data)
+        grad = np.empty_like(data)  # a view is written before it is read, see grad_view
         start = 0
         for p in tensors:
             stop = start + p.data.size
