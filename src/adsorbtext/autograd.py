@@ -21,8 +21,8 @@ keys or queries: in exact arithmetic the buckets change nothing. A BLAS
 may still round a product differently with the size of its matrices.
 With OpenBLAS 0.3.31 the results equal those of one grid padded to the
 batch's longest sequence bit for bit at 16 dimensions per head (the
-shipped configuration), though not always at 8 or 32. `scatter` puts packed
-rows back on a padded grid.
+shipped configuration), though not always at 8 or 32. `scatter` puts
+packed rows back on a padded grid.
 
 A leaf whose owner keeps gradients in one flat buffer (EncoderModel) has
 a `grad_view` into it; backward writes that leaf's gradient there instead
