@@ -15,7 +15,11 @@ runs PROFILE_STEPS (100) S4 training steps of a fresh model with every
 public `autograd` op wrapped from outside, the way `perfbench/trace.py`
 wraps the program: the wrapper times the op's forward call and swaps the
 backward closure on its result for a timed one, which gives per-op
-forward and backward milliseconds per step.
+forward and backward milliseconds per step. Last it profiles the same
+way PROFILE_STEPS masked-token pretraining steps at the configuration
+of the benchmark's `pretrain_desc` workload (DESC text of the same
+systems, 52 positions, mask rate 0.15, tied head), recording the final
+loss and a parameter sha256 as well; the masks are drawn before timing.
 
 The result goes into `--out` (default BENCH_train_step.json) under
 `--label`, keeping the other labels already in the file: running the
@@ -37,16 +41,17 @@ from pathlib import Path
 import numpy as np
 
 from adsorbtext import autograd, trainer
-from adsorbtext.encoder import EncoderConfig, init_model
+from adsorbtext.encoder import EncoderConfig, ensure_mlm_head, init_model
 from adsorbtext.featurize import featurize_systems
 from adsorbtext.synth import synthetic_systems
-from adsorbtext.tokens import build_vocab
+from adsorbtext.tokens import build_vocab, dynamic_mask, encode
 from adsorbtext.trainer import LrGroupPlan, OptimizerState, TrainRunConfig, train_regression
 
 SEED = 7
 NOISE_SIGMA = 0.1
 FORMATS = (("S4", 80), ("S1", 16))
-PROFILE_STEPS = 100  # S4 training steps of the per-op profile
+PROFILE_STEPS = 100  # training steps of each per-op profile
+MLM_POSITIONS = 52  # pretrain_desc: the longest DESC text is 51 tokens
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -191,26 +196,21 @@ def criterion_10(systems) -> dict:
     return out
 
 
-def op_profile(systems, steps: int) -> dict:
-    """Per-op forward and backward ms over the first S4 training steps."""
-    train, _, vocab = corpus(systems, "S4")
-    model, run = model_and_run(vocab, 80)
-    seqs, labels = trainer.encode_labeled(train, vocab, model.config.max_positions)
-    labels = labels.astype(model.config.np_dtype)
+def profile_steps(model, run, batches, loss_of, steps: int) -> tuple[dict, float]:
+    """Per-phase and per-op ms of `steps` training steps over prepared
+    batches, loss_of(batch) giving each step's loss; returns them and the
+    last loss."""
     plan = LrGroupPlan(model.config.n_layers, base_lr=run.base_lr)
     state = OptimizerState(weight_decay=run.weight_decay)
-    order = np.random.default_rng([SEED, 1, 0]).permutation(len(seqs))
-    batches = [order[i:i + run.batch_size] for i in range(0, len(order), run.batch_size)]
     timers = Timers()
     patch_ops(timers)
     phases = Timers()
     try:
         for step in range(steps):
-            idx = batches[step % len(batches)]
+            batch = batches[step % len(batches)]
             model.zero_grads()
             tic = time.perf_counter()
-            res = trainer.forward(model, [seqs[i] for i in idx])
-            loss = autograd.l1_loss(res.energy, labels[idx])
+            loss = loss_of(batch)
             phases.add("forward", time.perf_counter() - tic)
             tic = time.perf_counter()
             autograd.backward(loss)
@@ -230,7 +230,51 @@ def op_profile(systems, steps: int) -> dict:
                      "fwd_ms_per_step": ms_per_step(timers, f"{op}.fwd", steps),
                      "bwd_ms_per_step": ms_per_step(timers, f"{op}.bwd", steps)}
                 for op in ops},
-    }
+    }, float(loss.data)
+
+
+def first_epoch_batches(n: int, batch_size: int) -> list[np.ndarray]:
+    order = np.random.default_rng([SEED, 1, 0]).permutation(n)
+    return [order[i:i + batch_size] for i in range(0, n, batch_size)]
+
+
+def op_profile(systems, steps: int) -> dict:
+    """Per-op forward and backward ms over the first S4 training steps."""
+    train, _, vocab = corpus(systems, "S4")
+    model, run = model_and_run(vocab, 80)
+    seqs, labels = trainer.encode_labeled(train, vocab, model.config.max_positions)
+    labels = labels.astype(model.config.np_dtype)
+
+    def loss_of(idx):
+        res = trainer.forward(model, [seqs[i] for i in idx])
+        return autograd.l1_loss(res.energy, labels[idx])
+
+    profile, _ = profile_steps(model, run, first_epoch_batches(len(seqs), run.batch_size),
+                               loss_of, steps)
+    return profile
+
+
+def mlm_profile(systems, steps: int) -> dict:
+    """Per-op forward and backward ms over the first DESC masked-token
+    pretraining steps, masked as `trainer.pretrain_mlm` masks epoch 1."""
+    records, _ = featurize_systems(systems, "desc")
+    texts = [r.text for r in records]
+    vocab = build_vocab(texts)
+    model, run = model_and_run(vocab, MLM_POSITIONS)
+    ensure_mlm_head(model, tied=run.tied_mlm, seed=run.seed)
+    seqs = [encode(t, vocab, MLM_POSITIONS) for t in texts]
+    batches = [list(zip(*(dynamic_mask(seqs[i], vocab, run.mask_rate, seed=[SEED, 1, int(i)])
+                          for i in idx)))
+               for idx in first_epoch_batches(len(seqs), run.batch_size)[:steps]]
+
+    def loss_of(batch):
+        masked, labels = batch
+        return trainer._mlm_batch_loss(model, list(masked), list(labels))
+
+    profile, loss = profile_steps(model, run, batches, loss_of, steps)
+    masked = sum(len(seq_labels) for _, labels in batches for seq_labels in labels) / len(batches)
+    return {**profile, "masked_per_step": masked, "final_loss": loss,
+            "param_sha256": parameter_sha256(model)}
 
 
 def main(argv=None) -> None:
@@ -246,20 +290,26 @@ def main(argv=None) -> None:
                         "numpy": np.__version__},
         "criterion_10": criterion_10(systems),
         "op_profile": op_profile(systems, PROFILE_STEPS),
+        "mlm_profile": mlm_profile(systems, PROFILE_STEPS),
     }
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("config", {
         "systems": 2000, "synth_seed": 123, "noise_sigma": NOISE_SIGMA, "model_seed": SEED,
         "formats": dict(FORMATS), "n_layers": 4, "n_heads": 4, "hidden_size": 64,
         "dtype": "float32", "batch_size": 16, "base_lr": 1e-3, "max_epochs": 40,
-        "patience": 5, "dropout_rate": 0.0, "profile_format": "S4"})
+        "patience": 5, "dropout_rate": 0.0, "profile_format": "S4",
+        "mlm_profile": {"format": "desc", "max_positions": MLM_POSITIONS,
+                        "mask_rate": 0.15, "tied": True}})
     doc.setdefault("runs", {})[args.label] = run
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     c10 = run["criterion_10"]
     print(f"{args.label}: S4 {c10['S4']['val_mae']:.4f}, S1 {c10['S1']['val_mae']:.4f}, "
           f"{c10['gate']['wall_s']} s; step fwd {run['op_profile']['forward_ms_per_step']} ms, "
           f"bwd {run['op_profile']['backward_ms_per_step']} ms, "
-          f"adamw {run['op_profile']['adamw_ms_per_step']} ms")
+          f"adamw {run['op_profile']['adamw_ms_per_step']} ms; "
+          f"MLM step fwd {run['mlm_profile']['forward_ms_per_step']} ms, "
+          f"bwd {run['mlm_profile']['backward_ms_per_step']} ms, "
+          f"adamw {run['mlm_profile']['adamw_ms_per_step']} ms")
 
 
 if __name__ == "__main__":

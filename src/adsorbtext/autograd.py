@@ -21,8 +21,7 @@ keys or queries: in exact arithmetic the buckets change nothing. A BLAS
 may still round a product differently with the size of its matrices.
 With OpenBLAS 0.3.31 the results equal those of one grid padded to the
 batch's longest sequence bit for bit at 16 dimensions per head (the
-shipped configuration), though not always at 8 or 32. `scatter` puts
-packed rows back on a padded grid.
+shipped configuration), though not always at 8 or 32.
 
 A leaf whose owner keeps gradients in one flat buffer (EncoderModel) has
 a `grad_view` into it; backward writes that leaf's gradient there instead
@@ -206,19 +205,6 @@ def take(a, index) -> Tensor:
         return (da,)
 
     return _result(a.data[index], (a,), backward)
-
-
-def scatter(a, index, shape) -> Tensor:
-    """Zeros of `shape` with a written at a non-repeating index; the
-    inverse of take, used to lay packed rows out on a padded grid."""
-    a = _wrap(a)
-    out_data = np.zeros(shape, dtype=a.data.dtype)
-    out_data[index] = a.data
-
-    def backward(g):
-        return (g[index],)
-
-    return _result(out_data, (a,), backward)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -493,7 +479,9 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
         ga = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(ga, a.data.shape).copy(),)
 
-    return _result(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
+    # a full reduction gives a numpy scalar; asarray keeps its dtype, where
+    # Tensor() would cast it to float64
+    return _result(np.asarray(a.data.sum(axis=axis, keepdims=keepdims)), (a,), backward)
 
 
 def dropout(a, rate: float, rng: np.random.Generator) -> Tensor:

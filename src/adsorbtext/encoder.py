@@ -18,8 +18,15 @@ smaller grid drops only trailing exact zeros from the sums over keys and
 queries, and the results equal those of one padded grid (bit for bit at
 the shipped 16 dimensions per head; see `autograd`). Captured attention
 is laid back out on the full (batch, heads, length, length) grid.
-`mlm_logits` scatters its final states back onto the grid to keep its
-(batch, length, vocab) shape.
+
+A loss that reads only some rows passes them to `_encode`. The last
+layer still runs attention on every row, since its keys and values need
+them all, and then keeps only those rows: its output projection,
+residual add, feed-forward block and layer norms run on them alone (in
+pre-norm the first layer norm feeds the queries and still sees every
+row). `forward` reads every row; `mlm_logits` reads only the masked
+positions, about 15 % of the tokens, and projects only those onto the
+vocabulary.
 
 Parameters live in two flat buffers per model, one for values and one
 for gradients, in checkpoint order (see EncoderModel).
@@ -262,12 +269,15 @@ def _encode(
     capture_attention: bool,
     train: bool,
     rng: np.random.Generator | None,
+    rows: np.ndarray | None = None,
 ) -> tuple[Tensor, ag.AttentionLayout, list[np.ndarray]]:
     """Shared encoder stack on packed tokens.
 
-    Returns the final hidden states (N, H), one row per real token, the
-    batch's attention layout (whose `rows` are the flat (B * L) positions
-    of those rows), and the captured attention.
+    Returns the final hidden states, the batch's attention layout (whose
+    `rows` are the flat (B * L) positions of the packed rows) and the
+    captured attention. The states are (N, H), one row per real token,
+    or, when rows (distinct packed row indices) is given, (M, H) at those
+    rows in that order: the last layer keeps them right after attention.
     """
     cfg = model.config
     p = model.params
@@ -275,14 +285,18 @@ def _encode(
     batch, length = ids.shape
     drop = cfg.dropout_rate if train else 0.0
     layout = ag.AttentionLayout(mask)  # one per batch, shared by every layer
-    rows = layout.rows
+    flat = layout.rows
 
-    x = ag.add(ag.embedding(p["tok_emb"], ids.reshape(-1)[rows]),
-               ag.embedding(p["pos_emb"], rows % length))
+    x = ag.add(ag.embedding(p["tok_emb"], ids.reshape(-1)[flat]),
+               ag.embedding(p["pos_emb"], flat % length))
     captured: list[np.ndarray] = []
 
     for i in range(cfg.n_layers):
         pre = f"layer{i}."
+        last_cut = rows is not None and i == cfg.n_layers - 1
+
+        def cut(t: Tensor) -> Tensor:  # keep the rows the loss reads
+            return ag.take(t, (rows,)) if last_cut else t
 
         def attention_block(inp: Tensor) -> Tensor:
             q = ag.linear(inp, p[pre + "wq"], p[pre + "bq"])
@@ -295,7 +309,7 @@ def _encode(
             ctx, weights = ag.attention(q, k, v, layout, cfg.n_heads, keep)
             if capture_attention:
                 captured.append(layout.padded_weights(weights))
-            return ag.linear(ctx, p[pre + "wo"], p[pre + "bo"])
+            return ag.linear(cut(ctx), p[pre + "wo"], p[pre + "bo"])
 
         def ffn_block(inp: Tensor) -> Tensor:
             hidden = ag.gelu(ag.linear(inp, p[pre + "w1"], p[pre + "b1"]))
@@ -303,15 +317,18 @@ def _encode(
             return ag.dropout(out, drop, rng) if drop else out
 
         if cfg.pre_norm:
-            x = ag.add(x, attention_block(
-                ag.layer_norm(x, p[pre + "ln1_g"], p[pre + "ln1_b"])))
+            attended = attention_block(ag.layer_norm(x, p[pre + "ln1_g"], p[pre + "ln1_b"]))
+            x = ag.add(cut(x), attended)
             x = ag.add(x, ffn_block(
                 ag.layer_norm(x, p[pre + "ln2_g"], p[pre + "ln2_b"])))
         else:
-            x = ag.layer_norm(ag.add(x, attention_block(x)),
+            attended = attention_block(x)
+            x = ag.layer_norm(ag.add(cut(x), attended),
                               p[pre + "ln1_g"], p[pre + "ln1_b"])
             x = ag.layer_norm(ag.add(x, ffn_block(x)),
                               p[pre + "ln2_g"], p[pre + "ln2_b"])
+    if rows is not None and not cfg.n_layers:
+        x = ag.take(x, (rows,))
     return x, layout, captured
 
 
@@ -361,24 +378,41 @@ def forward(
 def mlm_logits(
     model: EncoderModel,
     seqs: list[TokenSequence],
+    positions: tuple[np.ndarray, np.ndarray],
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Vocabulary logits at every position, (B, L, V).
+    """Vocabulary logits (M, V) at M (sequence index, position) pairs.
 
-    Projects with the transposed token-embedding table (tied) unless an
-    untied "mlm.w" parameter exists; "mlm.bias" is always added. Padded
-    positions carry a zero state, so their logits are the bias alone.
+    positions is a pair of integer arrays (sequence index into seqs,
+    position in that sequence); row m of the result belongs to pair m.
+    Each pair must name a distinct real token. Projects with the
+    transposed token-embedding table (tied) unless an untied "mlm.w"
+    parameter exists; "mlm.bias" is always added.
     """
     p = model.params
     if "mlm.bias" not in p:
         raise ValueError("model has no MLM head; call ensure_mlm_head first")
     ids, mask = _stack_batch(seqs)
-    x, layout, _ = _encode(model, ids, mask, False, train, rng)
-    states = ag.scatter(x, np.unravel_index(layout.rows, ids.shape),
-                        (*ids.shape, x.data.shape[-1]))
+    seq_index, pos = (np.asarray(a, dtype=np.int64).reshape(-1) for a in positions)
+    if seq_index.shape != pos.shape:
+        raise ValueError("positions: sequence indices and positions differ in length")
+    batch, length = ids.shape
+    lengths = mask.sum(axis=1)
+    outside = (seq_index < 0) | (seq_index >= batch) | (pos < 0) | (pos >= length)
+    bad = np.flatnonzero(outside | (lengths[np.where(outside, 0, seq_index)] <= pos))
+    if bad.size:
+        b, at = seq_index[bad[0]], pos[bad[0]]
+        what = "out of range" if outside[bad[0]] else "padded"
+        raise ValueError(f"batch row {b} position {at} is {what}")
+    rows = (np.cumsum(lengths) - lengths)[seq_index] + pos  # packed, as in the layout
+    _, first, counts = np.unique(rows, return_index=True, return_counts=True)
+    if (counts > 1).any():
+        m = first[np.argmax(counts > 1)]
+        raise ValueError(f"batch row {seq_index[m]} position {pos[m]} is repeated")
+    x, _, _ = _encode(model, ids, mask, False, train, rng, rows)
     w = p["mlm.w"] if "mlm.w" in p else ag.transpose(p["tok_emb"], (1, 0))
-    return ag.linear(states, w, p["mlm.bias"])
+    return ag.linear(x, w, p["mlm.bias"])
 
 
 def save_checkpoint(

@@ -268,20 +268,12 @@ def train_regression(
 
 
 def _mlm_batch_loss(model, masked_seqs, labels_per_seq):
-    row_seq, row_pos, targets = [], [], []
-    for b, labels in enumerate(labels_per_seq):
-        for pos, original in labels:
-            row_seq.append(b)
-            row_pos.append(pos)
-            targets.append(original)
-    if not targets:
+    counts = [len(labels) for labels in labels_per_seq]
+    if not sum(counts):
         return None
-    logits = mlm_logits(model, masked_seqs)
-    batch, length, vsize = logits.data.shape
-    flat = ag.reshape(logits, (batch * length, vsize))
-    rows = np.asarray(row_seq) * length + np.asarray(row_pos)
-    picked = ag.take(flat, (rows,))
-    return ag.cross_entropy(picked, np.asarray(targets))
+    pos, targets = np.array([pair for labels in labels_per_seq for pair in labels]).T
+    seq_index = np.repeat(np.arange(len(counts)), counts)
+    return ag.cross_entropy(mlm_logits(model, masked_seqs, (seq_index, pos)), targets)
 
 
 def pretrain_mlm(
@@ -353,11 +345,11 @@ def masked_top1_accuracy(model: EncoderModel, texts: Sequence[str],
         masked, labels = dynamic_mask(seq, vocab, rate, seed=[seed, i])
         if not labels:
             continue
+        pos, originals = np.array(labels).T
         with ag.no_tape():
-            logits = mlm_logits(model, [masked]).data[0]
-        for pos, original in labels:
-            hits += int(np.argmax(logits[pos]) == original)
-            total += 1
+            logits = mlm_logits(model, [masked], (np.zeros_like(pos), pos)).data
+        hits += int((np.argmax(logits, axis=-1) == originals).sum())
+        total += len(labels)
     return hits / total if total else float("nan")
 
 

@@ -326,40 +326,64 @@ def test_checkpoint_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
+def _all_positions(seq):
+    return np.zeros(seq.n_real, dtype=np.int64), np.arange(seq.n_real)
+
+
 def test_mlm_logits_tied_and_untied(rng):
     seqs = [make_seq(rng, 9)]
     tied = init_model(small_config(), seed=11)
     ensure_mlm_head(tied, tied=True)
-    out_tied = mlm_logits(tied, seqs)
-    assert out_tied.data.shape == (1, 24, 30)
+    out_tied = mlm_logits(tied, seqs, _all_positions(seqs[0]))
+    assert out_tied.data.shape == (9, 30)
     untied = init_model(small_config(), seed=11)
     ensure_mlm_head(untied, tied=False, seed=11)
-    out_untied = mlm_logits(untied, seqs)
+    out_untied = mlm_logits(untied, seqs, _all_positions(seqs[0]))
     assert "mlm.w" in untied.params
     assert not np.allclose(out_tied.data, out_untied.data)
 
 
 @pytest.mark.parametrize("tied", [True, False])
 def test_mlm_logits_match_each_sequence_alone(rng, tied):
-    model = init_model(small_config(), seed=15)
-    ensure_mlm_head(model, tied=tied, seed=15)
-    model.params["mlm.bias"].data = rng.normal(size=30)
-    seqs = [make_seq(rng, n) for n in (6, 17, 24)]
-    batch = mlm_logits(model, seqs).data
-    assert batch.shape == (3, 24, 30)
-    for b, seq in enumerate(seqs):
-        alone = mlm_logits(model, [seq]).data[0]
-        n = seq.n_real
-        assert np.abs(batch[b, :n] - alone[:n]).max() < 1e-12
-        # a padded position carries a zero state: its logits are the bias
-        assert np.array_equal(batch[b, n:], np.broadcast_to(
-            model.params["mlm.bias"].data, batch[b, n:].shape))
+    # logits at a few positions, in a shuffled order, against each sequence
+    # run alone at all of its positions, post- and pre-norm
+    for pre_norm in (False, True):
+        model = init_model(small_config(pre_norm=pre_norm), seed=15)
+        ensure_mlm_head(model, tied=tied, seed=15)
+        model.params["mlm.bias"].data[...] = rng.normal(size=30)
+        seqs = [make_seq(rng, n) for n in (6, 17, 24)]
+        pairs = [(b, pos) for b, seq in enumerate(seqs) for pos in range(seq.n_real)
+                 if rng.random() < 0.3]
+        pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+        seq_index, pos = np.array(pairs).T
+        batch = mlm_logits(model, seqs, (seq_index, pos)).data
+        assert batch.shape == (len(pairs), 30)
+        alone = [mlm_logits(model, [seq], _all_positions(seq)).data for seq in seqs]
+        want = np.stack([alone[b][at] for b, at in pairs])
+        assert np.abs(batch - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("b, pos, what", [
+    (1, 9, "batch row 1 position 9 is padded"),
+    (1, 24, "batch row 1 position 24 is out of range"),
+    (1, -1, "batch row 1 position -1 is out of range"),
+    (3, 0, "batch row 3 position 0 is out of range"),
+    (0, 2, "batch row 0 position 2 is repeated"),
+])
+def test_mlm_logits_reject_bad_positions(rng, b, pos, what):
+    # a repeat would lose gradient: take's backward assigns, not accumulates
+    model = init_model(small_config(), seed=14)
+    ensure_mlm_head(model)
+    seqs = [make_seq(rng, n) for n in (6, 9, 12)]
+    with pytest.raises(ValueError, match=what):
+        mlm_logits(model, seqs, (np.array([0, 2, 0, b]), np.array([2, 5, 3, pos])))
 
 
 def test_mlm_head_required(rng):
     model = init_model(small_config(), seed=12)
+    seq = make_seq(rng, 6)
     with pytest.raises(ValueError, match="MLM head"):
-        mlm_logits(model, [make_seq(rng, 6)])
+        mlm_logits(model, [seq], _all_positions(seq))
 
 
 def _assert_views(model):

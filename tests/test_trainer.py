@@ -290,29 +290,28 @@ def test_mlm_loss_only_uses_masked_positions():
     texts = _mlm_corpus()
     vocab = build_vocab(texts)
     model = init_model(_desk_config(vocab, max_positions=16), seed=0)
-    from adsorbtext.encoder import ensure_mlm_head
     ensure_mlm_head(model, tied=True)
-    seq = encode(texts[0], vocab, 16)
-    masked, labels = dynamic_mask(seq, vocab, 0.4, seed=1)
-    loss = _mlm_batch_loss(model, [masked], [labels])
-    # independent oracle: cross-entropy recomputed per masked position
-    logits = mlm_logits(model, [masked]).data[0]
+    masked, labels = zip(*(dynamic_mask(encode(text, vocab, 16), vocab, 0.4, seed=i)
+                           for i, text in enumerate(texts[:3])))
+    loss = _mlm_batch_loss(model, list(masked), list(labels))
+    # independent oracle: cross-entropy recomputed per masked position of
+    # each sequence, from its logits at every position
     per_pos = []
-    for pos, original in labels:
-        row = logits[pos]
-        ex = np.exp(row - row.max())
-        per_pos.append(-np.log(ex[original] / ex.sum()))
+    for seq, seq_labels in zip(masked, labels):
+        n = seq.n_real
+        logits = mlm_logits(model, [seq], (np.zeros(n, dtype=np.int64), np.arange(n))).data
+        for pos, original in seq_labels:
+            row = logits[pos]
+            ex = np.exp(row - row.max())
+            per_pos.append(-np.log(ex[original] / ex.sum()))
     assert float(loss.data) == pytest.approx(np.mean(per_pos), abs=1e-10)
 
 
 def test_mlm_loss_gradients_match_finite_differences():
+    # the last layer runs on the masked rows only, and with two layers
+    # layer0 runs on every row; post- and pre-norm
     texts = _mlm_corpus()[:4]
     vocab = build_vocab(texts)
-    model = init_model(_desk_config(vocab, max_positions=16,
-                                    n_layers=1, hidden_size=16), seed=0)
-    from adsorbtext.encoder import ensure_mlm_head
-    import adsorbtext.autograd as ag
-    ensure_mlm_head(model, tied=True)
     batch = []
     labels = []
     for i, text in enumerate(texts):
@@ -320,26 +319,33 @@ def test_mlm_loss_gradients_match_finite_differences():
         masked, mlabels = dynamic_mask(seq, vocab, 0.4, seed=i)
         batch.append(masked)
         labels.append(mlabels)
+    for n_layers, pre_norm in ((1, False), (2, False), (2, True)):
+        model = init_model(_desk_config(vocab, max_positions=16, n_layers=n_layers,
+                                        hidden_size=16, pre_norm=pre_norm), seed=0)
+        ensure_mlm_head(model, tied=True)
 
-    def loss_fn():
-        return _mlm_batch_loss(model, batch, labels)
+        def loss_fn():
+            return _mlm_batch_loss(model, batch, labels)
 
-    model.zero_grads()
-    ag.backward(loss_fn())
-    h = 1e-6
-    for name in ("mlm.bias", "tok_emb", "layer0.wv"):
-        p = model.params[name]
-        flat = p.data.reshape(-1)
-        grad = p.grad.reshape(-1)
-        for i in range(0, flat.size, max(1, flat.size // 15)):
-            orig = flat[i]
-            flat[i] = orig + h
-            lp = float(loss_fn().data)
-            flat[i] = orig - h
-            lm = float(loss_fn().data)
-            flat[i] = orig
-            fd = (lp - lm) / (2 * h)
-            assert abs(fd - grad[i]) <= 1e-6 * max(abs(fd), abs(grad[i]), 1.0)
+        model.zero_grads()
+        ag.backward(loss_fn())
+        h = 1e-6
+        names = ["mlm.bias", "tok_emb"] + [
+            f"layer{i}.{name}" for i in range(n_layers)
+            for name in ("wv", "wo", "w1", "b2", "ln1_g", "ln2_g")]
+        for name in names:
+            p = model.params[name]
+            flat = p.data.reshape(-1)
+            grad = p.grad.reshape(-1)
+            for i in range(0, flat.size, max(1, flat.size // 15)):
+                orig = flat[i]
+                flat[i] = orig + h
+                lp = float(loss_fn().data)
+                flat[i] = orig - h
+                lm = float(loss_fn().data)
+                flat[i] = orig
+                fd = (lp - lm) / (2 * h)
+                assert abs(fd - grad[i]) <= 1e-6 * max(abs(fd), abs(grad[i]), 1.0), name
 
 
 def test_mlm_no_masked_positions_skips_batch(caplog):
