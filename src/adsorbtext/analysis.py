@@ -93,31 +93,27 @@ def merge_per_word(
     scores: np.ndarray,
     alignment: list[tuple[str, list[int]]],
     layer: int = 0,
-    mode: str = "sum",
 ) -> TokenAttentionProfile:
-    """Merge per-token scores into per-word scores (sum by default).
+    """Merge per-token scores into per-word scores by summation.
 
     Summation preserves total attention mass, so the profile is invariant
-    to how a word was tokenized; "mean" is available as a deviation knob.
+    to how a word was tokenized.
     """
-    if mode not in ("sum", "mean"):
-        raise ValueError(f"unknown merge mode {mode!r}")
     covered = [p for _, positions in alignment for p in positions]
     if sorted(covered) != list(range(len(scores))):
         raise ValueError("alignment does not cover every scored token exactly once")
     words = []
     for word, positions in alignment:
-        vals = [float(scores[p]) for p in positions]
-        score = sum(vals) if mode == "sum" else sum(vals) / len(vals)
+        score = sum(float(scores[p]) for p in positions)
         words.append(WordScore(word, score, tuple(positions),
                                word in ("<s>", "</s>")))
     return TokenAttentionProfile(layer, tuple(words))
 
 
 def attention_profile(record: AttentionRecord, layer: int, text: str,
-                      seq: TokenSequence, mode: str = "sum") -> TokenAttentionProfile:
+                      seq: TokenSequence) -> TokenAttentionProfile:
     scores = token_attention(record, layer)
-    return merge_per_word(scores, build_word_alignment(text, seq), layer, mode)
+    return merge_per_word(scores, build_word_alignment(text, seq), layer)
 
 
 def export_heatmap(profiles: Iterable[TokenAttentionProfile],

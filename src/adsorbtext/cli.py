@@ -100,8 +100,6 @@ def build_parser() -> _Parser:
     common.add_argument("--config", type=Path, default=None,
                         help="JSON file whose entries override flags")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker cap for featurization")
     common.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
@@ -274,8 +272,7 @@ def _run_config(args: argparse.Namespace) -> TrainRunConfig:
 def cmd_featurize(args) -> None:
     _require_inputs(args.inp, args.desc_cache)
     systems = load_dataset(args.inp)
-    records, report = featurize_systems(
-        systems, args.format.upper(), args.cutoff_tolerance, threads=args.threads)
+    records, report = featurize_systems(systems, args.format.upper(), args.cutoff_tolerance)
     if args.format == "desc" and args.desc_cache is not None:
         cache = load_description_cache(args.desc_cache)
         by_id = {s.id: s for s in systems}
@@ -372,15 +369,15 @@ def cmd_predict(args) -> None:
 
 def cmd_eval(args) -> None:
     _require_inputs(args.pred)
-    records = pairs_mod.read_predictions(args.pred)
+    columns = pairs_mod.read_prediction_columns(args.pred)
     args.out.mkdir(parents=True, exist_ok=True)
-    rows = pairs_mod.mae_by_split(records)
+    rows = pairs_mod.mae_by_split(columns)
     report_path = args.out / "mae_report.tsv"
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write("split\tmae\tcount\n")
         for split, mae, count in rows:
             fh.write(f"{split}\t{mae!r}\t{count}\n")
-    pairs_mod.export_parity(records, args.out)
+    pairs_mod.export_parity(columns, args.out)
     write_run_manifest(args, args.out)
     log.info("eval: wrote %s", report_path)
 

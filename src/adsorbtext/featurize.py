@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -306,8 +305,7 @@ class CorpusRecord(NamedTuple):
     split: str
 
 
-def _featurize_one(args) -> tuple[CorpusRecord, bool]:
-    system, fmt, tol = args
+def _featurize_one(system: AtomicSystem, fmt: str, tol: float) -> tuple[CorpusRecord, bool]:
     fallback = False
     config = None
     if fmt != "S1":
@@ -330,16 +328,11 @@ def featurize_systems(
     systems: list[AtomicSystem],
     fmt: str,
     cutoff_tolerance: float = DEFAULT_CUTOFF_TOLERANCE,
-    threads: int = 1,
 ) -> tuple[list[CorpusRecord], dict[str, int]]:
-    """Serialize a dataset in input order; non-binding systems fall back to S1."""
+    """Serialize a dataset in input order, one system after another in this
+    process; non-binding systems fall back to S1."""
     fmt = fmt.upper()
-    jobs = [(system, fmt, cutoff_tolerance) for system in systems]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_featurize_one, jobs, chunksize=32))
-    else:
-        results = [_featurize_one(job) for job in jobs]
+    results = [_featurize_one(system, fmt, cutoff_tolerance) for system in systems]
     records = [rec for rec, _ in results]
     report = {"systems": len(records), "fallback_s1": sum(fb for _, fb in results)}
     return records, report

@@ -125,38 +125,58 @@ class PredictionColumns(NamedTuple):
     split: np.ndarray
     adsorbate: np.ndarray
     bulk: np.ndarray
-    error: np.ndarray  # prediction - label, eV
+    label: np.ndarray       # eV
+    prediction: np.ndarray  # eV
+    error: np.ndarray       # prediction - label, eV
 
 
-def _to_columns(rows: Iterable[tuple[str, str, str, float]]) -> PredictionColumns:
+def _to_columns(rows: Iterable[tuple[Sequence, float, float]]) -> PredictionColumns:
+    """Columns of (fields, label, prediction) rows, fields laid out as a
+    predictions line: system id, split, adsorbate, bulk."""
     splits, adsorbates, bulks = {}, {}, {}
-    split, adsorbate, bulk, error = array("q"), array("q"), array("q"), array("d")
-    for s, a, b, e in rows:
-        split.append(splits.setdefault(s, len(splits)))
-        adsorbate.append(adsorbates.setdefault(a, len(adsorbates)))
-        bulk.append(bulks.setdefault(b, len(bulks)))
-        error.append(e)
-    return PredictionColumns(list(splits), *(np.array(c) for c in (split, adsorbate, bulk, error)))
+    split, adsorbate, bulk, label, prediction = (array(t) for t in "qqqdd")
+    for fields, y, p in rows:
+        split.append(splits.setdefault(fields[1], len(splits)))
+        adsorbate.append(adsorbates.setdefault(fields[2], len(adsorbates)))
+        bulk.append(bulks.setdefault(fields[3], len(bulks)))
+        label.append(y)
+        prediction.append(p)
+    columns = [np.array(c) for c in (split, adsorbate, bulk, label, prediction)]
+    return PredictionColumns(list(splits), *columns, columns[4] - columns[3])
 
 
 def read_prediction_columns(path: str | Path) -> PredictionColumns:
     """read_predictions as columns, with its checks but no object per record."""
-    return _to_columns((parts[1], parts[2], parts[3], prediction - label)
-                       for parts, label, prediction in _prediction_rows(path))
+    return _to_columns(_prediction_rows(path))
 
 
-def mae_by_split(records: Sequence[PredictionRecord]) -> list[tuple[str, float, int]]:
+def record_columns(records: Iterable[PredictionRecord]) -> PredictionColumns:
+    """Prediction records held in memory as columns."""
+    return _to_columns((r, r.label, r.prediction) for r in records)
+
+
+def _mae(errors: np.ndarray) -> float:
+    # Python's sum in record order: the reports' digits do not depend on
+    # numpy's pairwise summation
+    return sum(np.abs(errors).tolist()) / len(errors)
+
+
+def _splits(columns: PredictionColumns,
+            names: Iterable[str]) -> Iterator[tuple[str, np.ndarray]]:
+    """(split, its record indices in order) for each of names present."""
+    for name in names:
+        if name in columns.split_names:
+            yield name, np.flatnonzero(columns.split == columns.split_names.index(name))
+
+
+def mae_by_split(columns: PredictionColumns) -> list[tuple[str, float, int]]:
     """(split, MAE, count) rows in split order, with a trailing total row."""
-    if not records:
+    if not len(columns.error):
         raise ValueError("no prediction records")
-    extra = sorted({r.split for r in records} - set(SPLITS))
-    rows = []
-    for split in (*SPLITS, *extra):
-        errs = [abs(r.error) for r in records if r.split == split]
-        if errs:
-            rows.append((split, sum(errs) / len(errs), len(errs)))
-    rows.append(("total", sum(abs(r.error) for r in records) / len(records),
-                 len(records)))
+    extra = sorted(set(columns.split_names) - set(SPLITS))
+    rows = [(name, _mae(columns.error[idx]), len(idx))
+            for name, idx in _splits(columns, (*SPLITS, *extra))]
+    rows.append(("total", _mae(columns.error), len(columns.error)))
     return rows
 
 
@@ -265,8 +285,7 @@ class SplitPairReport:
 
 def split_pair_stats(records: Sequence[PredictionRecord],
                      within_split: bool = True) -> list[SplitPairReport]:
-    return column_pair_stats(_to_columns(
-        (r.split, r.adsorbate_smiles, r.bulk_formula, r.error) for r in records), within_split)
+    return column_pair_stats(record_columns(records), within_split)
 
 
 def column_pair_stats(columns: PredictionColumns,
@@ -346,25 +365,20 @@ def _split_report(split: str, errors: np.ndarray, adsorbate: np.ndarray,
     return SplitPairReport(split, n, n_pairs, rmse_total, counts, rmses, secrs, propagation)
 
 
-def export_parity(records: Sequence[PredictionRecord],
-                  out_dir: str | Path) -> list[Path]:
+def export_parity(columns: PredictionColumns, out_dir: str | Path) -> list[Path]:
     """Per-split (label, prediction) tables with a summary-MAE comment."""
-    if not records:
+    if not len(columns.error):
         raise ValueError("no prediction records")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for split in SPLITS:
-        rows = [r for r in records if r.split == split]
-        if not rows:
-            continue
-        mae = sum(abs(r.error) for r in rows) / len(rows)
+    for split, idx in _splits(columns, SPLITS):
         path = out_dir / f"parity_{split}.tsv"
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# split={split} n={len(rows)} mae={mae!r}\n")
+            fh.write(f"# split={split} n={len(idx)} mae={_mae(columns.error[idx])!r}\n")
             fh.write("label\tprediction\n")
-            for r in rows:
-                fh.write(f"{r.label!r}\t{r.prediction!r}\n")
+            for y, p in zip(columns.label[idx].tolist(), columns.prediction[idx].tolist()):
+                fh.write(f"{y!r}\t{p!r}\n")
         written.append(path)
     return written
 

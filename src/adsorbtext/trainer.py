@@ -267,13 +267,14 @@ def train_regression(
     return TrainResult(best_model, history, best_epoch, float(best_val))
 
 
-def _mlm_batch_loss(model, masked_seqs, labels_per_seq):
+def _mlm_batch_loss(model, masked_seqs, labels_per_seq, train=False, rng=None):
     counts = [len(labels) for labels in labels_per_seq]
     if not sum(counts):
         return None
     pos, targets = np.array([pair for labels in labels_per_seq for pair in labels]).T
     seq_index = np.repeat(np.arange(len(counts)), counts)
-    return ag.cross_entropy(mlm_logits(model, masked_seqs, (seq_index, pos)), targets)
+    logits = mlm_logits(model, masked_seqs, (seq_index, pos), train=train, rng=rng)
+    return ag.cross_entropy(logits, targets)
 
 
 def pretrain_mlm(
@@ -303,6 +304,7 @@ def pretrain_mlm(
     for epoch in range(1, run_cfg.max_epochs + 1):
         tic = time.perf_counter()
         shuffle_rng = np.random.default_rng([run_cfg.seed, epoch, 0])
+        dropout_rng = np.random.default_rng([run_cfg.seed, epoch, 1])
         order = shuffle_rng.permutation(len(base_seqs))
         loss_sum = 0.0
         n_batches = 0
@@ -317,7 +319,8 @@ def pretrain_mlm(
                 masked.append(mseq)
                 labels.append(mlabels)
             model.zero_grads()
-            loss = _mlm_batch_loss(model, masked, labels)
+            loss = _mlm_batch_loss(model, masked, labels,
+                                   train=cfg.dropout_rate > 0, rng=dropout_rng)
             if loss is None:
                 log.warning("epoch %d: batch at %d had no masked positions; skipped",
                             epoch, start)

@@ -81,12 +81,6 @@ def test_merge_identity_for_single_token_words():
     assert profile.words[1].score == pytest.approx(0.3)
 
 
-def test_merge_mean_mode():
-    scores = np.array([0.1, 0.2, 0.3])
-    profile = merge_per_word(scores, [("<s>", [0]), ("ab", [1, 2])], mode="mean")
-    assert profile.words[1].score == pytest.approx(0.25)
-
-
 def test_merge_rejects_uncovered_tokens():
     with pytest.raises(ValueError, match="cover"):
         merge_per_word(np.array([0.5, 0.5]), [("<s>", [0])])

@@ -18,8 +18,9 @@ from adsorbtext.cli import (
 )
 from adsorbtext.encoder import EncoderConfig, init_model, save_checkpoint
 from adsorbtext.featurize import read_corpus
+from adsorbtext.pairs import read_predictions
 from adsorbtext.synth import fixture_dataset
-from adsorbtext.systems import save_dataset
+from adsorbtext.systems import SPLITS, save_dataset
 from adsorbtext.tokens import Vocabulary
 from conftest import REFERENCE_TEXTS, rewrite_checkpoint_manifest
 
@@ -69,6 +70,17 @@ def test_featurize_writes_manifest(tmp_path, table_system):
     assert manifest["version"]
     assert manifest["seed"] == 0
     assert len(manifest["config_sha256"]) == 64
+
+
+def test_featurize_has_no_threads_option(tmp_path, table_system):
+    dataset = tmp_path / "systems.jsonl"
+    save_dataset([table_system], dataset)
+    argv = ["featurize", "--in", str(dataset), "--out", str(tmp_path / "c.jsonl"),
+            "--format", "s4"]
+    assert run(argv + ["--threads", "2"]) == EXIT_USER_ERROR
+    assert run(argv) == EXIT_OK
+    manifest = json.loads((tmp_path / "c.jsonl.manifest.json").read_text())
+    assert "threads" not in manifest["config"]
 
 
 def test_featurize_idempotent(tmp_path, table_system):
@@ -366,3 +378,31 @@ def test_pairs_cli_at_oc20_size(tmp_path, rng):
             errors = np.array([e for _, _, e in records])
             want = math.sqrt(n * ((errors - errors.mean()) ** 2).sum() / (n * (n - 1) // 2))
             assert float(rows[split, "total"][3]) == pytest.approx(want, rel=1e-12)
+
+
+def test_eval_at_oc20_size(tmp_path, rng):
+    pred = tmp_path / "predictions.tsv"
+    _oc20_size_predictions(pred, rng)
+    assert run(["eval", "--pred", str(pred), "--out", str(tmp_path / "eval")]) == EXIT_OK
+    # reference: a plain loop over the records of each split, in file order
+    records = read_predictions(pred)
+    by_split = {}
+    for r in records:
+        by_split.setdefault(r.split, []).append(r)
+
+    def mae(rows):
+        return sum(abs(r.prediction - r.label) for r in rows) / len(rows)
+
+    splits = [s for s in SPLITS if s in by_split]
+    assert len(records) == 99854 and len(splits) == 4
+    report = "split\tmae\tcount\n" + "".join(
+        f"{s}\t{mae(by_split[s])!r}\t{len(by_split[s])}\n" for s in splits)
+    report += f"total\t{mae(records)!r}\t{len(records)}\n"
+    assert (tmp_path / "eval" / "mae_report.tsv").read_text() == report
+    assert sorted(p.name for p in (tmp_path / "eval").glob("parity_*.tsv")) == sorted(
+        f"parity_{s}.tsv" for s in splits)
+    for s in splits:
+        rows = by_split[s]
+        parity = f"# split={s} n={len(rows)} mae={mae(rows)!r}\nlabel\tprediction\n"
+        parity += "".join(f"{r.label!r}\t{r.prediction!r}\n" for r in rows)
+        assert (tmp_path / "eval" / f"parity_{s}.tsv").read_text() == parity

@@ -14,6 +14,7 @@ from adsorbtext.pairs import (
     pair_count,
     read_prediction_columns,
     read_predictions,
+    record_columns,
     secr,
     sharing_one,
     sharing_two,
@@ -35,13 +36,13 @@ def test_error_field_identity(rng):
 
 
 def test_mae_by_split_perfect_predictions():
-    rows = mae_by_split([_rec(i) for i in range(5)])
+    rows = mae_by_split(record_columns(_rec(i) for i in range(5)))
     assert all(mae == 0.0 for _, mae, _ in rows)
 
 
 def test_mae_by_split_symmetric_errors():
     records = [_rec(0, err=1.0), _rec(1, err=-1.0)]
-    rows = dict((s, m) for s, m, _ in mae_by_split(records))
+    rows = dict((s, m) for s, m, _ in mae_by_split(record_columns(records)))
     assert rows["ID"] == 1.0
     assert rows["total"] == 1.0
 
@@ -50,7 +51,7 @@ def test_mae_by_split_matches_naive(rng):
     splits = ["ID", "OOD_ads", "OOD_cat", "OOD_both"]
     records = [_rec(i, split=splits[i % 4], err=float(rng.normal()))
                for i in range(40)]
-    rows = dict((s, m) for s, m, _ in mae_by_split(records))
+    rows = dict((s, m) for s, m, _ in mae_by_split(record_columns(records)))
     for split in splits:
         errs = [abs(r.error) for r in records if r.split == split]
         naive = math.fsum(errs) / len(errs)
@@ -59,7 +60,7 @@ def test_mae_by_split_matches_naive(rng):
 
 def test_mae_by_split_empty():
     with pytest.raises(ValueError):
-        mae_by_split([])
+        mae_by_split(record_columns([]))
 
 
 def test_pair_counts_small():
@@ -315,7 +316,7 @@ def test_parity_export_schema(tmp_path, rng):
     splits = ["ID", "OOD_ads", "OOD_cat", "OOD_both"]
     records = [_rec(i, split=splits[i % 4], err=float(rng.normal()))
                for i in range(20)]
-    written = export_parity(records, tmp_path)
+    written = export_parity(record_columns(records), tmp_path)
     assert sorted(p.name for p in written) == sorted(
         f"parity_{s}.tsv" for s in splits)
     for path in written:
@@ -329,7 +330,7 @@ def test_parity_export_schema(tmp_path, rng):
 
 def test_parity_perfect_predictions_on_diagonal(tmp_path):
     records = [_rec(i, label=float(i)) for i in range(4)]
-    (path,) = export_parity(records, tmp_path)
+    (path,) = export_parity(record_columns(records), tmp_path)
     for line in path.read_text().strip().split("\n")[2:]:
         label, pred = line.split("\t")
         assert label == pred

@@ -383,6 +383,22 @@ def test_mlm_beats_majority_baseline():
     assert accuracy > majority
 
 
+def test_mlm_pretraining_applies_dropout():
+    texts = _mlm_corpus()
+    vocab = build_vocab(texts)
+    run = TrainRunConfig(batch_size=12, max_epochs=2, seed=0, base_lr=1e-3)
+
+    def pretrained(rate):
+        model = init_model(_desk_config(vocab, max_positions=16, dropout_rate=rate), seed=0)
+        return pretrain_mlm(model, texts, run, vocab)
+
+    plain, dropped, again = pretrained(0.0), pretrained(0.3), pretrained(0.3)
+    assert plain.history[0]["mlm_loss"] != dropped.history[0]["mlm_loss"]
+    assert plain.model.buffers()[0].tobytes() != dropped.model.buffers()[0].tobytes()
+    assert [h["mlm_loss"] for h in dropped.history] == [h["mlm_loss"] for h in again.history]
+    assert dropped.model.buffers()[0].tobytes() == again.model.buffers()[0].tobytes()
+
+
 def test_mlm_weights_transfer_to_regression():
     texts = _mlm_corpus()
     vocab = build_vocab(texts)
