@@ -53,10 +53,6 @@ class TokenAttentionProfile:
     words: tuple[WordScore, ...]  # text order; markers flagged as special
 
     @property
-    def surface_words(self) -> tuple[WordScore, ...]:
-        return tuple(w for w in self.words if not w.is_special)
-
-    @property
     def specials(self) -> tuple[WordScore, ...]:
         return tuple(w for w in self.words if w.is_special)
 

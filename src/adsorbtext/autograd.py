@@ -11,13 +11,13 @@ Besides elementwise and matrix ops the engine has two fused ones that
 the encoder runs on packed tokens (one row per real token): `linear`,
 whose weight gradient is a single 2-D GEMM over all rows, and
 multi-head `attention`, which writes its backward by hand. An
-`AttentionLayout`, built once per batch from the attention mask, sorts
+`AttentionLayout`, built once per batch from the sequence lengths, sorts
 the sequences by length and cuts them into a few buckets; the op lays
 each bucket out on its own (sequences, heads, length, length) grid,
-padded only to that bucket's longest sequence. Masks are prefixes, so a
-sequence's real tokens sit at positions 0..n-1 on any grid at least n
-long, and a longer grid adds only exact zeros at the end of each sum over
-keys or queries: in exact arithmetic the buckets change nothing. A BLAS
+padded only to that bucket's longest sequence. A sequence's n tokens sit
+at positions 0..n-1 on any grid at least n long, and a longer grid adds
+only exact zeros at the end of each sum over keys or queries: in exact
+arithmetic the buckets change nothing. A BLAS
 may still round a product differently with the size of its matrices.
 With OpenBLAS 0.3.31 the results equal those of one grid padded to the
 batch's longest sequence bit for bit at 16 dimensions per head (the
@@ -247,26 +247,23 @@ def _bucket_bounds(lengths: np.ndarray) -> np.ndarray:
 class AttentionLayout:
     """Where one batch's packed rows sit on the grids of `attention`.
 
-    mask is the (batch, length) attention mask, real tokens first in each
-    row; packed row i is the token at flat position rows[i] of that grid,
-    rows = np.flatnonzero(mask). The sequences are sorted by length and cut
-    into at most three buckets (see _bucket_bounds), each laid out as a
-    grid padded only to its own longest sequence; the buckets' grids are
-    stacked row after row, and packed row i sits at grid row grid_rows[i].
-    Every sequence keeps its real tokens at positions 0..n-1, as on the
-    full grid, so a larger grid would only add exact zeros at the end of
-    each reduction over keys or queries.
+    lengths holds each sequence's number of tokens and length the side of
+    the full (batch, length) grid. The packed rows are the sequences'
+    tokens one after another; packed row starts[b] + t is token t of
+    sequence b. The sequences are sorted by length and cut into at most
+    three buckets (see _bucket_bounds), each laid out as a grid padded
+    only to its own longest sequence; the buckets' grids are stacked row
+    after row, and packed row i sits at grid row grid_rows[i]. Every
+    sequence keeps its tokens at positions 0..n-1, as on the full grid, so
+    a larger grid would only add exact zeros at the end of each reduction
+    over keys or queries.
     """
 
-    def __init__(self, mask: np.ndarray):
-        mask = np.asarray(mask, dtype=bool)
-        batch, length = mask.shape
-        lengths = mask.sum(axis=1)
-        if not np.array_equal(mask, np.arange(length) < lengths[:, None]):
-            raise ValueError("attention mask rows must be real tokens followed by padding")
+    def __init__(self, lengths: np.ndarray, length: int):
+        lengths = np.asarray(lengths, dtype=np.int64)
+        batch = lengths.size
         self.shape = (batch, length)
         self.lengths = lengths
-        self.rows = np.flatnonzero(mask)
         self.starts = np.cumsum(lengths) - lengths  # first packed row of each sequence
         order = np.argsort(lengths, kind="stable")
         bounds = _bucket_bounds(lengths[order])
@@ -281,7 +278,7 @@ class AttentionLayout:
         seq_first = np.empty(batch, dtype=np.int64)
         seq_first[order] = first
         self.grid_rows = (np.repeat(seq_first - self.starts, lengths)
-                          + np.arange(self.rows.size))
+                          + np.arange(lengths.sum()))
         # (sequences, length, first grid row, key bias) per bucket; -inf on
         # padded keys makes their softmax weight exactly zero
         self.buckets = []

@@ -1,12 +1,12 @@
 """Command-line surface: featurize, build-vocab, pretrain, train, predict,
 eval, attention, embeddings, pairs.
 
-Every run writes a manifest (command, resolved config + its hash, seed,
+Every run writes a manifest (command, resolved config + its hash,
 toolkit version) beside its outputs, so multi-stage pipelines are
-auditable and reruns are byte-comparable. A JSON config file passed via
---config overrides flag values; the ADSORBTEXT_SEED environment variable
-overrides the seed from either source. Exit codes: 0 success, 1 user
-error, 2 internal error.
+auditable and reruns are byte-comparable; the config holds the seed of
+`pretrain` and `train`, the only subcommands that draw random numbers. A
+JSON config file passed via --config overrides flag values. Exit codes:
+0 success, 1 user error, 2 internal error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import json
 import logging
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -43,7 +42,7 @@ from .featurize import (
     serialize,
     write_corpus,
 )
-from .systems import DatasetError, load_dataset
+from .systems import SPLITS, DatasetError, load_dataset
 from .tokens import Vocabulary, build_vocab, encode
 from .trainer import (
     TrainRunConfig,
@@ -55,8 +54,6 @@ from .trainer import (
 )
 
 log = logging.getLogger("adsorbtext")
-
-SEED_ENV_VAR = "ADSORBTEXT_SEED"
 
 EXIT_OK = 0
 EXIT_USER_ERROR = 1
@@ -85,6 +82,7 @@ def _add_model_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _add_train_flags(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--epochs", type=int, default=100)
     sp.add_argument("--batch-size", type=int, default=12)
     sp.add_argument("--lr", type=float, default=1e-6)
@@ -99,7 +97,6 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", type=Path, default=None,
                         help="JSON file whose entries override flags")
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
@@ -224,7 +221,6 @@ def write_run_manifest(args: argparse.Namespace, out: Path) -> Path:
         "config": config,
         "config_sha256": hashlib.sha256(
             json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest(),
-        "seed": args.seed,
         "version": __version__,
     }
     path = out / "manifest.json" if out.is_dir() else out.with_name(out.name + ".manifest.json")
@@ -370,6 +366,11 @@ def cmd_predict(args) -> None:
 def cmd_eval(args) -> None:
     _require_inputs(args.pred)
     columns = pairs_mod.read_prediction_columns(args.pred)
+    unknown = [c for c, name in enumerate(columns.split_names) if name not in SPLITS]
+    if unknown:  # split codes number the splits by first appearance
+        lineno = int((columns.split == unknown[0]).argmax()) + 2  # after the header
+        raise UserError(f"{args.pred}:{lineno}: split {columns.split_names[unknown[0]]!r} "
+                        f"is not one of {', '.join(SPLITS)}")
     args.out.mkdir(parents=True, exist_ok=True)
     rows = pairs_mod.mae_by_split(columns)
     report_path = args.out / "mae_report.tsv"
@@ -464,11 +465,6 @@ def run(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             return EXIT_USER_ERROR
         _apply_config_file(args)
-        if SEED_ENV_VAR in os.environ:
-            try:
-                args.seed = int(os.environ[SEED_ENV_VAR])
-            except ValueError:
-                raise UserError(f"{SEED_ENV_VAR} must be an integer")
         logging.basicConfig(
             level=logging.DEBUG if args.verbose else logging.INFO,
             format="%(levelname)s %(name)s: %(message)s",
@@ -547,44 +543,44 @@ def end_to_end_smoke(cfg: SmokeConfig) -> dict:
         "--hidden", str(cfg.hidden), "--max-positions", str(cfg.max_positions),
         "--dropout", str(cfg.dropout), "--dtype", cfg.dtype,
     ]
-    train_flags = ["--batch-size", str(cfg.batch_size), "--lr", str(cfg.lr)]
-    seed = ["--seed", str(cfg.seed)]
+    train_flags = ["--batch-size", str(cfg.batch_size), "--lr", str(cfg.lr),
+                   "--seed", str(cfg.seed)]
     stages = [
         ("featurize", ["featurize", "--in", str(dataset), "--out",
-                       str(artifacts["corpus"]), "--format", cfg.fmt] + seed),
+                       str(artifacts["corpus"]), "--format", cfg.fmt]),
         ("build-vocab", ["build-vocab", "--in", str(artifacts["corpus"]),
-                         "--out", str(artifacts["vocab"])] + seed),
+                         "--out", str(artifacts["vocab"])]),
         ("pretrain", ["pretrain", "--corpus", str(artifacts["corpus"]),
                       "--vocab", str(artifacts["vocab"]),
                       "--out", str(artifacts["pretrain_ckpt"]),
                       "--epochs", str(cfg.pretrain_epochs)]
-         + model_flags + train_flags + seed),
+         + model_flags + train_flags),
         ("train", ["train", "--corpus", str(artifacts["corpus"]),
                    "--vocab", str(artifacts["vocab"]),
                    "--out", str(artifacts["model_ckpt"]),
                    "--init-from", str(artifacts["pretrain_ckpt"]),
                    "--epochs", str(cfg.train_epochs),
                    "--history", str(out / "history.tsv")]
-         + model_flags + train_flags + seed),
+         + model_flags + train_flags),
         ("predict", ["predict", "--systems", str(dataset),
                      "--corpus", str(artifacts["corpus"]),
                      "--vocab", str(artifacts["vocab"]),
                      "--ckpt", str(artifacts["model_ckpt"]),
-                     "--out", str(artifacts["predictions"])] + seed),
+                     "--out", str(artifacts["predictions"])]),
         ("eval", ["eval", "--pred", str(artifacts["predictions"]),
-                  "--out", str(out / "eval")] + seed),
+                  "--out", str(out / "eval")]),
         ("pairs", ["pairs", "--pred", str(artifacts["predictions"]),
-                   "--report", str(out / "pairs")] + seed),
+                   "--report", str(out / "pairs")]),
         ("attention", ["attention", "--systems", str(dataset),
                        "--vocab", str(artifacts["vocab"]),
                        "--ckpt", str(artifacts["model_ckpt"]),
                        "--out", str(artifacts["attention"]),
-                       "--format", cfg.fmt if cfg.fmt != "s1" else "s4"] + seed),
+                       "--format", cfg.fmt if cfg.fmt != "s1" else "s4"]),
         ("embeddings", ["embeddings", "--systems", str(dataset),
                         "--vocab", str(artifacts["vocab"]),
                         "--ckpt", str(artifacts["model_ckpt"]),
                         "--out", str(artifacts["embeddings"]),
-                        "--format", cfg.fmt] + seed),
+                        "--format", cfg.fmt]),
     ]
     report = {"stages": [], "artifacts": {k: str(v) for k, v in artifacts.items()}}
     for name, argv in stages:

@@ -4,20 +4,20 @@ Learned absolute positional embeddings, multi-head self-attention,
 position-wise GELU feed-forward blocks, and residual connections with
 post-norm by default (pre-norm available per config). The regression
 head is dense -> activation -> dense over the final-layer state at
-position 0. Padded key positions are masked to -inf before the attention
-softmax, so their weights and their gradients are exactly zero.
+position 0.
 
 The stack runs on packed tokens: hidden states are (N, hidden), one row
-per real token, taken from the flat positions np.flatnonzero(mask) of the
-(batch, length) grid, so projections, GELU and layer norms never touch
-padding. `_encode` builds one `autograd.AttentionLayout` per batch, and
-every layer's `autograd.attention`, forward and backward, reuses it: the
-op runs each length bucket on a grid padded only to that bucket's
-longest sequence. Real tokens come first in every row, so a bucket's
-smaller grid drops only trailing exact zeros from the sums over keys and
-queries, and the results equal those of one padded grid (bit for bit at
-the shipped 16 dimensions per head; see `autograd`). Captured attention
-is laid back out on the full (batch, heads, length, length) grid.
+per real token, the sequences' ids one after another (`_pack_batch`), so
+projections, GELU and layer norms never see padding. `_encode` builds one
+`autograd.AttentionLayout` per batch from the sequence lengths, and every
+layer's `autograd.attention`, forward and backward, reuses it: the op
+runs each length bucket on a grid padded only to that bucket's longest
+sequence, with padded keys masked to -inf, so their weights and their
+gradients are exactly zero. A bucket's smaller grid drops only trailing
+exact zeros from the sums over keys and queries, and the results equal
+those of one padded grid (bit for bit at the shipped 16 dimensions per
+head; see `autograd`). Captured attention is laid back out on the full
+(batch, heads, length, length) grid, length being the encoded length.
 
 A loss that reads only some rows passes them to `_encode`. The last
 layer still runs attention on every row, since its keys and values need
@@ -53,10 +53,6 @@ from .tokens import TokenSequence
 CHECKPOINT_MAGIC = b"ADTXCKPT"
 CHECKPOINT_VERSION = 1
 
-# Full-scale reference configuration (12 layers / 12 heads / 768 hidden);
-# the desk-scale defaults below run the whole suite in minutes on a CPU.
-PAPER_SCALE = {"n_layers": 12, "n_heads": 12, "hidden_size": 768}
-
 
 class CheckpointError(RuntimeError):
     """Corrupt, truncated or incompatible checkpoint file."""
@@ -84,10 +80,6 @@ class EncoderConfig:
             raise ValueError(f"unknown head activation {self.head_activation!r}")
         if self.dtype not in ("float64", "float32"):
             raise ValueError(f"unsupported dtype {self.dtype!r}")
-
-    @property
-    def head_dim(self) -> int:
-        return self.hidden_size // self.n_heads
 
     @property
     def np_dtype(self):
@@ -256,16 +248,32 @@ class ForwardResult:
         return AttentionRecord([layer[b] for layer in self.attention], n_real)
 
 
-def _stack_batch(seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
-    ids = np.stack([s.ids for s in seqs])
-    mask = np.stack([s.attention_mask for s in seqs])
-    return ids, mask
+def _pack_batch(
+    model: EncoderModel,
+    seqs: list[TokenSequence],
+    train: bool,
+    rng: np.random.Generator | None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The batch's ids packed one sequence after another, the sequences'
+    real lengths and their longest encoded length, checked against the
+    model."""
+    cfg = model.config
+    lengths = np.array([s.n_real for s in seqs], dtype=np.int64)
+    if lengths.max() > cfg.max_positions:
+        raise ValueError("sequence longer than max_positions")
+    ids = np.concatenate([s.ids for s in seqs])
+    if ids.max() >= cfg.vocab_size:
+        raise ValueError("token id out of range")
+    if train and rng is None:
+        raise ValueError("training forward needs an rng for dropout")
+    return ids, lengths, max(len(s) for s in seqs)
 
 
 def _encode(
     model: EncoderModel,
     ids: np.ndarray,
-    mask: np.ndarray,
+    lengths: np.ndarray,
+    length: int,
     capture_attention: bool,
     train: bool,
     rng: np.random.Generator | None,
@@ -273,22 +281,23 @@ def _encode(
 ) -> tuple[Tensor, ag.AttentionLayout, list[np.ndarray]]:
     """Shared encoder stack on packed tokens.
 
-    Returns the final hidden states, the batch's attention layout (whose
-    `rows` are the flat (B * L) positions of the packed rows) and the
-    captured attention. The states are (N, H), one row per real token,
-    or, when rows (distinct packed row indices) is given, (M, H) at those
-    rows in that order: the last layer keeps them right after attention.
+    ids are the packed ids of sequences of the given lengths, on a grid of
+    `length` positions. Returns the final hidden states, the batch's
+    attention layout and the captured attention. The states are (N, H),
+    one row per id, or, when rows (distinct packed row indices) is given,
+    (M, H) at those rows in that order: the last layer keeps them right
+    after attention.
     """
     cfg = model.config
     p = model.params
     dt = cfg.np_dtype
-    batch, length = ids.shape
+    batch = lengths.size
     drop = cfg.dropout_rate if train else 0.0
-    layout = ag.AttentionLayout(mask)  # one per batch, shared by every layer
-    flat = layout.rows
+    layout = ag.AttentionLayout(lengths, length)  # one per batch, shared by every layer
+    positions = np.arange(ids.size) - np.repeat(layout.starts, lengths)
 
-    x = ag.add(ag.embedding(p["tok_emb"], ids.reshape(-1)[flat]),
-               ag.embedding(p["pos_emb"], flat % length))
+    x = ag.add(ag.embedding(p["tok_emb"], ids),
+               ag.embedding(p["pos_emb"], positions))
     captured: list[np.ndarray] = []
 
     for i in range(cfg.n_layers):
@@ -342,31 +351,19 @@ def forward(
     """Run a batch through the encoder and the first-token regression head.
 
     Dropout (attention weights and feed-forward outputs) is active only
-    when train=True, in which case rng must be provided. Every sequence
-    must have a real token at position 0, which the head reads. The batch
-    is cut to its longest real sequence, since later positions are
-    padding in every row; captured attention keeps the full padded
-    (B, heads, L, L) shape.
+    when train=True, in which case rng must be provided. The head reads
+    each sequence's first token. The grid is cut to the longest real
+    sequence, since later positions are padding in every row; captured
+    attention keeps the encoded (B, heads, L, L) shape.
     """
     cfg = model.config
-    ids, mask = _stack_batch(seqs)
-    if ids.shape[1] > cfg.max_positions:
-        raise ValueError("sequence longer than max_positions")
-    if ids.max() >= cfg.vocab_size:
-        raise ValueError("token id out of range")
-    if train and rng is None:
-        raise ValueError("training forward needs an rng for dropout")
-    padded_first = np.flatnonzero(mask[:, 0] == 0)
-    if padded_first.size:
-        raise ValueError(f"batch row {padded_first[0]} has padding at position 0, "
-                         "where the regression head reads")
+    ids, lengths, length = _pack_batch(model, seqs, train, rng)
     if not capture_attention:
-        last = np.flatnonzero(mask.any(axis=0))[-1]
-        ids, mask = ids[:, :last + 1], mask[:, :last + 1]
+        length = int(lengths.max())
 
-    x, layout, captured = _encode(model, ids, mask, capture_attention, train, rng)
+    x, layout, captured = _encode(model, ids, lengths, length, capture_attention, train, rng)
     p = model.params
-    batch = ids.shape[0]
+    batch = lengths.size
     pooled = ag.take(x, (layout.starts,))
     act = ag.tanh if cfg.head_activation == "tanh" else ag.gelu
     hidden = act(ag.linear(pooled, p["head.w1"], p["head.b1"]))
@@ -393,12 +390,11 @@ def mlm_logits(
     p = model.params
     if "mlm.bias" not in p:
         raise ValueError("model has no MLM head; call ensure_mlm_head first")
-    ids, mask = _stack_batch(seqs)
+    ids, lengths, length = _pack_batch(model, seqs, train, rng)
     seq_index, pos = (np.asarray(a, dtype=np.int64).reshape(-1) for a in positions)
     if seq_index.shape != pos.shape:
         raise ValueError("positions: sequence indices and positions differ in length")
-    batch, length = ids.shape
-    lengths = mask.sum(axis=1)
+    batch = lengths.size
     outside = (seq_index < 0) | (seq_index >= batch) | (pos < 0) | (pos >= length)
     bad = np.flatnonzero(outside | (lengths[np.where(outside, 0, seq_index)] <= pos))
     if bad.size:
@@ -410,7 +406,7 @@ def mlm_logits(
     if (counts > 1).any():
         m = first[np.argmax(counts > 1)]
         raise ValueError(f"batch row {seq_index[m]} position {pos[m]} is repeated")
-    x, _, _ = _encode(model, ids, mask, False, train, rng, rows)
+    x, _, _ = _encode(model, ids, lengths, length, False, train, rng, rows)
     w = p["mlm.w"] if "mlm.w" in p else ag.transpose(p["tok_emb"], (1, 0))
     return ag.linear(x, w, p["mlm.bias"])
 

@@ -161,10 +161,9 @@ def _mae(errors: np.ndarray) -> float:
     return sum(np.abs(errors).tolist()) / len(errors)
 
 
-def _splits(columns: PredictionColumns,
-            names: Iterable[str]) -> Iterator[tuple[str, np.ndarray]]:
-    """(split, its record indices in order) for each of names present."""
-    for name in names:
+def _splits(columns: PredictionColumns) -> Iterator[tuple[str, np.ndarray]]:
+    """(split, its record indices in order) for each split of SPLITS present."""
+    for name in SPLITS:
         if name in columns.split_names:
             yield name, np.flatnonzero(columns.split == columns.split_names.index(name))
 
@@ -173,9 +172,8 @@ def mae_by_split(columns: PredictionColumns) -> list[tuple[str, float, int]]:
     """(split, MAE, count) rows in split order, with a trailing total row."""
     if not len(columns.error):
         raise ValueError("no prediction records")
-    extra = sorted(set(columns.split_names) - set(SPLITS))
     rows = [(name, _mae(columns.error[idx]), len(idx))
-            for name, idx in _splits(columns, (*SPLITS, *extra))]
+            for name, idx in _splits(columns)]
     rows.append(("total", _mae(columns.error), len(columns.error)))
     return rows
 
@@ -372,7 +370,7 @@ def export_parity(columns: PredictionColumns, out_dir: str | Path) -> list[Path]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for split, idx in _splits(columns, SPLITS):
+    for split, idx in _splits(columns):
         path = out_dir / f"parity_{split}.tsv"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"# split={split} n={len(idx)} mae={_mae(columns.error[idx])!r}\n")

@@ -1,4 +1,4 @@
-"""Word-level vocabulary, fixed-length encoding and dynamic masking.
+"""Word-level vocabulary, encoding and dynamic masking.
 
 Tokens are whitespace-delimited words with the sequence markers and the
 closed punctuation set { <s> </s> [ ] ( ) , } isolated as standalone
@@ -6,6 +6,10 @@ tokens. The string grammars have a small closed vocabulary (element
 symbols, digits, site names, brackets), so subword methods are
 unnecessary; multi-token surface words only arise in description text
 where punctuation splits a word.
+
+An encoded sequence keeps the ids of its real tokens and the length it
+was encoded to (CatBERTa pads every text to one length); the padding
+itself is never stored, and the encoder packs the ids as they are.
 """
 
 from __future__ import annotations
@@ -122,28 +126,36 @@ def build_vocab(corpus: Iterable[str], min_freq: int = 1) -> Vocabulary:
 
 @dataclass(frozen=True)
 class TokenSequence:
-    """Fixed-length id sequence; attention_mask is 1 on real tokens."""
+    """The ids of a text's real tokens and the length it was encoded to.
+
+    Padding is never stored: positions ids.size..length-1 are padding.
+    """
 
     ids: np.ndarray
-    attention_mask: np.ndarray
+    length: int
 
     def __post_init__(self):
-        if self.ids.shape != self.attention_mask.shape:
-            raise ValueError("ids and attention_mask length mismatch")
-        if self.ids[0] != BOS:
+        if not self.ids.size or self.ids[0] != BOS:
             raise ValueError("sequence must start with <s>")
+        if self.ids.size > self.length:
+            raise ValueError("more ids than the encoded length")
 
     def __len__(self) -> int:
-        return int(self.ids.shape[0])
+        return self.length
 
     @property
     def n_real(self) -> int:
-        return int(self.attention_mask.sum())
+        return int(self.ids.size)
+
+    @property
+    def attention_mask(self) -> np.ndarray:
+        # read by perfbench/trace.py, which changes only with the benchmark
+        return (np.arange(self.length) < self.ids.size).astype(np.int64)
 
 
 def encode(text: str, vocab: Vocabulary,
            max_positions: int = DEFAULT_MAX_POSITIONS) -> TokenSequence:
-    """bos + body + eos, truncated keeping bos/eos, padded to max_positions."""
+    """bos + body + eos, truncated keeping bos/eos, encoded to max_positions."""
     toks = tokenize(text)
     if not toks or toks[0] != "<s>":
         toks = ["<s>"] + toks
@@ -152,12 +164,7 @@ def encode(text: str, vocab: Vocabulary,
     ids = [vocab.id_of(t) for t in toks]
     if len(ids) > max_positions:
         ids = ids[: max_positions - 1] + [EOS]
-    n = len(ids)
-    out = np.full(max_positions, PAD, dtype=np.int64)
-    out[:n] = ids
-    mask = np.zeros(max_positions, dtype=np.int64)
-    mask[:n] = 1
-    return TokenSequence(out, mask)
+    return TokenSequence(np.array(ids, dtype=np.int64), max_positions)
 
 
 def _glue(prev: str, nxt: str, tokens: list[str], i: int) -> bool:
@@ -175,7 +182,7 @@ def _glue(prev: str, nxt: str, tokens: list[str], i: int) -> bool:
 
 def decode(seq: TokenSequence, vocab: Vocabulary) -> str:
     """Inverse of encode for the string grammars (exact round-trip there)."""
-    tokens = [vocab.token(int(i)) for i, m in zip(seq.ids, seq.attention_mask) if m]
+    tokens = [vocab.token(int(i)) for i in seq.ids]
     if not tokens:
         return ""
     parts = [tokens[0]]
@@ -202,7 +209,7 @@ def dynamic_mask(
         raise ValueError("mask rate must be in (0, 1)")
     rng = np.random.default_rng(seed)
     ids = seq.ids.copy()
-    maskable = np.flatnonzero((seq.attention_mask == 1) & (ids >= N_SPECIALS))
+    maskable = np.flatnonzero(ids >= N_SPECIALS)
     selected = maskable[rng.random(maskable.size) < rate]
     labels = [(int(p), int(ids[p])) for p in selected]
     branch = rng.random(selected.size)
@@ -213,4 +220,4 @@ def dynamic_mask(
         elif r < 0.9:
             ids[p] = rid
         # else: keep the original token
-    return TokenSequence(ids, seq.attention_mask), labels
+    return TokenSequence(ids, seq.length), labels

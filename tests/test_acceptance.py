@@ -138,13 +138,11 @@ def test_criterion_04_gradient_correctness():
     rng = np.random.default_rng(5)
 
     def make_seq(n_real):
-        ids = np.full(24, PAD, dtype=np.int64)
-        mask = np.zeros(24, dtype=np.int64)
+        ids = np.empty(n_real, dtype=np.int64)
         ids[0] = BOS
         ids[1:n_real - 1] = rng.integers(5, 30, n_real - 2)
         ids[n_real - 1] = EOS
-        mask[:n_real] = 1
-        return TokenSequence(ids, mask)
+        return TokenSequence(ids, 24)
 
     seqs = [make_seq(10), make_seq(15), make_seq(24)]
     labels = rng.normal(size=3)

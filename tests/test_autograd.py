@@ -246,9 +246,8 @@ ATT_LEN, ATT_HEADS, ATT_HIDDEN = 5, 2, 8
 
 
 def _packed_attention_inputs(rng):
-    mask = (np.arange(ATT_LEN)[None] < np.array(ATT_LENGTHS)[:, None]).astype(int)
-    layout = ag.AttentionLayout(mask)
-    q, k, v = (Tensor(rng.normal(size=(layout.rows.size, ATT_HIDDEN)), requires_grad=True)
+    layout = ag.AttentionLayout(np.array(ATT_LENGTHS), ATT_LEN)
+    q, k, v = (Tensor(rng.normal(size=(sum(ATT_LENGTHS), ATT_HIDDEN)), requires_grad=True)
                for _ in range(3))
     return q, k, v, layout
 
@@ -275,13 +274,13 @@ def _per_sequence_reference(q, k, v, keep):
 @pytest.mark.parametrize("with_keep", [False, True])
 def test_attention_matches_reference_per_sequence(rng, with_keep):
     q, k, v, layout = _packed_attention_inputs(rng)
-    rows = layout.rows
+    n_rows = sum(ATT_LENGTHS)
     shape = (len(ATT_LENGTHS), ATT_HEADS, ATT_LEN, ATT_LEN)
     keep = (rng.random(shape) >= 0.3) / 0.7 if with_keep else None
     ctx, weights = ag.attention(q, k, v, layout, ATT_HEADS, keep)
     weights = layout.padded_weights(weights)
     want_ctx, want_weights = _per_sequence_reference(q, k, v, keep)
-    assert ctx.data.shape == (rows.size, ATT_HIDDEN)
+    assert ctx.data.shape == (n_rows, ATT_HIDDEN)
     assert np.abs(ctx.data - want_ctx).max() < 1e-12
     for b, n in enumerate(ATT_LENGTHS):
         for h in range(ATT_HEADS):
@@ -290,7 +289,7 @@ def test_attention_matches_reference_per_sequence(rng, with_keep):
             assert np.all(got[:, n:] == 0.0)  # padded keys
             if n < ATT_LEN:  # padded queries
                 assert np.abs(got[n:, :n] - 1.0 / n).max() < 1e-15
-    target = rng.normal(size=(rows.size, ATT_HIDDEN))
+    target = rng.normal(size=(n_rows, ATT_HIDDEN))
 
     def fn():
         out, _ = ag.attention(q, k, v, layout, ATT_HEADS, keep)
@@ -346,12 +345,7 @@ BUCKET_CASES = {  # lengths -> buckets the layout cuts
 
 def test_equal_lengths_make_one_bucket():
     for batch, length in ((16, 40), (3, 7), (1, 1)):
-        assert len(ag.AttentionLayout(np.ones((batch, length), dtype=int)).buckets) == 1
-
-
-def test_layout_rejects_padding_before_a_real_token():
-    with pytest.raises(ValueError, match="real tokens followed by padding"):
-        ag.AttentionLayout(np.array([[1, 1, 0, 1], [1, 1, 1, 1]]))
+        assert len(ag.AttentionLayout(np.full(batch, length), length).buckets) == 1
 
 
 def _run_attention(layout, q, k, v, g, keep):
@@ -367,8 +361,7 @@ def _run_attention(layout, q, k, v, g, keep):
 def test_attention_buckets_match_each_sequence_alone(rng, dtype, with_keep, case):
     lengths, n_buckets = BUCKET_CASES[case]
     length = max(lengths) + 3  # trailing padding on every row
-    mask = np.arange(length)[None] < np.array(lengths)[:, None]
-    layout = ag.AttentionLayout(mask)
+    layout = ag.AttentionLayout(np.array(lengths), length)
     assert len(layout.buckets) == n_buckets
     n_rows = sum(lengths)
     q, k, v, g = (rng.normal(size=(n_rows, BUCKET_HIDDEN)).astype(dtype) for _ in range(4))
@@ -379,7 +372,7 @@ def test_attention_buckets_match_each_sequence_alone(rng, dtype, with_keep, case
     start = 0
     for b, n in enumerate(lengths):
         rows = slice(start, start + n)
-        alone = ag.AttentionLayout(mask[b:b + 1])
+        alone = ag.AttentionLayout(np.array([n]), length)
         want_ctx, want_grads, want_weights = _run_attention(
             alone, q[rows], k[rows], v[rows], g[rows], None if keep is None else keep[b:b + 1])
         np.testing.assert_array_equal(ctx[rows], want_ctx)
@@ -391,8 +384,7 @@ def test_attention_buckets_match_each_sequence_alone(rng, dtype, with_keep, case
 
 def test_padded_weights_beyond_each_bucket(rng):
     lengths, _ = BUCKET_CASES["three"]
-    mask = np.arange(90)[None] < np.array(lengths)[:, None]
-    layout = ag.AttentionLayout(mask)
+    layout = ag.AttentionLayout(np.array(lengths), 90)
     q, k, v, g = (rng.normal(size=(sum(lengths), BUCKET_HIDDEN)).astype(np.float32)
                   for _ in range(4))
     _, _, weights = _run_attention(layout, q, k, v, g, None)

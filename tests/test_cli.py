@@ -68,7 +68,6 @@ def test_featurize_writes_manifest(tmp_path, table_system):
     manifest = json.loads((tmp_path / "corpus.jsonl.manifest.json").read_text())
     assert manifest["command"] == "featurize"
     assert manifest["version"]
-    assert manifest["seed"] == 0
     assert len(manifest["config_sha256"]) == 64
 
 
@@ -150,15 +149,13 @@ def test_config_file_rejects_unknown_keys(tmp_path, table_system):
     assert code == EXIT_USER_ERROR
 
 
-def test_seed_env_var_overrides(tmp_path, table_system, monkeypatch):
+def test_seed_only_on_subcommands_that_draw(tmp_path, table_system):
     dataset = tmp_path / "systems.jsonl"
     save_dataset([table_system], dataset)
     out = tmp_path / "corpus.jsonl"
-    monkeypatch.setenv("ADSORBTEXT_SEED", "777")
-    run(["featurize", "--in", str(dataset), "--out", str(out),
-         "--format", "s4", "--seed", "3"])
-    manifest = json.loads((tmp_path / "corpus.jsonl.manifest.json").read_text())
-    assert manifest["seed"] == 777
+    assert run(["featurize", "--in", str(dataset), "--out", str(out),
+                "--format", "s4", "--seed", "3"]) == EXIT_USER_ERROR
+    assert not out.exists()
 
 
 def test_smoke_produces_all_artifacts(tmp_path):
@@ -226,6 +223,17 @@ def test_eval_rejects_unlabeled_prediction(tmp_path, capsys):
         == EXIT_USER_ERROR
     err = capsys.readouterr().err
     assert f"p.tsv:5: {systems[3].id}" in err and "finite" in err
+
+
+def test_eval_rejects_split_outside_splits(tmp_path, capsys):
+    pred = tmp_path / "p.tsv"
+    pred.write_text("system_id\tsplit\tadsorbate_smiles\tbulk_formula\tlabel\tprediction\n"
+                    "a\tID\tNH3\tPt\t-1.0\t-0.9\n"
+                    "b\tval\tOH\tPt\t-0.5\t-0.7\n")
+    out = tmp_path / "eval"
+    assert run(["eval", "--pred", str(pred), "--out", str(out)]) == EXIT_USER_ERROR
+    assert f"{pred}:3: split 'val' is not one of" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_attention_cli_selects_system(tmp_path):

@@ -27,14 +27,12 @@ def small_config(**overrides):
 
 
 def make_seq(rng, n_real, max_positions=24, vocab_size=30):
-    ids = np.full(max_positions, PAD, dtype=np.int64)
-    mask = np.zeros(max_positions, dtype=np.int64)
+    ids = np.empty(n_real, dtype=np.int64)
     ids[0] = BOS
     if n_real > 2:
         ids[1:n_real - 1] = rng.integers(5, vocab_size, n_real - 2)
     ids[n_real - 1] = EOS
-    mask[:n_real] = 1
-    return TokenSequence(ids, mask)
+    return TokenSequence(ids, max_positions)
 
 
 def test_config_validates_divisibility():
@@ -50,18 +48,6 @@ def test_zero_model_outputs_head_bias(rng):
     seqs = [make_seq(rng, n) for n in (5, 12, 24)]
     energies = forward(model, seqs).energies()
     assert np.allclose(energies, 0.73)
-
-
-def test_padding_is_inert(rng):
-    # two sequences identical in real tokens, different junk in padded ids
-    model = init_model(small_config(), seed=1)
-    seq = make_seq(rng, 9)
-    junk_ids = seq.ids.copy()
-    junk_ids[9:] = 7  # junk instead of pad id, mask still 0
-    junk = TokenSequence(junk_ids, seq.attention_mask)
-    e1 = forward(model, [seq]).energies()
-    e2 = forward(model, [junk]).energies()
-    assert np.array_equal(e1, e2)
 
 
 def test_attention_rows_sum_to_one(rng):
@@ -103,8 +89,7 @@ def test_batch_trimmed_to_longest_sequence_is_exact(rng):
     wide.config = small_config(max_positions=48)
     wide.params["pos_emb"].data = np.vstack(
         [model.params["pos_emb"].data, rng.normal(0.0, 0.02, (16, 16))])
-    wide_seqs = [TokenSequence(np.pad(s.ids, (0, 16), constant_values=PAD),
-                               np.pad(s.attention_mask, (0, 16))) for s in seqs]
+    wide_seqs = [TokenSequence(s.ids, 48) for s in seqs]
     assert np.abs(forward(wide, wide_seqs).energies() - batch).max() < 1e-12
 
     ag.backward(ag.tensor_sum(forward(model, seqs).energy))
@@ -121,14 +106,14 @@ def test_head_reads_position_zero(rng):
     assert np.array_equal(pooled, np.broadcast_to(want, pooled.shape))
 
 
-def test_forward_rejects_padding_at_position_zero(rng):
-    model = init_model(small_config(), seed=13)
-    seqs = [make_seq(rng, n) for n in (6, 9, 12)]
-    shifted = np.zeros_like(seqs[1].attention_mask)
-    shifted[1:10] = 1  # real tokens, but position 0 masked out
-    seqs[1] = TokenSequence(seqs[1].ids, shifted)
-    with pytest.raises(ValueError, match="batch row 1 has padding at position 0"):
-        forward(model, seqs)
+def test_encoded_length_beyond_max_positions_runs(rng):
+    # only the real tokens must fit the model: 10 of 512 on 24 positions
+    model = init_model(small_config(), seed=18)
+    seq = make_seq(rng, 10)
+    long = TokenSequence(seq.ids, 512)
+    assert np.array_equal(forward(model, [long]).energies(), forward(model, [seq]).energies())
+    captured = forward(model, [long], capture_attention=True).attention
+    assert captured[0].shape == (1, 2, 512, 512)
 
 
 def test_forward_without_tape_is_bitwise_equal(rng):
@@ -152,7 +137,7 @@ def test_permutation_sensitivity(rng):
     assert swapped_ids[2] != swapped_ids[5] or swapped_ids[3] != swapped_ids[5]
     a, b = (2, 5) if swapped_ids[2] != swapped_ids[5] else (3, 5)
     swapped_ids[a], swapped_ids[b] = swapped_ids[b], swapped_ids[a]
-    swapped = TokenSequence(swapped_ids, seq.attention_mask)
+    swapped = TokenSequence(swapped_ids, len(seq))
     e1 = forward(model, [seq]).energies()[0]
     e2 = forward(model, [swapped]).energies()[0]
     assert abs(e1 - e2) > 1e-6
@@ -170,13 +155,42 @@ def test_forward_rejects_out_of_range_ids(rng):
     bad_ids = seq.ids.copy()
     bad_ids[2] = 99
     with pytest.raises(ValueError, match="out of range"):
-        forward(model, [TokenSequence(bad_ids, seq.attention_mask)])
+        forward(model, [TokenSequence(bad_ids, len(seq))])
 
 
 def test_dropout_needs_rng(rng):
     model = init_model(small_config(dropout_rate=0.1), seed=6)
     with pytest.raises(ValueError, match="rng"):
         forward(model, [make_seq(rng, 8)], train=True)
+
+
+def _bad_batch(rng, bad):
+    """Two sequences, one of them bad, and whether to train."""
+    seqs = [make_seq(rng, 6), make_seq(rng, 9)]
+    if bad == "too long":  # 25 real tokens on a 24-position model
+        seqs[1] = make_seq(rng, 25, max_positions=32)
+    elif bad == "id out of range":
+        ids = seqs[1].ids.copy()
+        ids[2] = 30
+        seqs[1] = TokenSequence(ids, 24)
+    return seqs, bad == "train without rng"
+
+
+@pytest.mark.parametrize("entry", ["forward", "mlm_logits"])
+@pytest.mark.parametrize("bad, message", [
+    ("too long", "sequence longer than max_positions"),
+    ("id out of range", "token id out of range"),
+    ("train without rng", "needs an rng for dropout"),
+])
+def test_forward_and_mlm_logits_reject_the_same_bad_batches(rng, entry, bad, message):
+    model = init_model(small_config(dropout_rate=0.1), seed=17)
+    ensure_mlm_head(model)
+    seqs, train = _bad_batch(rng, bad)
+    with pytest.raises(ValueError, match=message):
+        if entry == "forward":
+            forward(model, seqs, train=train)
+        else:
+            mlm_logits(model, seqs, (np.array([0, 1]), np.array([1, 2])), train=train)
 
 
 def test_pre_norm_variant_runs(rng):

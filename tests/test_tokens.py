@@ -85,7 +85,8 @@ def test_vocab_requires_specials_first():
 def test_encode_empty_text():
     vocab = build_vocab(["x"])
     seq = encode("", vocab, max_positions=6)
-    assert list(seq.ids) == [BOS, EOS, PAD, PAD, PAD, PAD]
+    assert list(seq.ids) == [BOS, EOS]
+    assert len(seq) == 6
     assert list(seq.attention_mask) == [1, 1, 0, 0, 0, 0]
 
 
@@ -96,6 +97,15 @@ def test_encode_fixed_length_and_mask_sum(fixture_corpus):
         assert len(seq) == 128
         assert seq.ids[0] == BOS
         assert seq.n_real == int((seq.ids != PAD).sum())
+
+
+def test_encode_stores_only_real_ids(fixture_corpus):
+    vocab = build_vocab(fixture_corpus)
+    text = fixture_corpus[3]
+    n_real = len(tokenize(text))
+    seq = encode(text, vocab, 512)
+    assert seq.ids.size == n_real
+    assert len(seq) == 512
 
 
 def test_encode_truncates_keeping_eos():
@@ -130,9 +140,9 @@ def test_decode_round_trip_description(fixture_corpus):
 
 def test_token_sequence_invariants():
     with pytest.raises(ValueError, match="start with <s>"):
-        TokenSequence(np.array([PAD, PAD]), np.array([0, 0]))
-    with pytest.raises(ValueError, match="mismatch"):
-        TokenSequence(np.array([BOS, EOS]), np.array([1, 1, 0]))
+        TokenSequence(np.array([PAD, PAD]), 2)
+    with pytest.raises(ValueError, match="more ids than the encoded length"):
+        TokenSequence(np.array([BOS, 7, EOS]), 2)
 
 
 def _long_seq(vocab, n_tokens=800, max_positions=1024):
@@ -194,7 +204,7 @@ def test_dynamic_mask_labels_record_originals():
     masked, labels = dynamic_mask(seq, vocab, 0.3, seed=7)
     for pos, original in labels:
         assert seq.ids[pos] == original
-    untouched = set(range(len(seq))) - {p for p, _ in labels}
+    untouched = set(range(seq.n_real)) - {p for p, _ in labels}
     for pos in untouched:
         assert masked.ids[pos] == seq.ids[pos]
 
