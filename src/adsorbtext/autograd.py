@@ -288,12 +288,13 @@ class AttentionLayout:
             key_bias = np.where(np.arange(n_max) < lengths[seqs][:, None], 0.0, -np.inf)
             self.buckets.append((seqs, n_max, off, key_bias))
 
-    def padded_weights(self, weights: list[np.ndarray]) -> np.ndarray:
-        """The buckets' (n_b, heads, query, key) weights from `attention` on
-        the full (batch, heads, length, length) grid. Padded keys get exactly
-        0 and padded queries, as inside a bucket, 1/n on each of the n real
-        keys, also past the bucket's own length."""
-        batch, length = self.shape
+    def padded_weights(self, weights: list[np.ndarray], length: int) -> np.ndarray:
+        """The buckets' (n_b, heads, query, key) weights from `attention` laid
+        out on one (batch, heads, length, length) grid, length being at least
+        the longest sequence (the encoder passes the encoded length). Padded
+        keys get exactly 0 and padded queries, as inside a bucket, 1/n on
+        each of the n real keys, also past the bucket's own length."""
+        batch = self.lengths.size
         out = np.zeros((batch, weights[0].shape[1], length, length), dtype=weights[0].dtype)
         for (seqs, n_max, _, _), w in zip(self.buckets, weights):
             out[seqs, :, :n_max, :n_max] = w
@@ -317,7 +318,8 @@ def attention(q, k, v, layout: AttentionLayout, n_heads: int,
     (inverted dropout). Padded query rows are zero, so their weights are
     uniform over the real keys; no output row reads them. Returns the
     packed context (N, hidden) and each bucket's weights (n_b, heads,
-    query, key) before keep, which layout.padded_weights lays out.
+    query, key) before keep, which layout.padded_weights lays out on one
+    grid.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     hidden = q.data.shape[-1]

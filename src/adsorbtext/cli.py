@@ -42,7 +42,7 @@ from .featurize import (
     serialize,
     write_corpus,
 )
-from .systems import SPLITS, DatasetError, load_dataset
+from .systems import SPLITS, load_dataset
 from .tokens import Vocabulary, build_vocab, encode
 from .trainer import (
     TrainRunConfig,
@@ -471,10 +471,7 @@ def run(argv: list[str] | None = None) -> int:
         )
         _COMMANDS[args.command](args)
         return EXIT_OK
-    except (UserError, DatasetError, CheckpointError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER_ERROR
-    except ValueError as exc:
+    except (UserError, ValueError, CheckpointError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
     except Exception as exc:  # internal failure: report and exit 2

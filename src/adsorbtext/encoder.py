@@ -16,8 +16,10 @@ sequence, with padded keys masked to -inf, so their weights and their
 gradients are exactly zero. A bucket's smaller grid drops only trailing
 exact zeros from the sums over keys and queries, and the results equal
 those of one padded grid (bit for bit at the shipped 16 dimensions per
-head; see `autograd`). Captured attention is laid back out on the full
-(batch, heads, length, length) grid, length being the encoded length.
+head; see `autograd`). Captured attention stays in those buckets: a
+sequence's record is its real block, cut from its bucket, and the full
+(batch, heads, length, length) grid at the encoded length is built only
+when `ForwardResult.attention` is read.
 
 A loss that reads only some rows passes them to `_encode`. The last
 layer still runs attention on every row, since its keys and values need
@@ -38,10 +40,10 @@ hash, step, seed, tensor order) and the raw little-endian parameter blob.
 from __future__ import annotations
 
 import json
-import math
 import struct
 import warnings
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -201,31 +203,11 @@ def ensure_mlm_head(model: EncoderModel, tied: bool = True, seed: int = 0) -> No
             rng.normal(0.0, 0.02, shapes["mlm.w"]).astype(dt), requires_grad=True)
 
 
-def scaled_dot_attention(q, k, v, mask=None) -> tuple[Tensor, Tensor]:
-    """softmax(QK^T / sqrt(d_head) + mask) V over the last two axes.
-
-    Works for single (L, d) matrices and batched (..., L, d) stacks; mask
-    is an additive bias broadcast onto the score matrix (-inf blocks a key).
-    The encoder runs the fused `autograd.attention`; this composition of
-    elementary ops is the reference the tests hold it to.
-    """
-    q, k, v = ag._wrap(q), ag._wrap(k), ag._wrap(v)
-    if q.data.shape[-1] != k.data.shape[-1] or k.data.shape[-2] != v.data.shape[-2]:
-        raise ValueError("Q/K/V shape mismatch")
-    axes = list(range(k.data.ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    scores = ag.scale(ag.matmul(q, ag.transpose(k, axes)), 1.0 / math.sqrt(q.data.shape[-1]))
-    if mask is not None:
-        scores = ag.add(scores, mask)
-    weights = ag.softmax(scores, axis=-1)
-    return ag.matmul(weights, v), weights
-
-
 @dataclass
 class AttentionRecord:
-    """Per-layer, per-head attention matrices for one encoded sequence."""
+    """Per-layer, per-head attention matrices over one sequence's real tokens."""
 
-    layers: list[np.ndarray]  # each (n_heads, L, L)
+    layers: list[np.ndarray]  # each (n_heads, n_real, n_real), C-contiguous
     n_real: int
 
     @property
@@ -237,15 +219,34 @@ class AttentionRecord:
 class ForwardResult:
     pooled: Tensor        # (B, hidden)
     energy: Tensor        # (B,)
-    attention: list[np.ndarray] | None = None  # per layer (B, heads, L, L)
+    layout: ag.AttentionLayout
+    length: int           # the batch's encoded length
+    # per layer, each bucket's (n_b, heads, query, key) weights; None unless captured
+    weights: list[list[np.ndarray]] | None = None
 
     def energies(self) -> np.ndarray:
         return self.energy.data
 
+    @cached_property
+    def attention(self) -> list[np.ndarray] | None:
+        """Per layer (B, heads, L, L) at the encoded length L, laid out on first read."""
+        if self.weights is None:
+            return None
+        return [self.layout.padded_weights(w, self.length) for w in self.weights]
+
     def attention_record(self, b: int, n_real: int) -> AttentionRecord:
-        if self.attention is None:
+        """Sequence b's (heads, n_real, n_real) block of every layer, copied
+        from its bucket."""
+        if self.weights is None:
             raise ValueError("attention was not captured; pass capture_attention=True")
-        return AttentionRecord([layer[b] for layer in self.attention], n_real)
+        b = range(self.layout.lengths.size)[b]  # IndexError when out of range
+        if n_real > self.layout.lengths[b]:
+            raise ValueError(f"sequence {b} has {self.layout.lengths[b]} real tokens, "
+                             f"not {n_real}")
+        bucket, slot = next((i, np.flatnonzero(seqs == b)[0])
+                            for i, (seqs, *_) in enumerate(self.layout.buckets) if b in seqs)
+        return AttentionRecord([w[bucket][slot, :, :n_real, :n_real].copy()
+                                for w in self.weights], n_real)
 
 
 def _pack_batch(
@@ -278,12 +279,13 @@ def _encode(
     train: bool,
     rng: np.random.Generator | None,
     rows: np.ndarray | None = None,
-) -> tuple[Tensor, ag.AttentionLayout, list[np.ndarray]]:
+) -> tuple[Tensor, ag.AttentionLayout, list[list[np.ndarray]]]:
     """Shared encoder stack on packed tokens.
 
     ids are the packed ids of sequences of the given lengths, on a grid of
     `length` positions. Returns the final hidden states, the batch's
-    attention layout and the captured attention. The states are (N, H),
+    attention layout and, when capturing, each layer's bucket weights from
+    `autograd.attention` (else no layers). The states are (N, H),
     one row per id, or, when rows (distinct packed row indices) is given,
     (M, H) at those rows in that order: the last layer keeps them right
     after attention.
@@ -298,7 +300,7 @@ def _encode(
 
     x = ag.add(ag.embedding(p["tok_emb"], ids),
                ag.embedding(p["pos_emb"], positions))
-    captured: list[np.ndarray] = []
+    captured: list[list[np.ndarray]] = []
 
     for i in range(cfg.n_layers):
         pre = f"layer{i}."
@@ -317,7 +319,7 @@ def _encode(
                 keep = (rng.random(shape) >= drop).astype(dt) / (1.0 - drop)
             ctx, weights = ag.attention(q, k, v, layout, cfg.n_heads, keep)
             if capture_attention:
-                captured.append(layout.padded_weights(weights))
+                captured.append(weights)
             return ag.linear(cut(ctx), p[pre + "wo"], p[pre + "bo"])
 
         def ffn_block(inp: Tensor) -> Tensor:
@@ -353,23 +355,24 @@ def forward(
     Dropout (attention weights and feed-forward outputs) is active only
     when train=True, in which case rng must be provided. The head reads
     each sequence's first token. The grid is cut to the longest real
-    sequence, since later positions are padding in every row; captured
-    attention keeps the encoded (B, heads, L, L) shape.
+    sequence, since later positions are padding in every row, and so is
+    the dropout keep-mask. With capture_attention the result keeps each
+    layer's bucket weights, from which `ForwardResult.attention_record`
+    cuts a sequence's block and `ForwardResult.attention` lays out the
+    encoded (B, heads, L, L) grid.
     """
     cfg = model.config
     ids, lengths, length = _pack_batch(model, seqs, train, rng)
-    if not capture_attention:
-        length = int(lengths.max())
-
-    x, layout, captured = _encode(model, ids, lengths, length, capture_attention, train, rng)
+    x, layout, captured = _encode(model, ids, lengths, int(lengths.max()),
+                                  capture_attention, train, rng)
     p = model.params
     batch = lengths.size
     pooled = ag.take(x, (layout.starts,))
     act = ag.tanh if cfg.head_activation == "tanh" else ag.gelu
     hidden = act(ag.linear(pooled, p["head.w1"], p["head.b1"]))
     energy = ag.reshape(ag.linear(hidden, p["head.w2"], p["head.b2"]), (batch,))
-    return ForwardResult(pooled=pooled, energy=energy,
-                         attention=captured if capture_attention else None)
+    return ForwardResult(pooled=pooled, energy=energy, layout=layout, length=length,
+                         weights=captured if capture_attention else None)
 
 
 def mlm_logits(

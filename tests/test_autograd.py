@@ -3,7 +3,7 @@ import pytest
 
 import adsorbtext.autograd as ag
 from adsorbtext.autograd import Tensor
-from adsorbtext.encoder import scaled_dot_attention
+from reference_ops import scaled_dot_attention
 
 
 def test_softmax_symmetry():
@@ -278,7 +278,7 @@ def test_attention_matches_reference_per_sequence(rng, with_keep):
     shape = (len(ATT_LENGTHS), ATT_HEADS, ATT_LEN, ATT_LEN)
     keep = (rng.random(shape) >= 0.3) / 0.7 if with_keep else None
     ctx, weights = ag.attention(q, k, v, layout, ATT_HEADS, keep)
-    weights = layout.padded_weights(weights)
+    weights = layout.padded_weights(weights, ATT_LEN)
     want_ctx, want_weights = _per_sequence_reference(q, k, v, keep)
     assert ctx.data.shape == (n_rows, ATT_HIDDEN)
     assert np.abs(ctx.data - want_ctx).max() < 1e-12
@@ -352,7 +352,7 @@ def _run_attention(layout, q, k, v, g, keep):
     """Context, (dq, dk, dv) for upstream g, and the full-grid weights."""
     ctx, weights = ag.attention(Tensor(q, requires_grad=True), Tensor(k, requires_grad=True),
                                 Tensor(v, requires_grad=True), layout, BUCKET_HEADS, keep)
-    return ctx.data, ctx._backward(g), layout.padded_weights(weights)
+    return ctx.data, ctx._backward(g), layout.padded_weights(weights, layout.shape[1])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

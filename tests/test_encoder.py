@@ -13,10 +13,10 @@ from adsorbtext.encoder import (
     load_checkpoint,
     mlm_logits,
     save_checkpoint,
-    scaled_dot_attention,
 )
 from adsorbtext.tokens import BOS, EOS, PAD, TokenSequence
 from conftest import rewrite_checkpoint_manifest
+from reference_ops import scaled_dot_attention
 
 
 def small_config(**overrides):
@@ -80,9 +80,9 @@ def test_batch_trimmed_to_longest_sequence_is_exact(rng):
     batch = forward(model, seqs).energies()
     alone = np.concatenate([forward(model, [s]).energies() for s in seqs])
     assert np.abs(batch - alone).max() < 1e-12
-    # capturing attention runs the full padded length
-    padded = forward(model, seqs, capture_attention=True).energies()
-    assert np.abs(batch - padded).max() < 1e-12
+    # capturing attention runs on the same cut grid
+    captured = forward(model, seqs, capture_attention=True).energies()
+    assert np.array_equal(batch, captured)
 
     # same parameters at more positions: the extra pos_emb rows are never read
     wide = model.clone()
@@ -114,6 +114,29 @@ def test_encoded_length_beyond_max_positions_runs(rng):
     assert np.array_equal(forward(model, [long]).energies(), forward(model, [seq]).energies())
     captured = forward(model, [long], capture_attention=True).attention
     assert captured[0].shape == (1, 2, 512, 512)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_attention_record_is_cut_from_its_bucket(rng, dtype):
+    # 16 dimensions per head, where buckets give the bits of one padded grid
+    model = init_model(small_config(hidden_size=32, max_positions=96, dtype=dtype), seed=19)
+    seqs = [make_seq(rng, n, max_positions=96) for n in (5, 6, 5, 40, 39, 40, 80, 79, 80)]
+    res = forward(model, seqs, capture_attention=True)
+    assert len(res.layout.buckets) == 3
+    for b, seq in enumerate(seqs):
+        n = seq.n_real
+        record = res.attention_record(b, n)
+        alone = forward(model, [seq], capture_attention=True).attention_record(0, n)
+        assert record.n_layers == 2
+        for i, (got, want) in enumerate(zip(record.layers, alone.layers)):
+            assert got.shape == (2, n, n) and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got, res.attention[i][b][:, :n, :n])
+    for b in (len(seqs), -len(seqs) - 1):
+        with pytest.raises(IndexError):
+            res.attention_record(b, 5)
+    with pytest.raises(ValueError, match="5 real tokens"):
+        res.attention_record(0, 6)  # inside its bucket's grid, past its tokens
 
 
 def test_forward_without_tape_is_bitwise_equal(rng):
