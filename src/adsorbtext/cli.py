@@ -2,9 +2,11 @@
 eval, attention, embeddings, pairs.
 
 Every run writes a manifest (command, resolved config + its hash,
-toolkit version) beside its outputs, so multi-stage pipelines are
-auditable and reruns are byte-comparable; the config holds the seed of
-`pretrain` and `train`, the only subcommands that draw random numbers. A
+toolkit version, the run's wall time and the process's peak resident
+memory) beside its outputs, so multi-stage pipelines are auditable and
+show where the time went; the other outputs of reruns are
+byte-comparable. The config holds the seed of `pretrain` and `train`,
+the only subcommands that draw random numbers. A
 JSON config file passed via --config overrides flag values. Exit codes:
 0 success, 1 user error, 2 internal error.
 """
@@ -15,6 +17,7 @@ import argparse
 import hashlib
 import json
 import logging
+import resource
 import sys
 import time
 from dataclasses import dataclass
@@ -207,7 +210,7 @@ def _apply_config_file(args: argparse.Namespace) -> None:
 def _resolved_config(args: argparse.Namespace) -> dict:
     out = {}
     for key, value in sorted(vars(args).items()):
-        if key in ("config",):
+        if key in ("config", "started"):
             continue
         out[key] = str(value) if isinstance(value, Path) else value
     return out
@@ -221,7 +224,9 @@ def write_run_manifest(args: argparse.Namespace, out: Path) -> Path:
         "config": config,
         "config_sha256": hashlib.sha256(
             json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest(),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # KiB on Linux
         "version": __version__,
+        "wall_time_s": time.perf_counter() - args.started,
     }
     path = out / "manifest.json" if out.is_dir() else out.with_name(out.name + ".manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -457,6 +462,7 @@ _COMMANDS = {
 
 def run(argv: list[str] | None = None) -> int:
     """Execute one subcommand; returns the process exit code."""
+    started = time.perf_counter()
     parser = build_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
@@ -465,6 +471,7 @@ def run(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             return EXIT_USER_ERROR
         _apply_config_file(args)
+        args.started = started  # for the manifest's wall time, not part of the config
         logging.basicConfig(
             level=logging.DEBUG if args.verbose else logging.INFO,
             format="%(levelname)s %(name)s: %(message)s",

@@ -14,13 +14,17 @@ cancels in the ratio but is pinned for reproducibility.
 The report path visits no pair: the n_g*(n_g-1)/2 pairs of a group of
 n_g records have squared errors summing to n_g * sum (e - mean)^2, so
 adsorbate, bulk and (adsorbate, bulk) group sums give every count and
-RMSE in O(n log n), and rank weights give the moments of the ordered
-pairs (i, j>i). generate_pairs, secr and error_propagation_stats visit
-each pair and are the reference for tests.
+RMSE, and rank weights give the moments of the ordered pairs (i, j>i).
+Groups come from the integer codes through a table, without a sort, so
+a split of n records takes O(n + k) for codes below k; codes spread
+over more than _DENSE_KEYS values per record are sorted, O(n log n).
+generate_pairs, secr and error_propagation_stats visit each pair and
+are the reference for tests.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -130,29 +134,67 @@ class PredictionColumns(NamedTuple):
     error: np.ndarray       # prediction - label, eV
 
 
-def _to_columns(rows: Iterable[tuple[Sequence, float, float]]) -> PredictionColumns:
-    """Columns of (fields, label, prediction) rows, fields laid out as a
-    predictions line: system id, split, adsorbate, bulk."""
+def record_columns(records: Iterable[PredictionRecord]) -> PredictionColumns:
+    """Prediction records held in memory as columns."""
     splits, adsorbates, bulks = {}, {}, {}
     split, adsorbate, bulk, label, prediction = (array(t) for t in "qqqdd")
-    for fields, y, p in rows:
-        split.append(splits.setdefault(fields[1], len(splits)))
-        adsorbate.append(adsorbates.setdefault(fields[2], len(adsorbates)))
-        bulk.append(bulks.setdefault(fields[3], len(bulks)))
-        label.append(y)
-        prediction.append(p)
+    for r in records:
+        split.append(splits.setdefault(r.split, len(splits)))
+        adsorbate.append(adsorbates.setdefault(r.adsorbate_smiles, len(adsorbates)))
+        bulk.append(bulks.setdefault(r.bulk_formula, len(bulks)))
+        label.append(r.label)
+        prediction.append(r.prediction)
     columns = [np.array(c) for c in (split, adsorbate, bulk, label, prediction)]
     return PredictionColumns(list(splits), *columns, columns[4] - columns[3])
 
 
+_CHUNK_CHARS = 1 << 16  # characters read_prediction_columns parses at a time
+
+
 def read_prediction_columns(path: str | Path) -> PredictionColumns:
-    """read_predictions as columns, with its checks but no object per record."""
-    return _to_columns(_prediction_rows(path))
+    """read_predictions as columns, with its checks but no object per record.
 
-
-def record_columns(records: Iterable[PredictionRecord]) -> PredictionColumns:
-    """Prediction records held in memory as columns."""
-    return _to_columns((r, r.label, r.prediction) for r in records)
+    The records are parsed in chunks of whole lines, each split once into
+    its fields with a newline field closing every line, so one slice per
+    column and one count check every line's column count. Each string
+    column maps its strings to the row of their first appearance in the
+    file; ranking those rows gives the codes. A chunk that fails a check
+    hands the file to the line parser, which raises its message for the
+    first bad line.
+    """
+    firsts = ({}, {}, {})  # split, adsorbate, bulk: string -> row of first appearance
+    chunks = [[np.empty(0, np.int64)] * 3 + [np.empty(0, np.float64)] * 2]  # dtypes, no rows
+    rows = 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            if fh.readline().rstrip("\n").split("\t") != _HEADER:
+                raise ValueError(f"{path}: unexpected predictions header")
+            while text := fh.read(_CHUNK_CHARS):
+                text += fh.readline()
+                if not text.endswith("\n"):
+                    text += "\n"
+                fields = text.replace("\n", "\t\n\t").split("\t")
+                n = len(fields) // 7
+                # with n lines of 6 columns, every 7th field is a newline
+                if len(fields) != 7 * n + 1 or fields[6::7].count("\n") != n:
+                    raise ValueError(f"{path}: expected 6 columns")
+                codes = [np.fromiter(map(first.setdefault, fields[c::7], itertools.count(rows)),
+                                     np.int64, n) for c, first in zip((1, 2, 3), firsts)]
+                values = [np.fromiter(map(float, fields[c::7]), np.float64, n) for c in (4, 5)]
+                if not all(np.isfinite(v).all() for v in values):
+                    raise ValueError(f"{path}: label and prediction must be finite numbers")
+                chunks.append(codes + values)
+                rows += n
+    except ValueError:
+        for _ in _prediction_rows(path):  # raises naming the first bad line
+            pass
+        raise
+    columns = [np.concatenate(parts) for parts in zip(*chunks)]
+    code_of_row = np.empty(rows, np.int64)
+    for c, first in enumerate(firsts):
+        code_of_row[np.fromiter(first.values(), np.int64, len(first))] = np.arange(len(first))
+        columns[c] = code_of_row[columns[c]]
+    return PredictionColumns(list(firsts[0]), *columns, columns[4] - columns[3])
 
 
 def _mae(errors: np.ndarray) -> float:
@@ -290,6 +332,8 @@ def column_pair_stats(columns: PredictionColumns,
                       within_split: bool = True) -> list[SplitPairReport]:
     """Counts, RMSEs, SECRs and moments over the pairs (i, j>i) of each split
     in order of first appearance, or of all records as split "all"."""
+    if not len(columns.error):
+        raise ValueError("no prediction records")
     split = columns.split if within_split else np.zeros_like(columns.split)
     names = columns.split_names if within_split else ["all"]
     order = np.argsort(split, kind="stable")
@@ -305,11 +349,32 @@ class _Groups(NamedTuple):
     sq: np.ndarray     # sum of squared deviations from the mean
 
 
+_DENSE_KEYS = 64  # _groups' table holds at most this many keys per value, 5 bytes each
+
+
 def _groups(x: np.ndarray, keys: np.ndarray) -> _Groups:
-    """Sums of x by key. Each group is shifted by its first value before
-    averaging, so a group of equal values sums to exactly zero."""
-    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    """Sums of x by non-negative integer key, in key order. Each group is
+    shifted by its first value before averaging, so a group of equal
+    values sums to exactly zero.
+
+    Keys spanning at most _DENSE_KEYS values per value are ranked without
+    a sort: the keys present are marked in a table and numbered in table
+    order. Sparser keys, such as (adsorbate, bulk) codes of mostly unique
+    pairs, are ranked by np.unique so the table stays small.
+    """
+    n_keys = int(keys.max()) + 1
+    if n_keys <= _DENSE_KEYS * len(keys):
+        marked = np.zeros(n_keys, bool)
+        marked[keys] = True
+        present = np.flatnonzero(marked)
+        rank = np.empty(n_keys, np.int32)
+        rank[present] = np.arange(len(present))
+        index = rank[keys].astype(np.intp)
+    else:
+        index = np.unique(keys, return_inverse=True)[1]
     size = np.bincount(index)
+    first = np.full(len(size), len(keys))
+    np.minimum.at(first, index, np.arange(len(keys)))
     shifted = x - x[first][index]
     offset = np.bincount(index, weights=shifted) / size
     sq = np.bincount(index, weights=(shifted - offset[index]) ** 2)

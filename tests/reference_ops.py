@@ -1,12 +1,15 @@
-"""Reference compositions of elementary autograd ops that tests hold the
-fused production ops to."""
+"""Reference compositions of elementary autograd ops, and a sorting
+grouping, that tests hold the fused or sort-free production code to."""
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 import adsorbtext.autograd as ag
 from adsorbtext.autograd import Tensor
+from adsorbtext.pairs import _Groups
 
 
 def scaled_dot_attention(q, k, v, mask=None) -> tuple[Tensor, Tensor]:
@@ -27,3 +30,15 @@ def scaled_dot_attention(q, k, v, mask=None) -> tuple[Tensor, Tensor]:
         scores = ag.add(scores, mask)
     weights = ag.softmax(scores, axis=-1)
     return ag.matmul(weights, v), weights
+
+
+def sorted_groups(x: np.ndarray, keys: np.ndarray) -> _Groups:
+    """`pairs._groups` through np.unique, which sorts the keys: groups in key
+    order, each with the index of its first value and its size, then the
+    same shifted sums."""
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    size = np.bincount(index)
+    shifted = x - x[first][index]
+    offset = np.bincount(index, weights=shifted) / size
+    sq = np.bincount(index, weights=(shifted - offset[index]) ** 2)
+    return _Groups(index, first, size, x[first] + offset, sq)

@@ -69,6 +69,9 @@ def test_featurize_writes_manifest(tmp_path, table_system):
     assert manifest["command"] == "featurize"
     assert manifest["version"]
     assert len(manifest["config_sha256"]) == 64
+    for key in ("wall_time_s", "peak_rss_mb"):
+        value = manifest[key]
+        assert isinstance(value, float) and math.isfinite(value) and value > 0, key
 
 
 def test_featurize_has_no_threads_option(tmp_path, table_system):
@@ -234,6 +237,17 @@ def test_eval_rejects_split_outside_splits(tmp_path, capsys):
     assert run(["eval", "--pred", str(pred), "--out", str(out)]) == EXIT_USER_ERROR
     assert f"{pred}:3: split 'val' is not one of" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [[], ["--across-splits"]], ids=["within", "across"])
+def test_pairs_rejects_file_without_records(tmp_path, capsys, flag):
+    pred = tmp_path / "p.tsv"
+    pred.write_text("system_id\tsplit\tadsorbate_smiles\tbulk_formula\tlabel\tprediction\n")
+    report = tmp_path / "pairs"
+    assert run(["pairs", "--pred", str(pred), "--report", str(report)] + flag) \
+        == EXIT_USER_ERROR
+    assert capsys.readouterr().err == "error: no prediction records\n"
+    assert not report.exists()
 
 
 def test_attention_cli_selects_system(tmp_path):

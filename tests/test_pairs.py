@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+import adsorbtext.pairs as pairs_mod
 from adsorbtext.pairs import (
     PredictionRecord,
     chemically_similar,
@@ -21,7 +23,9 @@ from adsorbtext.pairs import (
     similarity_flags,
     split_pair_stats,
     write_predictions,
+    _groups,
 )
+from reference_ops import sorted_groups
 
 
 def _rec(i, split="ID", smiles="NH", bulk="Al20Rh8", label=0.0, err=0.0):
@@ -451,3 +455,127 @@ def test_prediction_columns_check_like_records(tmp_path, body):
     with pytest.raises(ValueError) as by_column:
         read_prediction_columns(path)
     assert str(by_column.value) == str(by_record.value)
+
+
+def _assert_bitwise_equal(got, want):
+    """Equal fields of two named tuples, arrays in dtype and every byte."""
+    for name in want._fields:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        else:
+            assert a == b, name
+
+
+def _long_predictions(path, n=600):
+    """n records whose adsorbates, bulks and splits keep first appearing
+    late in the file."""
+    records = [PredictionRecord(f"sys{i}", ("ID", "OOD_ads", "OOD_cat")[i // 150 % 3],
+                                f"a{i // 40}", f"b{i * 7 % (i // 3 + 1)}",
+                                i / 7.0, i / 7.0 + (-1) ** i / 3.0)
+               for i in range(n)]
+    write_predictions(records, path)
+    return records
+
+
+@pytest.mark.parametrize("chunk", [1, 64, 1000, 1 << 16])
+def test_prediction_columns_match_records_across_chunks(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(pairs_mod, "_CHUNK_CHARS", chunk)
+    path = tmp_path / "preds.tsv"
+    records = _long_predictions(path)
+    columns = read_prediction_columns(path)
+    _assert_bitwise_equal(columns, record_columns(records))
+    assert columns.split_names == ["ID", "OOD_ads", "OOD_cat"]
+
+
+@pytest.mark.parametrize("ending, final_newline", [
+    ("\r\n", True), ("\r\n", False), ("\n", False), ("\r", True)],
+    ids=["crlf", "crlf_unterminated", "lf_unterminated", "cr"])
+@pytest.mark.parametrize("chunk", [64, 1 << 16])
+def test_prediction_columns_line_endings(tmp_path, monkeypatch, chunk, ending, final_newline):
+    monkeypatch.setattr(pairs_mod, "_CHUNK_CHARS", chunk)
+    path = tmp_path / "preds.tsv"
+    _long_predictions(path, 200)
+    lines = path.read_text().splitlines()
+    path.write_bytes((ending.join(lines) + (ending if final_newline else "")).encode())
+    _assert_bitwise_equal(read_prediction_columns(path),
+                         record_columns(read_predictions(path)))
+
+
+@pytest.mark.parametrize("text", [
+    "system_id\tsplit\tadsorbate_smiles\tbulk_formula\tlabel\tprediction\n",
+    "system_id\tsplit\tadsorbate_smiles\tbulk_formula\tlabel\tprediction\n"
+    "s0\tID\tNH\tAl\t-0.5\t0.25\n",
+    "system_id\tsplit\tadsorbate_smiles\tbulk_formula\tlabel\tprediction\n"
+    "s0\tID\tNH\tAl\t-0.5\t0.25"], ids=["header_only", "one_record", "one_unterminated"])
+def test_prediction_columns_dtypes_of_short_files(tmp_path, text):
+    path = tmp_path / "preds.tsv"
+    path.write_text(text)
+    columns = read_prediction_columns(path)
+    assert [c.dtype for c in columns[1:]] == [np.int64] * 3 + [np.float64] * 3
+    _assert_bitwise_equal(columns, record_columns(read_predictions(path)))
+
+
+_BAD_LINES = {
+    "short": "sysX\tID\tNH\tAl\t0.5",
+    "long": "sysX\tID\tNH\tAl\t0.5\t0.5\t0.5",
+    "empty": "",
+    "nan": "sysX\tID\tNH\tAl\tnan\t0.5",
+    "inf": "sysX\tID\tNH\tAl\t0.5\t-inf",
+    "not_a_number": "sysX\tID\tNH\tAl\t0.5\t0,5",
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_LINES))
+@pytest.mark.parametrize("lineno", [2, 300, 601])
+@pytest.mark.parametrize("chunk", [64, 1 << 16])
+def test_prediction_columns_name_first_bad_line(tmp_path, monkeypatch, chunk, lineno, bad):
+    """A bad line in any chunk is named as the line reader names it."""
+    monkeypatch.setattr(pairs_mod, "_CHUNK_CHARS", chunk)
+    path = tmp_path / "preds.tsv"
+    _long_predictions(path)
+    lines = path.read_text().split("\n")
+    lines[lineno - 1] = _BAD_LINES[bad]
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError) as by_record:
+        read_predictions(path)
+    with pytest.raises(ValueError) as by_column:
+        read_prediction_columns(path)
+    assert str(by_column.value) == str(by_record.value)
+    assert f"preds.tsv:{lineno}: " in str(by_column.value)
+
+
+@pytest.mark.parametrize("first, second", [
+    ("sysA\tID\tNH\tAl\tx\t0.5", "sysB\tID\tNH\tAl"),
+    ("sysA\tID\tNH\tAl\t0.5\t0.5\t0.5", "sysB\tID\tNH\t0.5\t0.5"),
+    ("sysA\tID\tNH\tAl\tnan\t0.5", "sysB\tID\tNH\tAl\tx\t0.5")],
+    ids=["bad_float_then_short", "long_then_short", "nan_then_bad_float"])
+def test_prediction_columns_name_earlier_of_two_bad_lines(tmp_path, first, second):
+    """Two bad lines in one chunk: the first is named, whichever check the
+    chunk failed. A long line and a short one hold 12 fields, and with the
+    short line's fields shifted its number columns parse, so only the line
+    ends show the bad column counts."""
+    path = tmp_path / "preds.tsv"
+    _long_predictions(path, 20)
+    lines = path.read_text().split("\n")
+    lines[9], lines[10] = first, second
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError) as by_record:
+        read_predictions(path)
+    with pytest.raises(ValueError) as by_column:
+        read_prediction_columns(path)
+    assert str(by_column.value) == str(by_record.value)
+    assert "preds.tsv:10: " in str(by_column.value)
+
+
+@pytest.mark.parametrize("case", ["random", "gaps", "sparse", "single", "distinct", "one"])
+def test_groups_match_sorting_oracle(rng, case):
+    n = 2000
+    keys = {"random": lambda: rng.integers(50, size=n),
+            "gaps": lambda: rng.integers(40 * n, size=n),        # ranked through the table
+            "sparse": lambda: rng.integers(10 ** 12, size=n),    # ranked by np.unique
+            "single": lambda: np.full(n, 7),
+            "distinct": lambda: rng.permutation(n),
+            "one": lambda: np.array([3])}[case]()
+    x = np.round(rng.normal(size=len(keys)), 2)  # repeated values: exact zero spreads
+    _assert_bitwise_equal(_groups(x, keys), sorted_groups(x, keys))
