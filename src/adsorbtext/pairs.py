@@ -16,8 +16,8 @@ n_g records have squared errors summing to n_g * sum (e - mean)^2, so
 adsorbate, bulk and (adsorbate, bulk) group sums give every count and
 RMSE, and rank weights give the moments of the ordered pairs (i, j>i).
 Groups come from the integer codes through a table, without a sort, so
-a split of n records takes O(n + k) for codes below k; codes spread
-over more than _DENSE_KEYS values per record are sorted, O(n log n).
+a split of n records takes O(n) for codes below n; wider keys, such as
+(adsorbate, bulk) codes, are sorted, O(n log n).
 generate_pairs, secr and error_propagation_stats visit each pair and
 are the reference for tests.
 """
@@ -156,9 +156,10 @@ def read_prediction_columns(path: str | Path) -> PredictionColumns:
 
     The records are parsed in chunks of whole lines, each split once into
     its fields with a newline field closing every line, so one slice per
-    column and one count check every line's column count. Each string
-    column maps its strings to the row of their first appearance in the
-    file; ranking those rows gives the codes. A chunk that fails a check
+    column; all of a chunk's newlines falling in every 7th field checks
+    every line's column count. Each string column maps its strings to the
+    row of their first appearance in the file; ranking those rows gives
+    the codes. A chunk that fails a check
     hands the file to the line parser, which raises its message for the
     first bad line.
     """
@@ -175,8 +176,9 @@ def read_prediction_columns(path: str | Path) -> PredictionColumns:
                     text += "\n"
                 fields = text.replace("\n", "\t\n\t").split("\t")
                 n = len(fields) // 7
-                # with n lines of 6 columns, every 7th field is a newline
-                if len(fields) != 7 * n + 1 or fields[6::7].count("\n") != n:
+                # with n lines of 6 columns, the n newlines are every 7th field
+                if (len(fields) != 7 * n + 1 or text.count("\n") != n
+                        or fields[6::7].count("\n") != n):
                     raise ValueError(f"{path}: expected 6 columns")
                 codes = [np.fromiter(map(first.setdefault, fields[c::7], itertools.count(rows)),
                                      np.int64, n) for c, first in zip((1, 2, 3), firsts)]
@@ -349,21 +351,20 @@ class _Groups(NamedTuple):
     sq: np.ndarray     # sum of squared deviations from the mean
 
 
-_DENSE_KEYS = 64  # _groups' table holds at most this many keys per value, 5 bytes each
-
-
 def _groups(x: np.ndarray, keys: np.ndarray) -> _Groups:
     """Sums of x by non-negative integer key, in key order. Each group is
     shifted by its first value before averaging, so a group of equal
     values sums to exactly zero.
 
-    Keys spanning at most _DENSE_KEYS values per value are ranked without
-    a sort: the keys present are marked in a table and numbered in table
-    order. Sparser keys, such as (adsorbate, bulk) codes of mostly unique
-    pairs, are ranked by np.unique so the table stays small.
+    Keys below the number of values are ranked without a sort: the keys
+    present are marked in a table and numbered in table order. Wider keys
+    are ranked by np.unique: on the pairs_oc20 inputs, whose (adsorbate,
+    bulk) key spans 9-34 values per record, a table for it was no faster
+    than np.unique and took 5 bytes per slot, while a table of at most one
+    slot per value stays smaller than np.unique's own buffers.
     """
     n_keys = int(keys.max()) + 1
-    if n_keys <= _DENSE_KEYS * len(keys):
+    if n_keys <= len(keys):
         marked = np.zeros(n_keys, bool)
         marked[keys] = True
         present = np.flatnonzero(marked)

@@ -548,13 +548,17 @@ def test_prediction_columns_name_first_bad_line(tmp_path, monkeypatch, chunk, li
 @pytest.mark.parametrize("first, second", [
     ("sysA\tID\tNH\tAl\tx\t0.5", "sysB\tID\tNH\tAl"),
     ("sysA\tID\tNH\tAl\t0.5\t0.5\t0.5", "sysB\tID\tNH\t0.5\t0.5"),
-    ("sysA\tID\tNH\tAl\tnan\t0.5", "sysB\tID\tNH\tAl\tx\t0.5")],
-    ids=["bad_float_then_short", "long_then_short", "nan_then_bad_float"])
+    ("sysA\tID\tNH\tAl\tnan\t0.5", "sysB\tID\tNH\tAl\tx\t0.5"),
+    ("sysA\tID", "sysB\t0.5\t0.5"),
+    ("", "sysB\tID\t0.5\t0.5"),
+    ("sysA\tID\tNH", "0.5\t0.5")],
+    ids=["bad_float_then_short", "long_then_short", "nan_then_bad_float",
+         "two_then_three", "blank_then_four", "three_then_two"])
 def test_prediction_columns_name_earlier_of_two_bad_lines(tmp_path, first, second):
     """Two bad lines in one chunk: the first is named, whichever check the
-    chunk failed. A long line and a short one hold 12 fields, and with the
-    short line's fields shifted its number columns parse, so only the line
-    ends show the bad column counts."""
+    chunk failed. A long line and a short one hold 12 fields, and two short
+    lines 5, with their fields shifted so the number columns parse: only
+    where the newlines fall shows the bad column counts."""
     path = tmp_path / "preds.tsv"
     _long_predictions(path, 20)
     lines = path.read_text().split("\n")
@@ -568,14 +572,17 @@ def test_prediction_columns_name_earlier_of_two_bad_lines(tmp_path, first, secon
     assert "preds.tsv:10: " in str(by_column.value)
 
 
-@pytest.mark.parametrize("case", ["random", "gaps", "sparse", "single", "distinct", "one"])
+@pytest.mark.parametrize("case", ["random", "gaps", "wide", "sparse", "single", "distinct",
+                                  "distinct_past_table", "one"])
 def test_groups_match_sorting_oracle(rng, case):
     n = 2000
     keys = {"random": lambda: rng.integers(50, size=n),
-            "gaps": lambda: rng.integers(40 * n, size=n),        # ranked through the table
-            "sparse": lambda: rng.integers(10 ** 12, size=n),    # ranked by np.unique
+            "gaps": lambda: rng.integers(n, size=n),             # ranked through the table
+            "wide": lambda: rng.integers(40 * n, size=n),        # ranked by np.unique
+            "sparse": lambda: rng.integers(10 ** 12, size=n),
             "single": lambda: np.full(n, 7),
-            "distinct": lambda: rng.permutation(n),
+            "distinct": lambda: rng.permutation(n),              # the widest table
+            "distinct_past_table": lambda: rng.permutation(n) + 1,
             "one": lambda: np.array([3])}[case]()
     x = np.round(rng.normal(size=len(keys)), 2)  # repeated values: exact zero spreads
     _assert_bitwise_equal(_groups(x, keys), sorted_groups(x, keys))
