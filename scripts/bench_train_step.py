@@ -25,21 +25,43 @@ The result goes into `--out` (default BENCH_train_step.json) under
 `--label`, keeping the other labels already in the file: running the
 script once with PYTHONPATH at another checkout's `src` and `--label
 before`, and once here with `--label after`, puts both sides in one file.
+
+With `--against <checkout>` the script instead times the `train` of the
+benchmark's `finetune_s4` workload (400 synthetic systems of input seed
+0, S4, 6 epochs, learning rate 5e-4, the criterion-10 model) in one
+process, alternately by this checkout and by the other one, whose
+`src/adsorbtext` it imports under another package name. It runs PAIRS
+pairs, swapping which side runs first, and writes under `against` in
+`--out`, keyed by `--label`: each side's median and quartiles of the
+seconds, how many pairs each side won, each side's parameter sha256 and
+every run's minor page faults (`ru_minflt`). Both sides share one heap,
+so this method hides allocator effects. On 2 shared cores, a variant
+that freed each step's tape before the next forward took 0-1 minor
+faults a run and won 7 of 10 pairs in one process (median 3.64 against
+3.68 s), yet as a separate `train` process it took 558k faults against
+59k and its throughput was 17-19 % lower, because the heap it returned
+to the system was faulted back in every step. Confirm a gain between
+processes before claiming it.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
+import importlib.util
 import inspect
 import json
 import os
 import platform
+import resource
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+import adsorbtext
 from adsorbtext import autograd, trainer
 from adsorbtext.encoder import EncoderConfig, ensure_mlm_head, init_model
 from adsorbtext.featurize import featurize_systems
@@ -53,6 +75,9 @@ FORMATS = (("S4", 80), ("S1", 16))
 PROFILE_STEPS = 100  # training steps of each per-op profile
 MLM_POSITIONS = 52  # pretrain_desc: the longest DESC text is 51 tokens
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+PAIRS = 10  # alternating runs of each side with --against
+FINETUNE_S4_SPLITS = {"train": 0.8, "ID": 0.05, "OOD_ads": 0.05, "OOD_cat": 0.05,
+                      "OOD_both": 0.05}
 
 
 class Timers:
@@ -277,40 +302,120 @@ def mlm_profile(systems, steps: int) -> dict:
             "param_sha256": parameter_sha256(model)}
 
 
+def import_checkout(checkout: Path, alias: str):
+    """The package `src/adsorbtext` of another checkout, imported as `alias`;
+    its relative imports resolve within it."""
+    package = Path(checkout).resolve() / "src" / "adsorbtext"
+    spec = importlib.util.spec_from_file_location(
+        alias, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def finetune_s4_train(package):
+    """A callable running the `finetune_s4` workload's `train` by `package`'s
+    own code; it returns the seconds, the minor page faults and the
+    parameter sha256 of the run. Featurizing and the vocabulary are untimed."""
+    name = package.__name__
+    mods = {m: importlib.import_module(f"{name}.{m}")
+            for m in ("encoder", "featurize", "synth", "tokens", "trainer")}
+    systems = mods["synth"].synthetic_systems(400, seed=0, split_fractions=FINETUNE_S4_SPLITS)
+    records, _ = mods["featurize"].featurize_systems(systems, "S4")
+    vocab = mods["tokens"].build_vocab([r.text for r in records])
+    train = [r for r in records if r.split == "train"]
+    val = [r for r in records if r.split != "train"]
+    cfg = mods["encoder"].EncoderConfig(
+        vocab_size=len(vocab), n_layers=4, n_heads=4, hidden_size=64, max_positions=80,
+        dropout_rate=0.0, dtype="float32")
+    run = mods["trainer"].TrainRunConfig(batch_size=16, max_epochs=6, early_stopping_patience=6,
+                                         seed=SEED, base_lr=5e-4)
+
+    def once() -> tuple[float, int, str]:
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        tic = time.perf_counter()
+        model = mods["encoder"].init_model(cfg, seed=SEED)
+        result = mods["trainer"].train_regression(model, train, val, run, vocab)
+        seconds = time.perf_counter() - tic
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        return seconds, faults, parameter_sha256(result.model)
+    return once
+
+
+def against(checkout: Path, pairs: int) -> dict:
+    """`pairs` alternating finetune_s4 trains of this checkout and of `checkout`."""
+    sides = {"this": finetune_s4_train(adsorbtext),
+             "against": finetune_s4_train(import_checkout(checkout, "adsorbtext_against"))}
+    runs = []
+    for i in range(pairs):
+        order = ("this", "against") if i % 2 == 0 else ("against", "this")
+        for side in order:
+            seconds, faults, sha = sides[side]()
+            runs.append({"pair": i, "side": side, "seconds": round(seconds, 4),
+                         "minflt": faults, "param_sha256": sha})
+            print(f"pair {i} {side}: {seconds:.3f} s, {faults} minor faults", flush=True)
+    out: dict = {"pairs": pairs, "runs": runs}
+    for side in sides:
+        seconds = [r["seconds"] for r in runs if r["side"] == side]
+        q1, median, q3 = np.percentile(seconds, [25, 50, 75])
+        out[side] = {"median_s": round(float(median), 4), "q1_s": round(float(q1), 4),
+                     "q3_s": round(float(q3), 4),
+                     "param_sha256": sorted({r["param_sha256"] for r in runs
+                                             if r["side"] == side})}
+    by_pair = {(r["pair"], r["side"]): r["seconds"] for r in runs}
+    for side, other in (("this", "against"), ("against", "this")):
+        out[side]["wins"] = sum(by_pair[i, side] < by_pair[i, other] for i in range(pairs))
+    out["same_parameters"] = out["this"]["param_sha256"] == out["against"]["param_sha256"]
+    return out
+
+
+def environment() -> dict:
+    return {**{v: os.environ.get(v) for v in THREAD_VARS}, "cpus": os.cpu_count(),
+            "python": platform.python_version(), "numpy": np.__version__}
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="key of this run in the output file")
     parser.add_argument("--out", type=Path, default=Path("BENCH_train_step.json"))
+    parser.add_argument("--against", type=Path, default=None, metavar="CHECKOUT",
+                        help="time finetune_s4 training against another checkout instead")
     args = parser.parse_args(argv)
 
-    systems = synthetic_systems(2000, seed=123, noise_sigma=NOISE_SIGMA)
-    run = {
-        "environment": {**{v: os.environ.get(v) for v in THREAD_VARS},
-                        "cpus": os.cpu_count(), "python": platform.python_version(),
-                        "numpy": np.__version__},
-        "criterion_10": criterion_10(systems),
-        "op_profile": op_profile(systems, PROFILE_STEPS),
-        "mlm_profile": mlm_profile(systems, PROFILE_STEPS),
-    }
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc.setdefault("config", {
-        "systems": 2000, "synth_seed": 123, "noise_sigma": NOISE_SIGMA, "model_seed": SEED,
-        "formats": dict(FORMATS), "n_layers": 4, "n_heads": 4, "hidden_size": 64,
-        "dtype": "float32", "batch_size": 16, "base_lr": 1e-3, "max_epochs": 40,
-        "patience": 5, "dropout_rate": 0.0, "profile_format": "S4",
-        "mlm_profile": {"format": "desc", "max_positions": MLM_POSITIONS,
-                        "mask_rate": 0.15, "tied": True}})
-    doc.setdefault("runs", {})[args.label] = run
+    if args.against is not None:
+        result = {"environment": environment(), **against(args.against, PAIRS)}
+        doc.setdefault("against", {})[args.label] = result
+        this, other = result["this"], result["against"]
+        summary = (f"this {this['median_s']} s ({this['q1_s']}-{this['q3_s']}), "
+                   f"against {other['median_s']} s ({other['q1_s']}-{other['q3_s']}), "
+                   f"this won {this['wins']} of {PAIRS}; "
+                   f"same parameters: {result['same_parameters']}")
+    else:
+        systems = synthetic_systems(2000, seed=123, noise_sigma=NOISE_SIGMA)
+        run = {
+            "environment": environment(),
+            "criterion_10": criterion_10(systems),
+            "op_profile": op_profile(systems, PROFILE_STEPS),
+            "mlm_profile": mlm_profile(systems, PROFILE_STEPS),
+        }
+        doc.setdefault("config", {
+            "systems": 2000, "synth_seed": 123, "noise_sigma": NOISE_SIGMA, "model_seed": SEED,
+            "formats": dict(FORMATS), "n_layers": 4, "n_heads": 4, "hidden_size": 64,
+            "dtype": "float32", "batch_size": 16, "base_lr": 1e-3, "max_epochs": 40,
+            "patience": 5, "dropout_rate": 0.0, "profile_format": "S4",
+            "mlm_profile": {"format": "desc", "max_positions": MLM_POSITIONS,
+                            "mask_rate": 0.15, "tied": True}})
+        doc.setdefault("runs", {})[args.label] = run
+        c10, op, mlm = run["criterion_10"], run["op_profile"], run["mlm_profile"]
+        summary = (f"S4 {c10['S4']['val_mae']:.4f}, S1 {c10['S1']['val_mae']:.4f}, "
+                   f"{c10['gate']['wall_s']} s; step fwd {op['forward_ms_per_step']} ms, "
+                   f"bwd {op['backward_ms_per_step']} ms, adamw {op['adamw_ms_per_step']} ms; "
+                   f"MLM step fwd {mlm['forward_ms_per_step']} ms, "
+                   f"bwd {mlm['backward_ms_per_step']} ms, adamw {mlm['adamw_ms_per_step']} ms")
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    c10 = run["criterion_10"]
-    print(f"{args.label}: S4 {c10['S4']['val_mae']:.4f}, S1 {c10['S1']['val_mae']:.4f}, "
-          f"{c10['gate']['wall_s']} s; step fwd {run['op_profile']['forward_ms_per_step']} ms, "
-          f"bwd {run['op_profile']['backward_ms_per_step']} ms, "
-          f"adamw {run['op_profile']['adamw_ms_per_step']} ms; "
-          f"MLM step fwd {run['mlm_profile']['forward_ms_per_step']} ms, "
-          f"bwd {run['mlm_profile']['backward_ms_per_step']} ms, "
-          f"adamw {run['mlm_profile']['adamw_ms_per_step']} ms")
-
+    print(f"{args.label}: {summary}")
 
 if __name__ == "__main__":
     main()

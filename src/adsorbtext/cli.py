@@ -100,7 +100,6 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", type=Path, default=None,
                         help="JSON file whose entries override flags")
-    common.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     def add_parser(name: str, **kwargs):
@@ -299,6 +298,16 @@ def cmd_build_vocab(args) -> None:
     log.info("build-vocab: %d tokens", len(vocab))
 
 
+def _save_trained(args, result, vocab) -> None:
+    """Checkpoint, optional history and manifest of `pretrain` and `train`."""
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(result.model, args.out, vocab_sha256=vocab.sha256,
+                    step=len(result.history), seed=args.seed)
+    if args.history:
+        write_history(result.history, args.history)
+    write_run_manifest(args, args.out)
+
+
 def cmd_pretrain(args) -> None:
     _require_inputs(args.corpus, args.vocab)
     records = read_corpus(args.corpus)
@@ -306,12 +315,7 @@ def cmd_pretrain(args) -> None:
     model = init_model(_model_config(args, len(vocab)), seed=args.seed)
     run_cfg = _run_config(args)
     result = pretrain_mlm(model, [r.text for r in records], run_cfg, vocab)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(result.model, args.out, vocab_sha256=vocab.sha256,
-                    step=len(result.history), seed=args.seed)
-    if args.history:
-        write_history(result.history, args.history)
-    write_run_manifest(args, args.out)
+    _save_trained(args, result, vocab)
     log.info("pretrain: %d epochs, final loss %.4f",
              len(result.history), result.history[-1]["mlm_loss"])
 
@@ -334,12 +338,7 @@ def cmd_train(args) -> None:
         log.info("train: seeded %d tensors from %s", len(copied), args.init_from)
     run_cfg = _run_config(args)
     result = train_regression(model, train_records, val_records, run_cfg, vocab)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(result.model, args.out, vocab_sha256=vocab.sha256,
-                    step=len(result.history), seed=args.seed)
-    if args.history:
-        write_history(result.history, args.history)
-    write_run_manifest(args, args.out)
+    _save_trained(args, result, vocab)
     log.info("train: best epoch %s, best val MAE %.4f",
              result.best_epoch, result.best_val_mae)
 
@@ -472,10 +471,7 @@ def run(argv: list[str] | None = None) -> int:
             return EXIT_USER_ERROR
         _apply_config_file(args)
         args.started = started  # for the manifest's wall time, not part of the config
-        logging.basicConfig(
-            level=logging.DEBUG if args.verbose else logging.INFO,
-            format="%(levelname)s %(name)s: %(message)s",
-        )
+        logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
         _COMMANDS[args.command](args)
         return EXIT_OK
     except (UserError, ValueError, CheckpointError, FileNotFoundError) as exc:

@@ -198,6 +198,46 @@ def predict_energies(model: EncoderModel, seqs: Sequence[TokenSequence],
     return np.concatenate(out) if out else np.empty(0)
 
 
+_PHASES = ("forward_s", "backward_s", "optimizer_s")
+
+
+def _epochs(model: EncoderModel, run_cfg: TrainRunConfig, plan: LrGroupPlan, n: int,
+            batch_loss, by_size: bool, batch_of=lambda epoch, idx: idx):
+    """The epoch loop of both objectives; yields (epoch, mean loss, start
+    time, seconds per step phase) per epoch. A step is `zero_grads`,
+    `batch_loss` (None skips it), `ag.backward` and `adamw_step`; its
+    batch is made before it begins. Each step's loss, and so its tape,
+    stays referenced until the next step's loss exists (README, Notes)."""
+    state = OptimizerState(weight_decay=run_cfg.weight_decay)
+    for epoch in range(1, run_cfg.max_epochs + 1):
+        tic = time.perf_counter()
+        order = np.random.default_rng([run_cfg.seed, epoch, 0]).permutation(n)
+        dropout_rng = np.random.default_rng([run_cfg.seed, epoch, 1])
+        loss_sum, weight, phases = 0.0, 0, np.zeros(len(_PHASES))
+        for start in range(0, n, run_cfg.batch_size):
+            idx = order[start:start + run_cfg.batch_size]
+            batch = batch_of(epoch, idx)
+            model.zero_grads()
+            t0 = time.perf_counter()
+            loss = batch_loss(epoch, start, batch, dropout_rng)
+            if loss is None:
+                continue
+            t1 = time.perf_counter()
+            ag.backward(loss)
+            t2 = time.perf_counter()
+            adamw_step(model, state, plan, clip_norm=run_cfg.clip_norm)
+            phases += (t1 - t0, t2 - t1, time.perf_counter() - t2)
+            w = len(idx) if by_size else 1
+            loss_sum += float(loss.data) * w
+            weight += w
+        yield epoch, loss_sum / max(weight, 1), tic, dict(zip(_PHASES, phases.tolist()))
+
+
+def _history_row(epoch: int, metrics: dict, plan: LrGroupPlan, tic: float, phases: dict) -> dict:
+    return {"epoch": epoch, **metrics, "lrs": list(plan.effective_lrs()),
+            "wall_time_s": time.perf_counter() - tic, **phases}
+
+
 def train_regression(
     model: EncoderModel,
     train_records,
@@ -216,43 +256,25 @@ def train_regression(
         raise ValueError("train and validation sets must be non-empty")
     cfg = model.config
     plan = plan or LrGroupPlan(cfg.n_layers, base_lr=run_cfg.base_lr)
-    state = OptimizerState(weight_decay=run_cfg.weight_decay)
     train_seqs, train_labels = encode_labeled(train_records, vocab, cfg.max_positions)
     val_seqs, val_labels = encode_labeled(val_records, vocab, cfg.max_positions)
     train_labels = train_labels.astype(cfg.np_dtype)
+
+    def batch_loss(epoch, start, idx, rng):
+        res = forward(model, [train_seqs[i] for i in idx], train=cfg.dropout_rate > 0, rng=rng)
+        return ag.l1_loss(res.energy, train_labels[idx])
 
     history: list[dict] = []
     best_val = np.inf
     best_model = model.clone()
     best_epoch = None
     epochs_since_best = 0
-
-    for epoch in range(1, run_cfg.max_epochs + 1):
-        tic = time.perf_counter()
-        shuffle_rng = np.random.default_rng([run_cfg.seed, epoch, 0])
-        dropout_rng = np.random.default_rng([run_cfg.seed, epoch, 1])
-        order = shuffle_rng.permutation(len(train_seqs))
-        loss_sum = 0.0
-        for start in range(0, len(order), run_cfg.batch_size):
-            idx = order[start:start + run_cfg.batch_size]
-            batch = [train_seqs[i] for i in idx]
-            model.zero_grads()
-            res = forward(model, batch, train=cfg.dropout_rate > 0, rng=dropout_rng)
-            loss = ag.l1_loss(res.energy, train_labels[idx])
-            ag.backward(loss)
-            adamw_step(model, state, plan, clip_norm=run_cfg.clip_norm)
-            loss_sum += float(loss.data) * len(idx)
-        train_mae = loss_sum / len(train_seqs)
-
+    for epoch, train_mae, tic, phases in _epochs(model, run_cfg, plan, len(train_seqs),
+                                                 batch_loss, by_size=True):
         val_pred = predict_energies(model, val_seqs, run_cfg.batch_size)
         val_mae = float(np.mean(np.abs(val_pred - val_labels)))
-        history.append({
-            "epoch": epoch,
-            "train_mae": train_mae,
-            "val_mae": val_mae,
-            "lrs": list(plan.effective_lrs()),
-            "wall_time_s": time.perf_counter() - tic,
-        })
+        history.append(_history_row(epoch, {"train_mae": train_mae, "val_mae": val_mae},
+                                    plan, tic, phases))
 
         if val_mae < best_val:
             best_val = val_mae
@@ -295,46 +317,32 @@ def pretrain_mlm(
     cfg = model.config
     ensure_mlm_head(model, tied=run_cfg.tied_mlm, seed=run_cfg.seed)
     plan = plan or LrGroupPlan(cfg.n_layers, base_lr=run_cfg.base_lr)
-    state = OptimizerState(weight_decay=run_cfg.weight_decay)
     base_seqs = [encode(t, vocab, cfg.max_positions) for t in texts]
     if len(base_seqs) < run_cfg.batch_size:
         raise ValueError("corpus shorter than one batch")
 
-    history: list[dict] = []
-    for epoch in range(1, run_cfg.max_epochs + 1):
-        tic = time.perf_counter()
-        shuffle_rng = np.random.default_rng([run_cfg.seed, epoch, 0])
-        dropout_rng = np.random.default_rng([run_cfg.seed, epoch, 1])
-        order = shuffle_rng.permutation(len(base_seqs))
-        loss_sum = 0.0
-        n_batches = 0
-        for start in range(0, len(order), run_cfg.batch_size):
-            idx = order[start:start + run_cfg.batch_size]
-            masked, labels = [], []
-            for i in idx:
-                # epoch-dependent seed realizes dynamic masking
-                mseq, mlabels = dynamic_mask(
-                    base_seqs[i], vocab, run_cfg.mask_rate,
-                    seed=[run_cfg.seed, epoch, int(i)])
-                masked.append(mseq)
-                labels.append(mlabels)
-            model.zero_grads()
-            loss = _mlm_batch_loss(model, masked, labels,
-                                   train=cfg.dropout_rate > 0, rng=dropout_rng)
-            if loss is None:
-                log.warning("epoch %d: batch at %d had no masked positions; skipped",
-                            epoch, start)
-                continue
-            ag.backward(loss)
-            adamw_step(model, state, plan, clip_norm=run_cfg.clip_norm)
-            loss_sum += float(loss.data)
-            n_batches += 1
-        history.append({
-            "epoch": epoch,
-            "mlm_loss": loss_sum / max(n_batches, 1),
-            "lrs": list(plan.effective_lrs()),
-            "wall_time_s": time.perf_counter() - tic,
-        })
+    def masked_batch(epoch, idx):
+        masked, labels = [], []
+        for i in idx:
+            # epoch-dependent seed realizes dynamic masking
+            mseq, mlabels = dynamic_mask(
+                base_seqs[i], vocab, run_cfg.mask_rate,
+                seed=[run_cfg.seed, epoch, int(i)])
+            masked.append(mseq)
+            labels.append(mlabels)
+        return masked, labels
+
+    def batch_loss(epoch, start, batch, rng):
+        loss = _mlm_batch_loss(model, *batch, train=cfg.dropout_rate > 0, rng=rng)
+        if loss is None:
+            log.warning("epoch %d: batch at %d had no masked positions; skipped",
+                        epoch, start)
+        return loss
+
+    history = [_history_row(epoch, {"mlm_loss": mlm_loss}, plan, tic, phases)
+               for epoch, mlm_loss, tic, phases in _epochs(
+                   model, run_cfg, plan, len(base_seqs), batch_loss, by_size=False,
+                   batch_of=masked_batch)]
     return TrainResult(model, history)
 
 

@@ -1,0 +1,62 @@
+"""The paired mode of scripts/bench_train_step.py (`--against <checkout>`)."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import adsorbtext
+from adsorbtext import trainer
+from test_trainer import _toy_records
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _bench():
+    spec = importlib.util.spec_from_file_location(
+        "bench_train_step", ROOT / "scripts" / "bench_train_step.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_import_checkout_trains_with_its_own_modules():
+    bench = _bench()
+    other = bench.import_checkout(ROOT, "adsorbtext_checkout_test")
+    assert other.__version__ == adsorbtext.__version__
+    records = _toy_records(16)
+    hashes = []
+    for pkg in (adsorbtext, other):
+        encoder, tokens, train = (importlib.import_module(f"{pkg.__name__}.{name}")
+                                  for name in ("encoder", "tokens", "trainer"))
+        assert (train is trainer) == (pkg is adsorbtext)
+        vocab = tokens.build_vocab([r.text for r in records])
+        cfg = encoder.EncoderConfig(vocab_size=len(vocab), n_layers=1, n_heads=1,
+                                    hidden_size=8, max_positions=16, dropout_rate=0.1)
+        run = train.TrainRunConfig(batch_size=4, max_epochs=2, seed=1, base_lr=1e-3)
+        result = train.train_regression(encoder.init_model(cfg, seed=1), records, records,
+                                        run, vocab)
+        hashes.append(bench.parameter_sha256(result.model))
+    assert hashes[0] == hashes[1]
+
+
+def test_against_alternates_and_summarizes(monkeypatch):
+    bench = _bench()
+    order = []
+
+    def fake_train(package):
+        side = "this" if package is adsorbtext else "against"
+
+        def once():
+            order.append(side)
+            return (1.0 if side == "this" else 2.0), 7, f"sha-{side}"
+        return once
+
+    monkeypatch.setattr(bench, "finetune_s4_train", fake_train)
+    out = bench.against(ROOT, pairs=4)
+    assert order == ["this", "against", "against", "this"] * 2
+    assert [r["side"] for r in out["runs"]] == order
+    assert out["this"]["median_s"] == 1.0 and out["against"]["q3_s"] == 2.0
+    assert (out["this"]["wins"], out["against"]["wins"]) == (4, 0)
+    assert out["this"]["param_sha256"] == ["sha-this"]
+    assert out["same_parameters"] is False
+    assert all(r["minflt"] == 7 for r in out["runs"])

@@ -85,6 +85,41 @@ def test_featurize_has_no_threads_option(tmp_path, table_system):
     assert "threads" not in manifest["config"]
 
 
+def test_verbose_flag_is_gone(tmp_path, table_system):
+    # it only set a DEBUG level that no module logs at, and entered every manifest
+    dataset = tmp_path / "systems.jsonl"
+    save_dataset([table_system], dataset)
+    argv = ["featurize", "--in", str(dataset), "--out", str(tmp_path / "c.jsonl"),
+            "--format", "s4"]
+    assert run(argv + ["-v"]) == EXIT_USER_ERROR
+    assert run(argv + ["--verbose"]) == EXIT_USER_ERROR
+    assert run(argv) == EXIT_OK
+    manifest = json.loads((tmp_path / "c.jsonl.manifest.json").read_text())
+    assert "verbose" not in manifest["config"]
+
+
+def test_history_times_step_phases(tmp_path):
+    corpus, vocab = tmp_path / "corpus.jsonl", tmp_path / "vocab.txt"
+    assert run(["featurize", "--in", str(fixture_dataset_path()), "--out", str(corpus),
+                "--format", "s1"]) == EXIT_OK
+    assert run(["build-vocab", "--in", str(corpus), "--out", str(vocab)]) == EXIT_OK
+    flags = ["--layers", "1", "--heads", "1", "--hidden", "8", "--max-positions", "32",
+             "--epochs", "2", "--patience", "2", "--lr", "1e-3"]
+    for command in ("pretrain", "train"):
+        history = tmp_path / f"{command}_history.tsv"
+        assert run([command, "--corpus", str(corpus), "--vocab", str(vocab),
+                    "--out", str(tmp_path / f"{command}.ckpt"), "--history", str(history),
+                    *flags]) == EXIT_OK
+        rows = {}
+        for line in history.read_text().splitlines():
+            epoch, split, metric, value = line.split("\t")
+            rows[int(epoch), metric] = (split, float(value))
+        for epoch in (1, 2):
+            phases = [rows[epoch, metric] for metric in ("forward_s", "backward_s", "optimizer_s")]
+            assert all(split == "train" and value >= 0 for split, value in phases), command
+            assert 0 < sum(value for _, value in phases) <= rows[epoch, "wall_time_s"][1], command
+
+
 def test_featurize_idempotent(tmp_path, table_system):
     dataset = tmp_path / "systems.jsonl"
     save_dataset([table_system], dataset)

@@ -1,10 +1,19 @@
 import logging
+import weakref
 
 import numpy as np
 import pytest
 
 import adsorbtext.autograd as ag
-from adsorbtext.encoder import EncoderConfig, ensure_mlm_head, forward, init_model, mlm_logits
+from adsorbtext import trainer
+from adsorbtext.encoder import (
+    EncoderConfig,
+    EncoderModel,
+    ensure_mlm_head,
+    forward,
+    init_model,
+    mlm_logits,
+)
 from adsorbtext.featurize import CorpusRecord
 from adsorbtext.tokens import build_vocab, dynamic_mask, encode, tokenize
 from adsorbtext.trainer import (
@@ -421,3 +430,95 @@ def test_run_config_validation():
         TrainRunConfig(early_stopping_patience=0)
     with pytest.raises(ValueError, match="batch_size"):
         TrainRunConfig(batch_size=0)
+
+
+# Tracing tools and scripts/bench_train_step.py patch these module attributes
+# and open a training step at zero_grads; the loop must call through them.
+_STEP_CALLS = ((EncoderModel, "zero_grads"), (trainer, "forward"), (trainer, "mlm_logits"),
+               (ag, "backward"), (trainer, "adamw_step"), (trainer, "predict_energies"),
+               (trainer, "dynamic_mask"))
+
+
+def _log_calls(monkeypatch, before=None):
+    """Patch the step's calls to append their names to a list, returned;
+    before(name), if given, runs first on every call."""
+    calls = []
+
+    def wrap(fn, name):
+        def wrapper(*args, **kwargs):
+            if before is not None:
+                before(name)
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, name in _STEP_CALLS:
+        monkeypatch.setattr(owner, name, wrap(getattr(owner, name), name))
+    return calls
+
+
+def test_regression_step_contract(monkeypatch):
+    records = _toy_records(20)
+    vocab = build_vocab([r.text for r in records])
+    model = init_model(_desk_config(vocab), seed=0)
+    run = TrainRunConfig(batch_size=8, max_epochs=2, early_stopping_patience=5,
+                         seed=0, base_lr=1e-3)
+    calls = _log_calls(monkeypatch)
+    result = train_regression(model, records, records[:10], run, vocab)
+    step = ["zero_grads", "forward", "backward", "adamw_step"]
+    validation = ["predict_energies", "forward", "forward"]  # 10 records, batches of 8
+    assert calls == (step * 3 + validation) * 2  # 20 records, batches of 8
+    assert len(result.history) == 2
+
+
+def test_mlm_step_contract(monkeypatch):
+    texts = _mlm_corpus()
+    vocab = build_vocab(texts)
+    model = init_model(_desk_config(vocab, max_positions=16), seed=0)
+    run = TrainRunConfig(batch_size=10, max_epochs=2, seed=0, base_lr=1e-3)
+    calls = _log_calls(monkeypatch)
+    pretrain_mlm(model, texts, run, vocab)
+    step = ["zero_grads", "mlm_logits", "backward", "adamw_step"]
+    epoch = ["dynamic_mask"] * 10 + step + ["dynamic_mask"] * 10 + step + ["dynamic_mask"] * 4 + step
+    assert calls == epoch * 2  # 24 texts, batches of 10, masked before each step begins
+
+
+def test_mlm_skipped_batch_runs_no_step(monkeypatch):
+    texts = ["<s>a</s>"] * 4
+    vocab = build_vocab(texts)
+    model = init_model(_desk_config(vocab, max_positions=8), seed=0)
+    run = TrainRunConfig(batch_size=4, max_epochs=2, seed=0, mask_rate=1e-9)
+    calls = _log_calls(monkeypatch)
+    pretrain_mlm(model, texts, run, vocab)
+    # the step begins, then has nothing to train
+    assert calls == (["dynamic_mask"] * 4 + ["zero_grads"]) * 2
+
+
+def test_step_loss_outlives_next_forward(monkeypatch):
+    """Each step's loss, and so its tape, stays referenced until the next
+    step's loss exists, through validation too. Freeing it earlier lets
+    glibc trim the heap, which the next step then faults back in."""
+    last = []  # a weak reference to the data of the latest loss backward saw
+    dead = []
+    backward = ag.backward
+
+    def remember(loss):
+        last[:] = [weakref.ref(loss.data)]
+        return backward(loss)
+
+    def check(name):
+        if name in ("forward", "mlm_logits") and last and last[0]() is None:
+            dead.append(name)
+
+    monkeypatch.setattr(ag, "backward", remember)
+    calls = _log_calls(monkeypatch, before=check)
+    records = _toy_records(20)
+    vocab = build_vocab([r.text for r in records])
+    run = TrainRunConfig(batch_size=8, max_epochs=2, seed=0, base_lr=1e-3)
+    train_regression(init_model(_desk_config(vocab), seed=0), records, records, run, vocab)
+    last.clear()
+    texts = _mlm_corpus()
+    vocab = build_vocab(texts)
+    pretrain_mlm(init_model(_desk_config(vocab, max_positions=16), seed=0), texts, run, vocab)
+    assert calls.count("forward") == 12 and calls.count("mlm_logits") == 6
+    assert dead == []
