@@ -95,7 +95,9 @@ class EncoderModel:
     Each parameter's data is a view into `data_buffer` and, once backward
     has written a gradient, its grad a view into `grad_buffer`, both in the
     order of `params` (the checkpoint order), so the optimizer and the
-    checkpoint work on whole arrays. The part of `grad_buffer` under a
+    checkpoint work on whole arrays. `offsets` maps each name to its
+    (start, stop) in both buffers; it is the one record of the layout, and
+    a new layout comes with a new dict. The part of `grad_buffer` under a
     parameter whose grad is None holds no meaningful values. `buffers()`
     lays both out again when a parameter was added, replaced or rebound.
     """
@@ -110,8 +112,8 @@ class EncoderModel:
         tensors = list(self.params.values())
         data = np.empty(sum(p.data.size for p in tensors), dtype=self.config.np_dtype)
         grad = np.empty_like(data)  # a view is written before it is read, see grad_view
-        start = 0
-        for p in tensors:
+        offsets, start = {}, 0
+        for name, p in self.params.items():
             stop = start + p.data.size
             view = data[start:stop].reshape(p.data.shape)
             view[...] = p.data
@@ -119,8 +121,8 @@ class EncoderModel:
             if p.grad is not None:
                 p.grad_view[...] = p.grad
                 p.grad = p.grad_view
-            start = stop
-        self.data_buffer, self.grad_buffer = data, grad
+            offsets[name], start = (start, stop), stop
+        self.data_buffer, self.grad_buffer, self.offsets = data, grad, offsets
         self._packed = [(p, p.data) for p in tensors]
 
     def buffers(self) -> tuple[np.ndarray, np.ndarray]:
@@ -433,34 +435,31 @@ def save_checkpoint(
         ],
     }
     header = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    wire_dtype = "<f8" if model.config.dtype == "float64" else "<f4"
     data, _ = model.buffers()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        fh.write(data.astype(wire_dtype, copy=False).tobytes())
+        fh.write(data.astype(data.dtype.newbyteorder("<"), copy=False).tobytes())
 
 
-def _read_header(path: str | Path) -> tuple[dict, int]:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-        raw_len = fh.read(4)
-        if len(raw_len) != 4:
-            raise CheckpointError(f"{path}: truncated header")
-        (header_len,) = struct.unpack("<I", raw_len)
-        header = fh.read(header_len)
-        if len(header) != header_len:
-            raise CheckpointError(f"{path}: truncated header")
-        try:
-            manifest = json.loads(header.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"{path}: corrupt manifest ({exc})") from None
+def _read_header(path: str | Path, raw: bytes) -> tuple[dict, int]:
+    """The manifest of the checkpoint bytes raw and where its blob starts."""
+    start = len(CHECKPOINT_MAGIC) + 4
+    if raw[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
+    if len(raw) < start:
+        raise CheckpointError(f"{path}: truncated header")
+    (header_len,) = struct.unpack_from("<I", raw, len(CHECKPOINT_MAGIC))
+    if len(raw) < start + header_len:
+        raise CheckpointError(f"{path}: truncated header")
+    try:
+        manifest = json.loads(raw[start:start + header_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path}: corrupt manifest ({exc})") from None
     if manifest.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {manifest.get('version')}")
-    return manifest, len(CHECKPOINT_MAGIC) + 4 + header_len
+    return manifest, start + header_len
 
 
 def _check_layout(path, config: EncoderConfig, entries) -> None:
@@ -488,13 +487,12 @@ def load_checkpoint(
     path: str | Path, expected_vocab_sha256: str | None = None
 ) -> tuple[EncoderModel, dict]:
     """Bit-exact inverse of save_checkpoint; warns on vocabulary-hash mismatch."""
-    manifest, offset = _read_header(path)
+    raw = Path(path).read_bytes()
+    manifest, offset = _read_header(path, raw)
     try:
         config = EncoderConfig(**manifest["config"])
-    except TypeError as exc:  # an unknown or a missing config key
+    except (TypeError, ValueError) as exc:  # a missing, unknown or invalid config key
         raise CheckpointError(f"{path}: config does not fit EncoderConfig ({exc})") from None
-    wire_dtype = "<f8" if config.dtype == "float64" else "<f4"
-    itemsize = 8 if config.dtype == "float64" else 4
     if (
         expected_vocab_sha256 is not None
         and manifest["vocab_sha256"] is not None
@@ -513,16 +511,13 @@ def load_checkpoint(
             raise CheckpointError(
                 f"{path}: manifest params[{index}] has no key {exc}") from None
     _check_layout(path, config, entries)
-    params: dict[str, Tensor] = {}
-    with open(path, "rb") as fh:
-        fh.seek(offset)
-        for name, shape in entries:
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * itemsize)
-            if len(buf) != count * itemsize:
-                raise CheckpointError(f"{path}: truncated blob at {name}")
-            params[name] = Tensor(np.frombuffer(buf, dtype=wire_dtype).reshape(shape),
-                                  requires_grad=True)  # EncoderModel copies it into its buffer
-        if fh.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after parameter blob")
-    return EncoderModel(config, params), manifest
+    model = EncoderModel(config, {name: Tensor(np.empty(shape, dtype=config.np_dtype),
+                                               requires_grad=True) for name, shape in entries})
+    data, blob = model.data_buffer, memoryview(raw)[offset:]
+    if len(blob) < data.nbytes:
+        cut = next(n for n, (_, stop) in model.offsets.items() if stop * data.itemsize > len(blob))
+        raise CheckpointError(f"{path}: truncated blob at {cut}")
+    if len(blob) > data.nbytes:
+        raise CheckpointError(f"{path}: trailing bytes after parameter blob")
+    data[...] = np.frombuffer(blob, dtype=data.dtype.newbyteorder("<"))
+    return model, manifest

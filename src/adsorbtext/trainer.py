@@ -29,6 +29,7 @@ from .tokens import TokenSequence, Vocabulary, dynamic_mask, encode
 log = logging.getLogger(__name__)
 
 GROUP_FACTORS = (1.0, 1.75, 3.5)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # AdamW's moment decays and denominator floor
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -41,7 +42,6 @@ class LrGroupPlan:
 
     n_layers: int
     base_lr: float = 1e-6
-    factors: tuple[float, float, float] = GROUP_FACTORS
 
     def group_of(self, name: str) -> int:
         if name.startswith(("tok_emb", "pos_emb")):
@@ -52,99 +52,91 @@ class LrGroupPlan:
         return 2  # regression / MLM heads sit with the top group
 
     def lr_of(self, name: str) -> float:
-        return self.base_lr * self.factors[self.group_of(name)]
+        return self.base_lr * GROUP_FACTORS[self.group_of(name)]
 
     def effective_lrs(self) -> tuple[float, float, float]:
-        return tuple(self.base_lr * f for f in self.factors)
+        return tuple(self.base_lr * f for f in GROUP_FACTORS)
 
 
 @dataclass
 class OptimizerState:
-    """AdamW moments plus the shared step counter.
+    """AdamW's step counter and moments.
 
-    The moments are two flat arrays laid out like the model's parameter
-    buffer; m and v map each parameter name to its slice. A parameter that
-    has had no gradient yet has zero moments.
+    m and v are flat arrays laid out by `offsets`, the model's offsets
+    (`EncoderModel.offsets`) at the last step. When the model is laid out
+    again, each parameter keeps its moments if its name and size survive.
+    A parameter that has had no gradient yet has zero moments.
     """
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.01
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    flat_m: np.ndarray | None = field(default=None, init=False, repr=False)
-    flat_v: np.ndarray | None = field(default=None, init=False, repr=False)
-    follows: np.ndarray | None = field(default=None, init=False, repr=False)  # parameter buffer
+    m: np.ndarray | None = field(default=None, repr=False)
+    v: np.ndarray | None = field(default=None, repr=False)
+    offsets: dict[str, tuple[int, int]] = field(default_factory=dict, repr=False)
 
-    def fit(self, model: EncoderModel, data: np.ndarray) -> None:
-        """Lay the moments out like data, keeping each name's moments."""
-        if self.follows is data:
-            return
-        flat_m, flat_v = np.zeros_like(data), np.zeros_like(data)
-        m, v, start = {}, {}, 0
-        for name, p in model.params.items():
-            stop = start + p.data.size
-            m[name] = flat_m[start:stop].reshape(p.data.shape)
-            v[name] = flat_v[start:stop].reshape(p.data.shape)
-            if name in self.m and self.m[name].shape == p.data.shape:
-                m[name][...], v[name][...] = self.m[name], self.v[name]
-            start = stop
-        self.m, self.v, self.flat_m, self.flat_v, self.follows = m, v, flat_m, flat_v, data
+
+def _follow_layout(state: OptimizerState, model: EncoderModel) -> None:
+    if state.offsets is model.offsets:
+        return
+    m, v = np.zeros_like(model.data_buffer), np.zeros_like(model.data_buffer)
+    for name, (lo, hi) in model.offsets.items():
+        old = state.offsets.get(name)
+        if old is not None and old[1] - old[0] == hi - lo:
+            m[lo:hi], v[lo:hi] = state.m[slice(*old)], state.v[slice(*old)]
+    state.m, state.v, state.offsets = m, v, model.offsets
 
 
 def adamw_step(model: EncoderModel, state: OptimizerState, plan: LrGroupPlan,
-               clip_norm: float | None = None) -> None:
-    """One decoupled-weight-decay Adam update over all gradients in place.
+               clip_norm: float | None = None) -> float:
+    """One decoupled-weight-decay Adam update over all gradients in place;
+    returns the global gradient norm before clipping.
 
     Runs on the model's flat buffers. The parameters that have a gradient
-    form a few contiguous runs with one learning rate each, and every run
-    takes whole-array ops with the element-wise arithmetic, in the same
-    order, of an update tensor by tensor. A parameter without a gradient
-    (the regression head during masked-token pretraining) gets no update,
-    no weight decay and no moment update.
+    form a few contiguous runs of the model's offsets with one learning
+    rate each, and every run takes whole-array ops with the element-wise
+    arithmetic, in the same order, of an update tensor by tensor. A
+    parameter without a gradient (the regression head during masked-token
+    pretraining) gets no update, no weight decay and no moment update.
     """
     data, grad = model.buffers()
-    spans, runs, start = [], [], 0  # runs: [start, stop, lr]
+    grads, runs = [], []  # runs: [start, stop, lr]
     for name, p in model.params.items():
-        stop = start + p.data.size
-        if p.grad is not None:
-            spans.append((name, p.grad))
-            lr = plan.lr_of(name)
-            if runs and runs[-1][1] == start and runs[-1][2] == lr:
-                runs[-1][1] = stop
-            else:
-                runs.append([start, stop, lr])
-        start = stop
+        if p.grad is None:
+            continue
+        grads.append(p.grad)
+        lo, hi = model.offsets[name]
+        lr = plan.lr_of(name)
+        if runs and runs[-1][1] == lo and runs[-1][2] == lr:
+            runs[-1][1] = hi
+        else:
+            runs.append([lo, hi, lr])
     if not runs:
         raise ValueError("adamw_step called with no gradients populated")
     if not all(np.isfinite(grad[lo:hi]).all() for lo, hi, _ in runs):
-        name = next(n for n, g in spans if not np.all(np.isfinite(g)))
+        name = next(n for n, p in model.params.items()
+                    if p.grad is not None and not np.isfinite(p.grad).all())
         raise NonFiniteGradientError(f"non-finite gradient in {name} at step {state.step + 1}")
 
-    factor = None
-    if clip_norm is not None:
-        total = np.sqrt(sum(float((g * g).sum()) for _, g in spans))
-        if total > clip_norm:
-            factor = clip_norm / total
+    norm = np.sqrt(sum(float((g * g).sum()) for g in grads))
+    factor = clip_norm / norm if clip_norm is not None and norm > clip_norm else None
 
-    state.fit(model, data)
+    _follow_layout(state, model)
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - BETA1 ** state.step
+    bc2 = 1.0 - BETA2 ** state.step
     for lo, hi, lr in runs:
         g = grad[lo:hi] if factor is None else grad[lo:hi] * factor
-        m, v, p = state.flat_m[lo:hi], state.flat_v[lo:hi], data[lo:hi]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m, v, p = state.m[lo:hi], state.v[lo:hi], data[lo:hi]
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
         if state.weight_decay:
             update += state.weight_decay * p
         update *= lr
         p -= update
+    return float(norm)
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -293,6 +294,37 @@ def test_checkpoint_truncation_detected(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 100])
     with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+
+
+def _blob_start(path) -> int:
+    """Byte offset of the parameter blob: magic, header length, header."""
+    header_len = int.from_bytes(path.read_bytes()[8:12], "little")
+    return 12 + header_len
+
+
+@pytest.mark.parametrize("name", ["tok_emb", "layer1.w1", "head.b2"])
+def test_checkpoint_cut_inside_a_tensor_names_it(tmp_path, name):
+    model = init_model(small_config(), seed=10)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    start = _blob_start(path)
+    for n, p in model.params.items():  # a running sum of sizes, independent of the loader
+        if n == name:
+            break
+        start += p.data.nbytes
+    cut = start + model.params[name].data.nbytes // 2
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(CheckpointError, match=rf"truncated blob at {re.escape(name)}$"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_trailing_bytes_detected(tmp_path):
+    model = init_model(small_config(), seed=10)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(CheckpointError, match="trailing bytes"):
         load_checkpoint(path)
 
 

@@ -79,8 +79,8 @@ def test_adamw_single_step_closed_form():
     plan = LrGroupPlan(n_layers=1, base_lr=lr)
     adamw_step(model, state, plan)
     # bias-corrected first step: m_hat = g, v_hat = g^2
-    lr_eff = lr * plan.factors[2]  # head parameters run in the top group
-    expected = x0 - lr_eff * (g / (abs(g) + state.eps) + state.weight_decay * x0)
+    lr_eff = lr * trainer.GROUP_FACTORS[2]  # head parameters run in the top group
+    expected = x0 - lr_eff * (g / (abs(g) + trainer.EPS) + state.weight_decay * x0)
     assert model.params["head.b2"].data[0] == pytest.approx(expected, rel=1e-12)
 
 
@@ -97,7 +97,15 @@ def test_adamw_clip_norm_scales_update():
     state = OptimizerState(weight_decay=0.0)
     adamw_step(model, state, LrGroupPlan(n_layers=1, base_lr=1e-3),
                clip_norm=1.0)
-    assert state.m["head.b2"][0] == pytest.approx(0.1)  # (1-beta1) * clipped
+    assert _moments(state, model)["head.b2"][0] == pytest.approx(0.1)  # (1-beta1) * clipped
+
+
+def _moments(state, model):
+    """Each parameter's AdamW moments (m, v) by name, cut from the flat
+    arrays by the model's offsets."""
+    return {n: (state.m[lo:hi].reshape(model.params[n].data.shape),
+                state.v[lo:hi].reshape(model.params[n].data.shape))
+            for n, (lo, hi) in model.offsets.items()}
 
 
 def _adamw_per_tensor(values, grads, m, v, step, plan, weight_decay, clip_norm=None,
@@ -149,12 +157,65 @@ def test_adamw_matches_per_tensor_loop(dtype, clip_norm):
         _adamw_per_tensor(values, grads, m, v, step, plan, state.weight_decay, clip_norm)
         for name, p in model.params.items():
             np.testing.assert_array_equal(p.data, values[name], err_msg=name)
+        moments = _moments(state, model)
         for name in grads:
-            np.testing.assert_array_equal(state.m[name], m[name], err_msg=name)
-            np.testing.assert_array_equal(state.v[name], v[name], err_msg=name)
+            np.testing.assert_array_equal(moments[name][0], m[name], err_msg=name)
+            np.testing.assert_array_equal(moments[name][1], v[name], err_msg=name)
     for name in ("mlm.w", "mlm.bias"):  # no update, no decay, no moments
         assert name not in m
-        assert not state.m[name].any() and not state.v[name].any()
+        assert not moments[name][0].any() and not moments[name][1].any()
+
+
+
+
+def _lockstep(change_between_steps):
+    """Two desk models trained two AdamW steps on the same batches, one of
+    them changed by change_between_steps(model) after the first step;
+    returns both (model, state) pairs."""
+    records = _toy_records(12)
+    vocab = build_vocab([r.text for r in records])
+    seqs = [encode(r.text, vocab, 16) for r in records]
+    labels = np.array([r.energy_ev for r in records])
+    pairs = []
+    for change in (change_between_steps, None):
+        model = init_model(_desk_config(vocab), seed=5)
+        state, plan = OptimizerState(), LrGroupPlan(model.config.n_layers, base_lr=1e-2)
+        for step in range(2):
+            idx = np.arange(6 * step, 6 * step + 6)
+            model.zero_grads()
+            ag.backward(ag.l1_loss(forward(model, [seqs[i] for i in idx]).energy, labels[idx]))
+            adamw_step(model, state, plan)
+            if step == 0 and change is not None:
+                change(model)
+        pairs.append((model, state))
+    return pairs
+
+
+def _assert_same_training(changed, plain):
+    """Equal values and moments, name by name, whatever either layout."""
+    (model, state), (plain_model, plain_state) = changed, plain
+    moments, plain_moments = _moments(state, model), _moments(plain_state, plain_model)
+    for name, p in plain_model.params.items():
+        np.testing.assert_array_equal(model.params[name].data, p.data, err_msg=name)
+        for got, want in zip(moments[name], plain_moments[name]):
+            np.testing.assert_array_equal(got, want, err_msg=name)
+    assert state.step == plain_state.step == 2
+
+
+def test_adamw_moments_survive_a_relayout_that_keeps_the_layout():
+    def rebind(model):  # as in test_buffers_follow_a_rebound_tensor
+        data = model.buffers()[0]
+        model.params["layer1.wq"].data = model.params["layer1.wq"].data.copy()
+        assert model.buffers()[0] is not data
+
+    _assert_same_training(*_lockstep(rebind))
+
+
+def test_adamw_moments_survive_tensors_added_after_a_step():
+    (model, state), plain = _lockstep(lambda model: ensure_mlm_head(model, tied=False, seed=5))
+    _assert_same_training((model, state), plain)
+    for name in ("mlm.w", "mlm.bias"):  # added, never given a gradient: zero moments
+        assert not any(a.any() for a in _moments(state, model)[name])
 
 
 def _toy_records(n=32, seed=0):
