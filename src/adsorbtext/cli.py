@@ -26,6 +26,7 @@ from pathlib import Path
 from . import __version__, analysis, pairs as pairs_mod
 from .encoder import (
     CheckpointError,
+    ConfigError,
     EncoderConfig,
     forward,
     init_model,
@@ -240,33 +241,33 @@ def _require_inputs(*paths: Path | None) -> None:
             raise UserError(f"input does not exist: {p}")
 
 
+# config field -> the option that sets it
+_MODEL_OPTIONS = {
+    "n_layers": "layers", "n_heads": "heads", "hidden_size": "hidden", "ffn_size": "ffn",
+    "max_positions": "max_positions", "dropout_rate": "dropout",
+    "head_activation": "head_activation", "pre_norm": "pre_norm", "dtype": "dtype",
+}
+_RUN_OPTIONS = {
+    "batch_size": "batch_size", "max_epochs": "epochs", "early_stopping_patience": "patience",
+    "seed": "seed", "base_lr": "lr", "weight_decay": "weight_decay", "clip_norm": "clip_norm",
+    "mask_rate": "mask_rate",  # pretrain only; train keeps the default
+}
+
+
 def _model_config(args: argparse.Namespace, vocab_size: int) -> EncoderConfig:
-    return EncoderConfig(
-        vocab_size=vocab_size,
-        n_layers=args.layers,
-        n_heads=args.heads,
-        hidden_size=args.hidden,
-        ffn_size=args.ffn,
-        max_positions=args.max_positions,
-        dropout_rate=args.dropout,
-        head_activation=args.head_activation,
-        pre_norm=args.pre_norm,
-        dtype=args.dtype,
-    )
+    return EncoderConfig(vocab_size=vocab_size,
+                         **{f: getattr(args, o) for f, o in _MODEL_OPTIONS.items()})
 
 
 def _run_config(args: argparse.Namespace) -> TrainRunConfig:
-    return TrainRunConfig(
-        batch_size=args.batch_size,
-        max_epochs=args.epochs,
-        early_stopping_patience=args.patience,
-        seed=args.seed,
-        base_lr=args.lr,
-        weight_decay=args.weight_decay,
-        clip_norm=args.clip_norm,
-        mask_rate=getattr(args, "mask_rate", 0.15),
-        tied_mlm=not getattr(args, "untied_mlm", False),
-    )
+    return TrainRunConfig(tied_mlm=not getattr(args, "untied_mlm", False),
+                          **{f: getattr(args, o) for f, o in _RUN_OPTIONS.items()
+                             if hasattr(args, o)})
+
+
+def _require_batch_size(args: argparse.Namespace) -> None:
+    if args.batch_size < 1:
+        raise UserError(f"--batch-size must be >= 1, got {args.batch_size!r}")
 
 
 def cmd_featurize(args) -> None:
@@ -312,8 +313,8 @@ def cmd_pretrain(args) -> None:
     _require_inputs(args.corpus, args.vocab)
     records = read_corpus(args.corpus)
     vocab = Vocabulary.load(args.vocab)
-    model = init_model(_model_config(args, len(vocab)), seed=args.seed)
     run_cfg = _run_config(args)
+    model = init_model(_model_config(args, len(vocab)), seed=args.seed)
     result = pretrain_mlm(model, [r.text for r in records], run_cfg, vocab)
     _save_trained(args, result, vocab)
     log.info("pretrain: %d epochs, final loss %.4f",
@@ -330,13 +331,13 @@ def cmd_train(args) -> None:
         raise UserError(f"no records with split == {args.train_split!r}")
     if not val_records:
         raise UserError("no validation records (all records are in the train split)")
+    run_cfg = _run_config(args)
     model = init_model(_model_config(args, len(vocab)), seed=args.seed)
     if args.init_from:
         pretrained, _ = load_checkpoint(args.init_from,
                                         expected_vocab_sha256=vocab.sha256)
         copied = model.load_values(pretrained, skip_prefixes=("head.", "mlm."))
         log.info("train: seeded %d tensors from %s", len(copied), args.init_from)
-    run_cfg = _run_config(args)
     result = train_regression(model, train_records, val_records, run_cfg, vocab)
     _save_trained(args, result, vocab)
     log.info("train: best epoch %s, best val MAE %.4f",
@@ -344,6 +345,7 @@ def cmd_train(args) -> None:
 
 
 def cmd_predict(args) -> None:
+    _require_batch_size(args)
     _require_inputs(args.systems, args.corpus, args.vocab, args.ckpt)
     systems = {s.id: s for s in load_dataset(args.systems)}
     records = read_corpus(args.corpus)
@@ -418,6 +420,7 @@ def cmd_attention(args) -> None:
 
 
 def cmd_embeddings(args) -> None:
+    _require_batch_size(args)
     _require_inputs(args.systems, args.vocab, args.ckpt)
     systems = load_dataset(args.systems)
     vocab = Vocabulary.load(args.vocab)
@@ -474,6 +477,10 @@ def run(argv: list[str] | None = None) -> int:
         logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
         _COMMANDS[args.command](args)
         return EXIT_OK
+    except ConfigError as exc:  # a model or run setting: name the option that set it
+        option = {**_MODEL_OPTIONS, **_RUN_OPTIONS}.get(exc.field, exc.field)
+        print(f"error: --{option.replace('_', '-')}: {exc}", file=sys.stderr)
+        return EXIT_USER_ERROR
     except (UserError, ValueError, CheckpointError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
@@ -521,8 +528,9 @@ def end_to_end_smoke(cfg: SmokeConfig) -> dict:
     """featurize -> build-vocab -> pretrain -> train -> predict -> eval ->
     pairs -> attention -> embeddings on the fixture dataset.
 
-    Returns a report with per-stage wall times and the artifact inventory;
-    any stage failure raises SmokeStageError naming the stage.
+    Returns a report with per-stage wall times and the artifact inventory,
+    also written beside the artifacts as smoke_report.json; any stage
+    failure raises SmokeStageError naming the stage.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -593,6 +601,9 @@ def end_to_end_smoke(cfg: SmokeConfig) -> dict:
     missing = [k for k, v in artifacts.items() if not Path(v).exists()]
     if missing:
         raise SmokeStageError(f"missing artifacts after pipeline: {missing}")
+    with open(out / "smoke_report.json", "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
     return report
 
 

@@ -60,6 +60,22 @@ class CheckpointError(RuntimeError):
     """Corrupt, truncated or incompatible checkpoint file."""
 
 
+class ConfigError(ValueError):
+    """A config field holds a value the model or the run cannot use."""
+
+    def __init__(self, field: str, problem: str):
+        super().__init__(f"{field} {problem}")
+        self.field = field
+
+
+def check_fields(config, *rules: tuple[str, bool, str]) -> None:
+    """Raise ConfigError on the first (field, holds, requirement) rule
+    that does not hold."""
+    for name, holds, requirement in rules:
+        if not holds:
+            raise ConfigError(name, f"must be {requirement}, got {getattr(config, name)!r}")
+
+
 @dataclass
 class EncoderConfig:
     vocab_size: int
@@ -74,14 +90,21 @@ class EncoderConfig:
     dtype: str = "float64"  # float32 permitted for training speed
 
     def __post_init__(self):
-        if self.hidden_size % self.n_heads:
-            raise ValueError("hidden_size must be divisible by n_heads")
         if self.ffn_size is None:
             self.ffn_size = 4 * self.hidden_size
-        if self.head_activation not in ("tanh", "gelu"):
-            raise ValueError(f"unknown head activation {self.head_activation!r}")
-        if self.dtype not in ("float64", "float32"):
-            raise ValueError(f"unsupported dtype {self.dtype!r}")
+        check_fields(
+            self,
+            ("n_layers", self.n_layers >= 0, ">= 0"),
+            ("n_heads", self.n_heads >= 1, ">= 1"),
+            ("hidden_size", self.hidden_size >= 1, ">= 1"),
+            ("hidden_size", self.n_heads < 1 or self.hidden_size % self.n_heads == 0,
+             f"divisible by n_heads ({self.n_heads})"),
+            ("ffn_size", self.ffn_size >= 1, ">= 1"),
+            ("max_positions", self.max_positions >= 2, ">= 2 (room for <s> and </s>)"),
+            ("dropout_rate", 0.0 <= self.dropout_rate < 1.0, "in [0, 1)"),
+            ("head_activation", self.head_activation in ("tanh", "gelu"), "'tanh' or 'gelu'"),
+            ("dtype", self.dtype in ("float64", "float32"), "'float64' or 'float32'"),
+        )
 
     @property
     def np_dtype(self):

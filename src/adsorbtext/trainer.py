@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autograd as ag
-from .encoder import EncoderModel, ensure_mlm_head, forward, mlm_logits
+from .encoder import EncoderModel, check_fields, ensure_mlm_head, forward, mlm_logits
 from .tokens import TokenSequence, Vocabulary, dynamic_mask, encode
 
 log = logging.getLogger(__name__)
@@ -76,6 +76,7 @@ class OptimizerState:
 
 
 def _follow_layout(state: OptimizerState, model: EncoderModel) -> None:
+    """Lay the moments out by the model's offsets, keeping each survivor's."""
     if state.offsets is model.offsets:
         return
     m, v = np.zeros_like(model.data_buffer), np.zeros_like(model.data_buffer)
@@ -152,10 +153,18 @@ class TrainRunConfig:
     tied_mlm: bool = True
 
     def __post_init__(self):
-        if self.early_stopping_patience < 1:
-            raise ValueError("early_stopping_patience must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        check_fields(
+            self,
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("max_epochs", self.max_epochs >= 1, ">= 1"),
+            ("early_stopping_patience", self.early_stopping_patience >= 1, ">= 1"),
+            ("seed", self.seed >= 0, ">= 0"),
+            ("base_lr", 0.0 <= self.base_lr < np.inf, "finite and >= 0"),
+            ("weight_decay", 0.0 <= self.weight_decay < np.inf, "finite and >= 0"),
+            ("clip_norm", self.clip_norm is None or 0.0 < self.clip_norm < np.inf,
+             "finite and > 0 when set"),
+            ("mask_rate", 0.0 < self.mask_rate < 1.0, "in (0, 1)"),
+        )
 
 
 @dataclass
@@ -196,16 +205,19 @@ _PHASES = ("forward_s", "backward_s", "optimizer_s")
 def _epochs(model: EncoderModel, run_cfg: TrainRunConfig, plan: LrGroupPlan, n: int,
             batch_loss, by_size: bool, batch_of=lambda epoch, idx: idx):
     """The epoch loop of both objectives; yields (epoch, mean loss, start
-    time, seconds per step phase) per epoch. A step is `zero_grads`,
-    `batch_loss` (None skips it), `ag.backward` and `adamw_step`; its
-    batch is made before it begins. Each step's loss, and so its tape,
-    stays referenced until the next step's loss exists (README, Notes)."""
+    time, step stats) per epoch, the stats being the seconds per step
+    phase and the largest step gradient norm (NaN when no step ran). A
+    step is `zero_grads`, `batch_loss` (None skips it), `ag.backward` and
+    `adamw_step`; its batch is made before it begins. Each step's loss,
+    and so its tape, stays referenced until the next step's loss exists
+    (README, Notes)."""
     state = OptimizerState(weight_decay=run_cfg.weight_decay)
     for epoch in range(1, run_cfg.max_epochs + 1):
         tic = time.perf_counter()
         order = np.random.default_rng([run_cfg.seed, epoch, 0]).permutation(n)
         dropout_rng = np.random.default_rng([run_cfg.seed, epoch, 1])
         loss_sum, weight, phases = 0.0, 0, np.zeros(len(_PHASES))
+        grad_norm_max = 0.0
         for start in range(0, n, run_cfg.batch_size):
             idx = order[start:start + run_cfg.batch_size]
             batch = batch_of(epoch, idx)
@@ -217,17 +229,19 @@ def _epochs(model: EncoderModel, run_cfg: TrainRunConfig, plan: LrGroupPlan, n: 
             t1 = time.perf_counter()
             ag.backward(loss)
             t2 = time.perf_counter()
-            adamw_step(model, state, plan, clip_norm=run_cfg.clip_norm)
+            norm = adamw_step(model, state, plan, clip_norm=run_cfg.clip_norm)
             phases += (t1 - t0, t2 - t1, time.perf_counter() - t2)
+            grad_norm_max = max(grad_norm_max, norm)
             w = len(idx) if by_size else 1
             loss_sum += float(loss.data) * w
             weight += w
-        yield epoch, loss_sum / max(weight, 1), tic, dict(zip(_PHASES, phases.tolist()))
+        yield epoch, loss_sum / max(weight, 1), tic, {
+            **dict(zip(_PHASES, phases.tolist())), "grad_norm_max": grad_norm_max if weight else np.nan}
 
 
-def _history_row(epoch: int, metrics: dict, plan: LrGroupPlan, tic: float, phases: dict) -> dict:
+def _history_row(epoch: int, metrics: dict, plan: LrGroupPlan, tic: float, stats: dict) -> dict:
     return {"epoch": epoch, **metrics, "lrs": list(plan.effective_lrs()),
-            "wall_time_s": time.perf_counter() - tic, **phases}
+            "wall_time_s": time.perf_counter() - tic, **stats}
 
 
 def train_regression(
@@ -261,12 +275,12 @@ def train_regression(
     best_model = model.clone()
     best_epoch = None
     epochs_since_best = 0
-    for epoch, train_mae, tic, phases in _epochs(model, run_cfg, plan, len(train_seqs),
-                                                 batch_loss, by_size=True):
+    for epoch, train_mae, tic, stats in _epochs(model, run_cfg, plan, len(train_seqs),
+                                                batch_loss, by_size=True):
         val_pred = predict_energies(model, val_seqs, run_cfg.batch_size)
         val_mae = float(np.mean(np.abs(val_pred - val_labels)))
         history.append(_history_row(epoch, {"train_mae": train_mae, "val_mae": val_mae},
-                                    plan, tic, phases))
+                                    plan, tic, stats))
 
         if val_mae < best_val:
             best_val = val_mae
@@ -331,8 +345,8 @@ def pretrain_mlm(
                         epoch, start)
         return loss
 
-    history = [_history_row(epoch, {"mlm_loss": mlm_loss}, plan, tic, phases)
-               for epoch, mlm_loss, tic, phases in _epochs(
+    history = [_history_row(epoch, {"mlm_loss": mlm_loss}, plan, tic, stats)
+               for epoch, mlm_loss, tic, stats in _epochs(
                    model, run_cfg, plan, len(base_seqs), batch_loss, by_size=False,
                    batch_of=masked_batch)]
     return TrainResult(model, history)

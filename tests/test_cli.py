@@ -118,6 +118,61 @@ def test_history_times_step_phases(tmp_path):
             phases = [rows[epoch, metric] for metric in ("forward_s", "backward_s", "optimizer_s")]
             assert all(split == "train" and value >= 0 for split, value in phases), command
             assert 0 < sum(value for _, value in phases) <= rows[epoch, "wall_time_s"][1], command
+            split, norm = rows[epoch, "grad_norm_max"]
+            assert split == "train" and 0 < norm < math.inf, command
+
+
+_TINY_MODEL = ["--layers", "1", "--heads", "1", "--hidden", "8", "--max-positions", "64",
+               "--lr", "1e-3"]
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """The fixture dataset's S4 corpus, its vocabulary and a one-epoch model."""
+    work = tmp_path_factory.mktemp("trained")
+    paths = {"systems": str(fixture_dataset_path()), "corpus": str(work / "corpus.jsonl"),
+             "vocab": str(work / "vocab.txt"), "ckpt": str(work / "model.ckpt")}
+    for argv in (["featurize", "--in", paths["systems"], "--out", paths["corpus"],
+                  "--format", "s4"],
+                 ["build-vocab", "--in", paths["corpus"], "--out", paths["vocab"]],
+                 ["train", "--corpus", paths["corpus"], "--vocab", paths["vocab"],
+                  "--out", paths["ckpt"], "--epochs", "1", *_TINY_MODEL]):
+        assert run(argv) == EXIT_OK, argv[0]
+    return paths
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("train", "--heads", "0"),
+    ("train", "--dropout", "1.0"),
+    ("train", "--dropout", "-0.5"),
+    ("train", "--lr", "nan"),
+    ("train", "--clip-norm", "-1"),
+    ("train", "--clip-norm", "0"),
+    ("train", "--epochs", "0"),
+    ("pretrain", "--epochs", "0"),
+    ("train", "--hidden", "0"),
+    ("train", "--ffn", "0"),
+    ("train", "--max-positions", "1"),
+    ("train", "--layers", "-1"),
+    ("train", "--seed", "-1"),
+    ("train", "--weight-decay", "inf"),
+    ("pretrain", "--mask-rate", "0"),
+    ("predict", "--batch-size", "0"),
+    ("embeddings", "--batch-size", "0"),
+])
+def test_invalid_setting_is_user_error_naming_its_flag(trained, tmp_path, capsys,
+                                                       command, flag, value):
+    inputs = {"train": ["--corpus", trained["corpus"], "--vocab", trained["vocab"],
+                        "--epochs", "1", *_TINY_MODEL],
+              "predict": ["--systems", trained["systems"], "--corpus", trained["corpus"],
+                          "--vocab", trained["vocab"], "--ckpt", trained["ckpt"]],
+              "embeddings": ["--systems", trained["systems"], "--vocab", trained["vocab"],
+                             "--ckpt", trained["ckpt"]]}
+    inputs["pretrain"] = inputs["train"]
+    out = tmp_path / "out"
+    assert run([command, *inputs[command], "--out", str(out), flag, value]) == EXIT_USER_ERROR
+    assert f"error: {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_featurize_idempotent(tmp_path, table_system):
@@ -204,6 +259,8 @@ def test_smoke_produces_all_artifacts(tmp_path):
     assert len(report["artifacts"]) == 9
     for path in report["artifacts"].values():
         assert Path(path).exists()
+    written = json.loads((tmp_path / "run" / "smoke_report.json").read_text())
+    assert written == report
 
 
 def test_smoke_corrupted_intermediate_names_stage(tmp_path):

@@ -218,6 +218,30 @@ def test_adamw_moments_survive_tensors_added_after_a_step():
         assert not any(a.any() for a in _moments(state, model)[name])
 
 
+@pytest.mark.parametrize("clip_norm", [None, 0.05])
+def test_history_keeps_the_largest_step_gradient_norm(monkeypatch, clip_norm):
+    records = _toy_records()
+    vocab = build_vocab([r.text for r in records])
+    norms = []  # per step, from a per-tensor oracle
+    step = trainer.adamw_step
+
+    def recording(model, state, plan, clip_norm=None):
+        norms.append(np.sqrt(sum(np.linalg.norm(p.grad) ** 2
+                                 for p in model.params.values() if p.grad is not None)))
+        return step(model, state, plan, clip_norm=clip_norm)
+
+    monkeypatch.setattr(trainer, "adamw_step", recording)
+    run = TrainRunConfig(batch_size=8, max_epochs=3, early_stopping_patience=3, seed=0,
+                         base_lr=1e-3, clip_norm=clip_norm)
+    result = train_regression(init_model(_desk_config(vocab), seed=0), records, records,
+                              run, vocab)
+    per_epoch = np.reshape(norms, (3, 4)).max(axis=1)  # 32 records in batches of 8
+    np.testing.assert_allclose([h["grad_norm_max"] for h in result.history], per_epoch,
+                               rtol=1e-12)
+    if clip_norm is not None:  # the norm before clipping
+        assert per_epoch.min() > clip_norm
+
+
 def _toy_records(n=32, seed=0):
     rng = np.random.default_rng(seed)
     records = []
