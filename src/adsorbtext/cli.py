@@ -2,13 +2,22 @@
 eval, attention, embeddings, pairs.
 
 Every run writes a manifest (command, resolved config + its hash,
-toolkit version, the run's wall time and the process's peak resident
+toolkit version, the numpy and Python versions and the BLAS/OpenMP
+thread variables, the run's wall time and the process's peak resident
 memory) beside its outputs, so multi-stage pipelines are auditable and
 show where the time went; the other outputs of reruns are
 byte-comparable. The config holds the seed of `pretrain` and `train`,
-the only subcommands that draw random numbers. A
-JSON config file passed via --config overrides flag values. Exit codes:
-0 success, 1 user error, 2 internal error.
+the only subcommands that draw random numbers. Exit codes: 0 success,
+1 user error, 2 internal error.
+
+A JSON object passed via --config sets options after the command line,
+so its values override the flags. Its keys are the subcommand's flag
+names without the leading dashes, with dashes or underscores
+("batch-size" or "batch_size"). Each value goes through its flag's own
+action: a number flag takes a JSON number (an integer one only an
+integer), a text, path or choice flag a string within its choices, and a
+switch true or false. null is accepted only where the flag's default is
+none. Required flags must still be given on the command line.
 """
 
 from __future__ import annotations
@@ -17,11 +26,15 @@ import argparse
 import hashlib
 import json
 import logging
+import os
+import platform
 import resource
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, analysis, pairs as pairs_mod
 from .encoder import (
@@ -72,6 +85,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with code 2
         raise UserError(f"{self.prog}: {message}")
 
+    def config_options(self) -> dict[str, argparse.Action]:
+        """The actions a --config key can name, by flag without the leading
+        dashes: every option but --help and --config itself."""
+        return {flag[2:]: action for action in self._actions
+                for flag in action.option_strings
+                if flag.startswith("--") and action.dest not in ("help", "config")}
+
 
 def _add_model_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--layers", type=int, default=4)
@@ -102,6 +122,7 @@ def build_parser() -> _Parser:
     common.add_argument("--config", type=Path, default=None,
                         help="JSON file whose entries override flags")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    parser.commands = sub.choices  # subcommand -> its parser
 
     def add_parser(name: str, **kwargs):
         return sub.add_parser(name, parents=[common], **kwargs)
@@ -180,13 +201,29 @@ def build_parser() -> _Parser:
     return parser
 
 
-_PATH_OPTIONS = frozenset({
-    "inp", "out", "corpus", "vocab", "ckpt", "pred", "report", "systems",
-    "desc_cache", "init_from", "history",
-})
+# the JSON types a --config value may have, by its flag's type; other flags take a string
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number")}
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
+def _config_value(action: argparse.Action, value, where: str):
+    """A --config value as its flag's action would store it."""
+    if value is None:
+        if action.default is not None:
+            raise UserError(f"{where}: null is accepted only where the default is none")
+        return None
+    types, kind = (((bool,), "true or false") if action.nargs == 0  # a store_true switch
+                   else _JSON_TYPES.get(action.type, ((str,), "a string")))
+    if type(value) not in types:  # JSON values are exactly these types; bool is not int
+        raise UserError(f"{where}: expected {kind}, got {json.dumps(value)}")
+    if action.type is not None:
+        value = action.type(value)
+    if action.choices is not None and value not in action.choices:
+        raise UserError(f"{where}: invalid choice {value!r} "
+                        f"(choose from {', '.join(map(repr, action.choices))})")
+    return value
+
+
+def _apply_config_file(args: argparse.Namespace, parser: _Parser) -> None:
     if args.config is None:
         return
     try:
@@ -198,13 +235,16 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         raise UserError(f"{args.config}: invalid JSON ({exc})")
     if not isinstance(overrides, dict):
         raise UserError(f"{args.config}: config must be a JSON object")
+    options, keys = parser.config_options(), {}
     for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        flag = key.replace("_", "-")
+        action = options.get(flag)
+        if action is None:
             raise UserError(f"{args.config}: unknown option {key!r}")
-        if attr in _PATH_OPTIONS and value is not None:
-            value = Path(value)
-        setattr(args, attr, value)
+        if action in keys:
+            raise UserError(f"{args.config}: {keys[action]!r} and {key!r} both set --{flag}")
+        keys[action] = key
+        setattr(args, action.dest, _config_value(action, value, f"{args.config}: --{flag}"))
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
@@ -216,6 +256,10 @@ def _resolved_config(args: argparse.Namespace) -> dict:
     return out
 
 
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                     "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "BLIS_NUM_THREADS")
+
+
 def write_run_manifest(args: argparse.Namespace, out: Path) -> Path:
     """Manifest beside the outputs: <file>.manifest.json or <dir>/manifest.json."""
     config = _resolved_config(args)
@@ -224,6 +268,11 @@ def write_run_manifest(args: argparse.Namespace, out: Path) -> Path:
         "config": config,
         "config_sha256": hashlib.sha256(
             json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest(),
+        "environment": {  # float results depend on these, so they sit beside the config
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "threads": {var: os.environ.get(var) for var in _THREAD_VARIABLES},
+        },
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # KiB on Linux
         "version": __version__,
         "wall_time_s": time.perf_counter() - args.started,
@@ -472,7 +521,7 @@ def run(argv: list[str] | None = None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EXIT_USER_ERROR
-        _apply_config_file(args)
+        _apply_config_file(args, parser.commands[args.command])
         args.started = started  # for the manifest's wall time, not part of the config
         logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
         _COMMANDS[args.command](args)

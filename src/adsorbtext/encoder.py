@@ -40,6 +40,7 @@ hash, step, seed, tensor order) and the raw little-endian parameter blob.
 from __future__ import annotations
 
 import json
+import numbers
 import struct
 import warnings
 from dataclasses import asdict, dataclass
@@ -76,6 +77,16 @@ def check_fields(config, *rules: tuple[str, bool, str]) -> None:
             raise ConfigError(name, f"must be {requirement}, got {getattr(config, name)!r}")
 
 
+def is_count(value) -> bool:
+    """An integer, numpy ones included, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real number, numpy ones included, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class EncoderConfig:
     vocab_size: int
@@ -90,6 +101,16 @@ class EncoderConfig:
     dtype: str = "float64"  # float32 permitted for training speed
 
     def __post_init__(self):
+        check_fields(  # types first: the range rules below compare values
+            self,
+            *((f, is_count(getattr(self, f)), "an integer") for f in (
+                "vocab_size", "n_layers", "n_heads", "hidden_size", "max_positions")),
+            ("ffn_size", self.ffn_size is None or is_count(self.ffn_size), "an integer or None"),
+            ("dropout_rate", is_real(self.dropout_rate), "a real number"),
+            ("pre_norm", isinstance(self.pre_norm, bool), "a bool"),
+            *((f, isinstance(getattr(self, f), str), "a string")
+              for f in ("head_activation", "dtype")),
+        )
         if self.ffn_size is None:
             self.ffn_size = 4 * self.hidden_size
         check_fields(

@@ -252,10 +252,17 @@ def load_description_cache(path: str | Path) -> dict:
             raise ValueError(f"{path}: malformed description cache ({exc})") from None
     if not isinstance(cache, dict):
         raise ValueError(f"{path}: description cache must be a JSON object")
-    return {
-        "adsorbates": dict(cache.get("adsorbates", {})),
-        "catalysts": dict(cache.get("catalysts", {})),
-    }
+    sections = {}
+    for section in ("adsorbates", "catalysts"):
+        entries = cache.get(section, {})
+        if not isinstance(entries, dict):
+            raise ValueError(f"{path}: {section!r} must be a JSON object of prose strings")
+        for key, prose in entries.items():
+            if not isinstance(prose, str):
+                raise ValueError(f"{path}: {section}[{key!r}] must be a string, "
+                                 f"got {json.dumps(prose)}")
+        sections[section] = entries
+    return sections
 
 
 def merge_description_cache(

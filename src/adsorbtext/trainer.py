@@ -23,7 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from . import autograd as ag
-from .encoder import EncoderModel, check_fields, ensure_mlm_head, forward, mlm_logits
+from .encoder import (EncoderModel, check_fields, ensure_mlm_head, forward, is_count, is_real,
+                      mlm_logits)
 from .tokens import TokenSequence, Vocabulary, dynamic_mask, encode
 
 log = logging.getLogger(__name__)
@@ -153,6 +154,16 @@ class TrainRunConfig:
     tied_mlm: bool = True
 
     def __post_init__(self):
+        check_fields(  # types first: the range rules below compare values
+            self,
+            *((f, is_count(getattr(self, f)), "an integer")
+              for f in ("batch_size", "max_epochs", "early_stopping_patience", "seed")),
+            *((f, is_real(getattr(self, f)), "a real number")
+              for f in ("base_lr", "weight_decay", "mask_rate")),
+            ("clip_norm", self.clip_norm is None or is_real(self.clip_norm),
+             "a real number or None"),
+            ("tied_mlm", isinstance(self.tied_mlm, bool), "a bool"),
+        )
         check_fields(
             self,
             ("batch_size", self.batch_size >= 1, ">= 1"),
@@ -250,7 +261,6 @@ def train_regression(
     val_records,
     run_cfg: TrainRunConfig,
     vocab: Vocabulary,
-    plan: LrGroupPlan | None = None,
 ) -> TrainResult:
     """MAE-loss finetuning with per-epoch validation and early stopping.
 
@@ -261,7 +271,7 @@ def train_regression(
     if not train_records or not val_records:
         raise ValueError("train and validation sets must be non-empty")
     cfg = model.config
-    plan = plan or LrGroupPlan(cfg.n_layers, base_lr=run_cfg.base_lr)
+    plan = LrGroupPlan(cfg.n_layers, base_lr=run_cfg.base_lr)
     train_seqs, train_labels = encode_labeled(train_records, vocab, cfg.max_positions)
     val_seqs, val_labels = encode_labeled(val_records, vocab, cfg.max_positions)
     train_labels = train_labels.astype(cfg.np_dtype)
@@ -310,7 +320,6 @@ def pretrain_mlm(
     texts: Sequence[str],
     run_cfg: TrainRunConfig,
     vocab: Vocabulary,
-    plan: LrGroupPlan | None = None,
 ) -> TrainResult:
     """Masked-token pretraining; masks are redrawn every epoch.
 
@@ -322,7 +331,7 @@ def pretrain_mlm(
         raise ValueError("pretraining corpus is empty")
     cfg = model.config
     ensure_mlm_head(model, tied=run_cfg.tied_mlm, seed=run_cfg.seed)
-    plan = plan or LrGroupPlan(cfg.n_layers, base_lr=run_cfg.base_lr)
+    plan = LrGroupPlan(cfg.n_layers, base_lr=run_cfg.base_lr)
     base_seqs = [encode(t, vocab, cfg.max_positions) for t in texts]
     if len(base_seqs) < run_cfg.batch_size:
         raise ValueError("corpus shorter than one batch")

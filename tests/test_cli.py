@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import platform
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from adsorbtext.cli import (
     EXIT_USER_ERROR,
     SmokeConfig,
     SmokeStageError,
+    build_parser,
     end_to_end_smoke,
     fixture_dataset_path,
     run,
@@ -60,10 +64,12 @@ def test_featurize_reproduces_reference_string(tmp_path, table_system):
         assert record.energy_ev == table_system.energy_ev
 
 
-def test_featurize_writes_manifest(tmp_path, table_system):
+def test_featurize_writes_manifest(tmp_path, table_system, monkeypatch):
     dataset = tmp_path / "systems.jsonl"
     save_dataset([table_system], dataset)
     out = tmp_path / "corpus.jsonl"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     run(["featurize", "--in", str(dataset), "--out", str(out), "--format", "s4"])
     manifest = json.loads((tmp_path / "corpus.jsonl.manifest.json").read_text())
     assert manifest["command"] == "featurize"
@@ -72,6 +78,16 @@ def test_featurize_writes_manifest(tmp_path, table_system):
     for key in ("wall_time_s", "peak_rss_mb"):
         value = manifest[key]
         assert isinstance(value, float) and math.isfinite(value) and value > 0, key
+    # float results depend on these; outside the config, so config_sha256 keeps its value
+    environment = manifest["environment"]
+    assert environment["numpy"] == np.__version__
+    assert environment["python"] == platform.python_version()
+    threads = environment["threads"]
+    assert threads["OPENBLAS_NUM_THREADS"] == "1" and threads["OMP_NUM_THREADS"] is None
+    assert threads == {var: os.environ.get(var) for var in (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+        "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "BLIS_NUM_THREADS")}
+    assert "environment" not in manifest["config"]
 
 
 def test_featurize_has_no_threads_option(tmp_path, table_system):
@@ -128,15 +144,19 @@ _TINY_MODEL = ["--layers", "1", "--heads", "1", "--hidden", "8", "--max-position
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
-    """The fixture dataset's S4 corpus, its vocabulary and a one-epoch model."""
+    """The fixture dataset's S4 corpus, its vocabulary, a one-epoch model and
+    its predictions."""
     work = tmp_path_factory.mktemp("trained")
     paths = {"systems": str(fixture_dataset_path()), "corpus": str(work / "corpus.jsonl"),
-             "vocab": str(work / "vocab.txt"), "ckpt": str(work / "model.ckpt")}
+             "vocab": str(work / "vocab.txt"), "ckpt": str(work / "model.ckpt"),
+             "pred": str(work / "predictions.tsv")}
     for argv in (["featurize", "--in", paths["systems"], "--out", paths["corpus"],
                   "--format", "s4"],
                  ["build-vocab", "--in", paths["corpus"], "--out", paths["vocab"]],
                  ["train", "--corpus", paths["corpus"], "--vocab", paths["vocab"],
-                  "--out", paths["ckpt"], "--epochs", "1", *_TINY_MODEL]):
+                  "--out", paths["ckpt"], "--epochs", "1", *_TINY_MODEL],
+                 ["predict", "--systems", paths["systems"], "--corpus", paths["corpus"],
+                  "--vocab", paths["vocab"], "--ckpt", paths["ckpt"], "--out", paths["pred"]]):
         assert run(argv) == EXIT_OK, argv[0]
     return paths
 
@@ -240,6 +260,144 @@ def test_config_file_rejects_unknown_keys(tmp_path, table_system):
                 "--out", str(tmp_path / "c.jsonl"), "--format", "s4",
                 "--config", str(config)])
     assert code == EXIT_USER_ERROR
+
+
+@pytest.mark.parametrize("command, config, named", [
+    ("train", {"lr": "1e-3"}, "--lr"),
+    ("train", {"epochs": 1.5}, "--epochs"),
+    ("train", {"batch_size": "4"}, "--batch-size"),
+    ("predict", {"batch_size": "4"}, "--batch-size"),
+    ("train", {"max_positions": 64.0}, "--max-positions"),
+    ("train", {"clip_norm": "x"}, "--clip-norm"),
+    ("train", {"out": 5}, "--out"),
+    ("train", {"history": 3}, "--history"),
+    ("train", {"pre_norm": "no"}, "--pre-norm"),
+    ("train", {"layers": True}, "--layers"),
+    ("train", {"command": "eval"}, "'command'"),
+    ("train", {"config": "x.json"}, "'config'"),
+    ("train", {"help": True}, "'help'"),
+    ("train", {"inp": "corpus.jsonl"}, "'inp'"),  # a destination, not a flag
+    ("train", {"dtype": "float16"}, "--dtype"),
+    ("train", {"lr": None}, "--lr"),  # null only where the default is none
+    ("train", {"train-split": None}, "--train-split"),
+    ("train", {"batch-size": 4, "batch_size": 4}, "--batch-size"),
+])
+def test_config_file_refuses_values_its_flags_refuse(trained, tmp_path, capsys,
+                                                     command, config, named):
+    inputs = {"train": ["--corpus", trained["corpus"], "--vocab", trained["vocab"],
+                        "--epochs", "1", *_TINY_MODEL],
+              "predict": ["--systems", trained["systems"], "--corpus", trained["corpus"],
+                          "--vocab", trained["vocab"], "--ckpt", trained["ckpt"]]}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert run([command, *inputs[command], "--out", str(tmp_path / "out"),
+                "--config", str(config_path)]) == EXIT_USER_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config_path}: ") and named in err, err
+    assert list(tmp_path.iterdir()) == [config_path]  # no output, manifest or history
+
+
+# Each subcommand's command line with every option but --config set, away
+# from its default where it has other values; the round trip below fails
+# for an option missing here.
+_MODEL_RUN = ["--layers", "1", "--heads", "1", "--hidden", "8", "--ffn", "32",
+              "--max-positions", "64", "--dropout", "0.05", "--head-activation", "gelu",
+              "--pre-norm", "--dtype", "float32", "--seed", "3", "--epochs", "1",
+              "--batch-size", "8", "--lr", "1e-3", "--patience", "2", "--weight-decay", "0",
+              "--clip-norm", "2"]  # integral text for float flags: JSON 2 must mean 2.0
+
+
+def _every_option(command: str, trained: dict, work: Path) -> list[str]:
+    cache = work / "desc_cache.json"
+    cache.write_text(json.dumps({"adsorbates": {"NH3": "ads prose"}}))
+    systems, corpus, vocab = trained["systems"], trained["corpus"], trained["vocab"]
+    model = ["--systems", systems, "--vocab", vocab, "--ckpt", trained["ckpt"]]
+    return {
+        "featurize": ["--in", systems, "--out", str(work / "corpus.jsonl"), "--format", "desc",
+                      "--cutoff-tolerance", "0.3", "--desc-cache", str(cache)],
+        "build-vocab": ["--in", corpus, "--out", str(work / "vocab.txt"), "--min-freq", "2"],
+        "pretrain": ["--corpus", corpus, "--vocab", vocab, "--out", str(work / "pre.ckpt"),
+                     "--mask-rate", "0.3", "--untied-mlm", "--history",
+                     str(work / "history.tsv"), *_MODEL_RUN],
+        "train": ["--corpus", corpus, "--vocab", vocab, "--out", str(work / "model.ckpt"),
+                  "--init-from", trained["ckpt"], "--train-split", "ID",
+                  "--history", str(work / "history.tsv"), *_MODEL_RUN],
+        "predict": ["--corpus", corpus, *model, "--out", str(work / "pred.tsv"),
+                    "--batch-size", "5"],
+        "eval": ["--pred", trained["pred"], "--out", str(work / "eval")],
+        "attention": [*model, "--out", str(work / "attention.tsv"), "--format", "s5",
+                      "--id", "NH3_VCr3_210"],
+        "embeddings": [*model, "--out", str(work / "embeddings.tsv"), "--format", "s1",
+                       "--batch-size", "5"],
+        "pairs": ["--pred", trained["pred"], "--report", str(work / "pairs"),
+                  "--across-splits"],
+    }[command]
+
+
+def _run_output(out: Path) -> tuple[str, bytes | None]:
+    """config_sha256 of the run that wrote out, and out's bytes if a file."""
+    manifest = out / "manifest.json" if out.is_dir() else out.with_name(
+        out.name + ".manifest.json")
+    sha = json.loads(manifest.read_text())["config_sha256"]
+    return sha, None if out.is_dir() else out.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["featurize", "build-vocab", "pretrain", "train",
+                                     "predict", "eval", "attention", "embeddings", "pairs"])
+def test_config_file_round_trips_every_flag(trained, tmp_path, command):
+    options = build_parser().commands[command].config_options()
+    argv, config = _every_option(command, trained, tmp_path), {}
+    rest = iter(argv)
+    for arg in rest:  # each flag's own text, as JSON where the flag takes a number
+        action = options[arg[2:]]
+        text = True if action.nargs == 0 else next(rest)
+        config[arg[2:]] = json.loads(text) if action.type in (int, float) else text
+    assert config.keys() == options.keys()
+    out = Path(config["report" if command == "pairs" else "out"])
+    assert run([command, *argv]) == EXIT_OK
+    expected = _run_output(out)
+
+    # required flags still come from the command line; the file overrides them
+    required = []
+    for flag, action in options.items():
+        if action.required:
+            other = (next(c for c in action.choices if c != config[flag])
+                     if action.choices else str(tmp_path / "elsewhere"))
+            required += [f"--{flag}", other]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert run([command, *required, "--config", str(config_path)]) == EXIT_OK
+    assert _run_output(out) == expected
+    assert not (tmp_path / "elsewhere").exists()
+
+
+def test_config_file_switch_false_overrides_flag(trained, tmp_path):
+    out = tmp_path / "model.ckpt"
+    argv = ["train", "--corpus", trained["corpus"], "--vocab", trained["vocab"],
+            "--out", str(out), "--epochs", "1", *_TINY_MODEL]
+    assert run(argv) == EXIT_OK
+    post_norm = _run_output(out)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"pre_norm": False}))
+    assert run([*argv, "--pre-norm", "--config", str(config_path)]) == EXIT_OK
+    assert _run_output(out) == post_norm
+
+
+@pytest.mark.parametrize("cache, message", [
+    ({"adsorbates": [1, 2]}, "'adsorbates' must be a JSON object"),
+    ({"adsorbates": {"NH3": 5}}, "adsorbates\\['NH3'\\] must be a string, got 5"),
+    ({"catalysts": {"VCr3": ["x"]}}, "catalysts\\['VCr3'\\] must be a string, got \\[\"x\"\\]"),
+    ({"adsorbates": "abc"}, "'adsorbates' must be a JSON object"),
+])
+def test_featurize_refuses_malformed_description_cache(tmp_path, capsys, cache, message):
+    cache_path = tmp_path / "cache.json"
+    cache_path.write_text(json.dumps(cache))
+    out = tmp_path / "corpus.jsonl"
+    assert run(["featurize", "--in", str(fixture_dataset_path()), "--out", str(out),
+                "--format", "desc", "--desc-cache", str(cache_path)]) == EXIT_USER_ERROR
+    assert re.search(f"^error: {re.escape(str(cache_path))}: {message}",
+                     capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_seed_only_on_subcommands_that_draw(tmp_path, table_system):

@@ -7,6 +7,7 @@ import pytest
 import adsorbtext.autograd as ag
 from adsorbtext.encoder import (
     CheckpointError,
+    ConfigError,
     EncoderConfig,
     ensure_mlm_head,
     forward,
@@ -39,6 +40,25 @@ def make_seq(rng, n_real, max_positions=24, vocab_size=30):
 def test_config_validates_divisibility():
     with pytest.raises(ValueError, match="divisible"):
         EncoderConfig(vocab_size=10, hidden_size=10, n_heads=3)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_layers", True), ("n_heads", 2.0), ("hidden_size", "16"), ("hidden_size", None),
+    ("ffn_size", 64.0), ("max_positions", False), ("vocab_size", "30"),
+    ("dropout_rate", "0.1"), ("dropout_rate", True), ("pre_norm", "no"), ("pre_norm", 0),
+    ("head_activation", None), ("dtype", np.float32),
+])
+def test_config_rejects_wrong_types(field, value):
+    # checked before the ranges and before ffn_size's default reads hidden_size
+    with pytest.raises(ConfigError, match=f"^{field} must be ") as info:
+        small_config(**{field: value})
+    assert info.value.field == field
+
+
+def test_config_takes_numpy_numbers():
+    config = small_config(n_layers=np.int64(1), hidden_size=np.int32(8),
+                          dropout_rate=np.float32(0.0))
+    assert config.ffn_size == 32
 
 
 def test_zero_model_outputs_head_bias(rng):
@@ -336,6 +356,16 @@ def test_checkpoint_unknown_config_key(tmp_path):
     # same length, so the header-length field stays valid
     path.write_bytes(blob.replace(b'"pre_norm"', b'"pre_nrom"', 1))
     with pytest.raises(CheckpointError, match=r"model\.ckpt.*pre_nrom"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_config_of_wrong_type(tmp_path):
+    model = init_model(small_config(), seed=10)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    rewrite_checkpoint_manifest(path, lambda m: m["config"].update(n_layers=True))
+    with pytest.raises(CheckpointError, match=r"model\.ckpt: .*n_layers must be an integer, "
+                                              r"got True"):
         load_checkpoint(path)
 
 

@@ -7,6 +7,7 @@ import pytest
 import adsorbtext.autograd as ag
 from adsorbtext import trainer
 from adsorbtext.encoder import (
+    ConfigError,
     EncoderConfig,
     EncoderModel,
     ensure_mlm_head,
@@ -515,6 +516,24 @@ def test_run_config_validation():
         TrainRunConfig(early_stopping_patience=0)
     with pytest.raises(ValueError, match="batch_size"):
         TrainRunConfig(batch_size=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("batch_size", True), ("max_epochs", "3"), ("early_stopping_patience", None),
+    ("base_lr", "1e-3"), ("weight_decay", False), ("clip_norm", "x"), ("mask_rate", None),
+    ("tied_mlm", "no"), ("tied_mlm", 1),
+])
+def test_run_config_rejects_wrong_types(field, value):
+    # checked before the ranges, which would compare a string and raise TypeError
+    with pytest.raises(ConfigError, match=f"^{field} must be ") as info:
+        TrainRunConfig(**{field: value})
+    assert info.value.field == field
+
+
+def test_run_config_takes_numpy_numbers():
+    run = TrainRunConfig(batch_size=np.int64(4), seed=np.uint32(3), base_lr=np.float32(1e-3),
+                         clip_norm=np.float64(1.0), weight_decay=0)
+    assert run.batch_size == 4 and run.seed == 3
 
 
 # Tracing tools and scripts/bench_train_step.py patch these module attributes
