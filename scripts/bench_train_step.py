@@ -35,13 +35,16 @@ pairs, swapping which side runs first, and writes under `against` in
 `--out`, keyed by `--label`: each side's median and quartiles of the
 seconds, how many pairs each side won, each side's parameter sha256 and
 every run's minor page faults (`ru_minflt`). Both sides share one heap,
-so this method hides allocator effects. On 2 shared cores, a variant
-that freed each step's tape before the next forward took 0-1 minor
-faults a run and won 7 of 10 pairs in one process (median 3.64 against
+so this method hides allocator effects. On 2 shared cores, freeing each
+step's tape before the next forward without a heap pad took 0-1 minor
+faults a run in one process and won 7 of 10 pairs (median 3.64 against
 3.68 s), yet as a separate `train` process it took 558k faults against
 59k and its throughput was 17-19 % lower, because the heap it returned
-to the system was faulted back in every step. Confirm a gain between
-processes before claiming it.
+to the system was faulted back in every step. Training now sets the
+process's heap-top pad (`trainer._pad_heap_top`), and once either side
+has trained, the pad holds for both sides of the pair for the rest of
+the process. Compare an allocator change in separate processes, and
+confirm any gain between processes before claiming it.
 """
 
 from __future__ import annotations

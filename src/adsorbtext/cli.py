@@ -3,12 +3,12 @@ eval, attention, embeddings, pairs.
 
 Every run writes a manifest (command, resolved config + its hash,
 toolkit version, the numpy and Python versions and the BLAS/OpenMP
-thread variables, the run's wall time and the process's peak resident
-memory) beside its outputs, so multi-stage pipelines are auditable and
-show where the time went; the other outputs of reruns are
-byte-comparable. The config holds the seed of `pretrain` and `train`,
-the only subcommands that draw random numbers. Exit codes: 0 success,
-1 user error, 2 internal error.
+thread variables, the run's wall time, the process's peak resident
+memory and its minor page faults) beside its outputs, so multi-stage
+pipelines are auditable and show where the time went; the other outputs
+of reruns are byte-comparable. The config holds the seed of `pretrain`
+and `train`, the only subcommands that draw random numbers. Exit codes:
+0 success, 1 user error, 2 internal error.
 
 A JSON object passed via --config sets options after the command line,
 so its values override the flags. Its keys are the subcommand's flag
@@ -263,6 +263,7 @@ _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 def write_run_manifest(args: argparse.Namespace, out: Path) -> Path:
     """Manifest beside the outputs: <file>.manifest.json or <dir>/manifest.json."""
     config = _resolved_config(args)
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     payload = {
         "command": args.command,
         "config": config,
@@ -273,7 +274,8 @@ def write_run_manifest(args: argparse.Namespace, out: Path) -> Path:
             "python": platform.python_version(),
             "threads": {var: os.environ.get(var) for var in _THREAD_VARIABLES},
         },
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # KiB on Linux
+        "minor_faults": usage.ru_minflt,  # the page faults peak RSS is traded against
+        "peak_rss_mb": usage.ru_maxrss / 1024,  # KiB on Linux
         "version": __version__,
         "wall_time_s": time.perf_counter() - args.started,
     }

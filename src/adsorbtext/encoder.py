@@ -111,6 +111,10 @@ class EncoderConfig:
             *((f, isinstance(getattr(self, f), str), "a string")
               for f in ("head_activation", "dtype")),
         )
+        for f in ("vocab_size", "n_layers", "n_heads", "hidden_size", "ffn_size",
+                  "max_positions", "dropout_rate"):
+            if isinstance(getattr(self, f), np.generic):  # as Python numbers, which JSON takes
+                setattr(self, f, getattr(self, f).item())
         if self.ffn_size is None:
             self.ffn_size = 4 * self.hidden_size
         check_fields(

@@ -14,6 +14,7 @@ seed/config/data give bitwise-identical histories and checkpoints.
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import time
 from dataclasses import dataclass, field
@@ -31,6 +32,11 @@ log = logging.getLogger(__name__)
 
 GROUP_FACTORS = (1.0, 1.75, 3.5)
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # AdamW's moment decays and denominator floor
+M_TOP_PAD = -2  # glibc's mallopt(3) parameter number
+# Bytes glibc keeps at the heap top when it trims. Whole perfbench
+# finetune_s4 runs (--seconds 30) took 52k minor faults at 16 MiB, 24k at
+# 32 MiB and 23k at 64 MiB, with peak RSS 107 MB at each size.
+HEAP_TOP_PAD = 32 << 20
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -213,6 +219,22 @@ def predict_energies(model: EncoderModel, seqs: Sequence[TokenSequence],
 _PHASES = ("forward_s", "backward_s", "optimizer_s")
 
 
+def _pad_heap_top() -> None:
+    """Set glibc's M_TOP_PAD to HEAP_TOP_PAD for the host process.
+
+    The pad belongs to the host process and stays set once training has
+    run. Setting it also turns off glibc's dynamic mmap threshold: the
+    threshold stays where it stands (128 KiB unless earlier frees raised
+    it), and larger blocks are mapped and unmapped on each allocation from
+    then on. A no-op where libc.so.6 or its mallopt is missing."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_TOP_PAD, HEAP_TOP_PAD)
+
+
 def _epochs(model: EncoderModel, run_cfg: TrainRunConfig, plan: LrGroupPlan, n: int,
             batch_loss, by_size: bool, batch_of=lambda epoch, idx: idx):
     """The epoch loop of both objectives; yields (epoch, mean loss, start
@@ -220,8 +242,13 @@ def _epochs(model: EncoderModel, run_cfg: TrainRunConfig, plan: LrGroupPlan, n: 
     phase and the largest step gradient norm (NaN when no step ran). A
     step is `zero_grads`, `batch_loss` (None skips it), `ag.backward` and
     `adamw_step`; its batch is made before it begins. Each step's loss,
-    and so its tape, stays referenced until the next step's loss exists
-    (README, Notes)."""
+    and so its tape, is dropped once its value is read, so no two tapes
+    are resident at once, validation included. Before its first step the
+    loop pads the process's heap top (`_pad_heap_top`), so the freed tape
+    stays mapped for the next step instead of being trimmed and faulted
+    back in. On the benchmark's `pretrain_desc` this cut peak RSS from 99
+    to 79 MB and minor faults from 68k to 16k (README, Notes)."""
+    _pad_heap_top()
     state = OptimizerState(weight_decay=run_cfg.weight_decay)
     for epoch in range(1, run_cfg.max_epochs + 1):
         tic = time.perf_counter()
@@ -245,6 +272,7 @@ def _epochs(model: EncoderModel, run_cfg: TrainRunConfig, plan: LrGroupPlan, n: 
             grad_norm_max = max(grad_norm_max, norm)
             w = len(idx) if by_size else 1
             loss_sum += float(loss.data) * w
+            loss = None  # frees the tape before the next forward
             weight += w
         yield epoch, loss_sum / max(weight, 1), tic, {
             **dict(zip(_PHASES, phases.tolist())), "grad_norm_max": grad_norm_max if weight else np.nan}

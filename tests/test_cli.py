@@ -78,6 +78,7 @@ def test_featurize_writes_manifest(tmp_path, table_system, monkeypatch):
     for key in ("wall_time_s", "peak_rss_mb"):
         value = manifest[key]
         assert isinstance(value, float) and math.isfinite(value) and value > 0, key
+    assert isinstance(manifest["minor_faults"], int) and manifest["minor_faults"] >= 0
     # float results depend on these; outside the config, so config_sha256 keeps its value
     environment = manifest["environment"]
     assert environment["numpy"] == np.__version__

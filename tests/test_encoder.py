@@ -55,10 +55,17 @@ def test_config_rejects_wrong_types(field, value):
     assert info.value.field == field
 
 
-def test_config_takes_numpy_numbers():
+def test_config_takes_numpy_numbers(tmp_path):
     config = small_config(n_layers=np.int64(1), hidden_size=np.int32(8),
                           dropout_rate=np.float32(0.0))
     assert config.ffn_size == 32
+    assert {type(v) for v in (config.n_layers, config.hidden_size, config.ffn_size)} == {int}
+    assert type(config.dropout_rate) is float
+    # stored as Python numbers, so the checkpoint header is that of the plain config
+    save_checkpoint(init_model(config, seed=0), tmp_path / "numpy.ckpt")
+    save_checkpoint(init_model(small_config(n_layers=1, hidden_size=8), seed=0),
+                    tmp_path / "plain.ckpt")
+    assert (tmp_path / "numpy.ckpt").read_bytes() == (tmp_path / "plain.ckpt").read_bytes()
 
 
 def test_zero_model_outputs_head_bias(rng):

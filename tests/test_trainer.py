@@ -1,9 +1,15 @@
 import logging
+import os
+import subprocess
+import sys
+import types
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adsorbtext
 import adsorbtext.autograd as ag
 from adsorbtext import trainer
 from adsorbtext.encoder import (
@@ -598,12 +604,12 @@ def test_mlm_skipped_batch_runs_no_step(monkeypatch):
     assert calls == (["dynamic_mask"] * 4 + ["zero_grads"]) * 2
 
 
-def test_step_loss_outlives_next_forward(monkeypatch):
-    """Each step's loss, and so its tape, stays referenced until the next
-    step's loss exists, through validation too. Freeing it earlier lets
-    glibc trim the heap, which the next step then faults back in."""
+def test_step_loss_freed_before_next_forward(monkeypatch):
+    """Each step's loss, and so its tape, is freed once its value is read:
+    the last loss is dead at every later forward, validation's included,
+    so no two tapes are ever resident at once."""
     last = []  # a weak reference to the data of the latest loss backward saw
-    dead = []
+    alive = []
     backward = ag.backward
 
     def remember(loss):
@@ -611,8 +617,8 @@ def test_step_loss_outlives_next_forward(monkeypatch):
         return backward(loss)
 
     def check(name):
-        if name in ("forward", "mlm_logits") and last and last[0]() is None:
-            dead.append(name)
+        if name in ("forward", "mlm_logits") and last and last[0]() is not None:
+            alive.append(name)
 
     monkeypatch.setattr(ag, "backward", remember)
     calls = _log_calls(monkeypatch, before=check)
@@ -625,4 +631,70 @@ def test_step_loss_outlives_next_forward(monkeypatch):
     vocab = build_vocab(texts)
     pretrain_mlm(init_model(_desk_config(vocab, max_positions=16), seed=0), texts, run, vocab)
     assert calls.count("forward") == 12 and calls.count("mlm_logits") == 6
-    assert dead == []
+    assert alive == []
+
+
+def _fake_libc(calls, with_mallopt=True):
+    """A stand-in for ctypes.CDLL that records mallopt's arguments."""
+    def load(name):
+        assert name == "libc.so.6"
+        if not with_mallopt:
+            return types.SimpleNamespace()
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+        return types.SimpleNamespace(mallopt=mallopt)
+    return load
+
+
+def test_import_leaves_the_allocator_alone():
+    # a fresh interpreter: this one has imported the package already
+    code = (
+        "import ctypes, importlib, pkgutil\n"
+        "calls = []\n"
+        "ctypes.CDLL = lambda name, *a, **k: calls.append(name)\n"
+        "import adsorbtext\n"
+        "for m in pkgutil.iter_modules(adsorbtext.__path__):\n"
+        "    if m.name != '__main__':\n"
+        "        importlib.import_module('adsorbtext.' + m.name)\n"
+        "assert calls == [], calls\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(adsorbtext.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_training_pads_the_heap_top_once_per_run(monkeypatch):
+    calls = []
+    monkeypatch.setattr(trainer.ctypes, "CDLL", _fake_libc(calls))
+    records = _toy_records(20)
+    vocab = build_vocab([r.text for r in records])
+    run = TrainRunConfig(batch_size=8, max_epochs=2, seed=0, base_lr=1e-3)
+    train_regression(init_model(_desk_config(vocab), seed=0), records, records, run, vocab)
+    assert calls == [(trainer.M_TOP_PAD, trainer.HEAP_TOP_PAD)]
+    texts = _mlm_corpus()
+    vocab = build_vocab(texts)
+    pretrain_mlm(init_model(_desk_config(vocab, max_positions=16), seed=0), texts, run, vocab)
+    assert calls == [(trainer.M_TOP_PAD, trainer.HEAP_TOP_PAD)] * 2
+
+
+def _raise_oserror(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("loader", [_raise_oserror, _fake_libc([], with_mallopt=False)],
+                         ids=["no-libc", "no-mallopt"])
+def test_training_without_mallopt_gives_the_same_parameters(monkeypatch, loader):
+    records = _toy_records(20)
+    vocab = build_vocab([r.text for r in records])
+    run = TrainRunConfig(batch_size=8, max_epochs=2, seed=0, base_lr=1e-3)
+
+    def trained():
+        model = init_model(_desk_config(vocab), seed=0)
+        train_regression(model, records, records, run, vocab)
+        return model.data_buffer.tobytes()
+
+    padded = trained()
+    monkeypatch.setattr(trainer.ctypes, "CDLL", loader)
+    assert trained() == padded
