@@ -65,23 +65,28 @@ def build_word_alignment(text: str, seq: TokenSequence) -> list[tuple[str, list[
     """Map each surface word of the text to its encoded token positions.
 
     Mirrors encode(): a bos/eos marker is prepended/appended when the text
-    does not carry one, and truncation drops trailing words.
+    does not carry one, and truncation drops trailing words and keeps
+    </s> as the last token, which then is the last word.
     """
     words = tokenize_words(text)
     if not words or words[0][0] != "<s>":
         words = [("<s>", ["<s>"])] + words
     if words[-1][0] != "</s>":
         words = words + [("</s>", ["</s>"])]
+    cut = sum(len(toks) for _, toks in words) > seq.n_real
+    end = seq.n_real - 1 if cut else seq.n_real  # the words' positions end here
     out: list[tuple[str, list[int]]] = []
     pos = 0
     for word, toks in words:
-        positions = list(range(pos, min(pos + len(toks), seq.n_real)))
+        positions = list(range(pos, min(pos + len(toks), end)))
         if not positions:
             break
         out.append((word, positions))
         pos += len(toks)
-        if pos >= seq.n_real:
+        if pos >= end:
             break
+    if cut:
+        out.append(("</s>", [end]))
     return out
 
 

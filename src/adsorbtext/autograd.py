@@ -247,8 +247,8 @@ def _bucket_bounds(lengths: np.ndarray) -> np.ndarray:
 class AttentionLayout:
     """Where one batch's packed rows sit on the grids of `attention`.
 
-    lengths holds each sequence's number of tokens and length the side of
-    the full (batch, length) grid. The packed rows are the sequences'
+    lengths holds each sequence's number of tokens; the longest sets the
+    side of the full (batch, side) grid. The packed rows are the sequences'
     tokens one after another; packed row starts[b] + t is token t of
     sequence b. The sequences are sorted by length and cut into at most
     three buckets (see _bucket_bounds), each laid out as a grid padded
@@ -259,10 +259,10 @@ class AttentionLayout:
     over keys or queries.
     """
 
-    def __init__(self, lengths: np.ndarray, length: int):
+    def __init__(self, lengths: np.ndarray):
         lengths = np.asarray(lengths, dtype=np.int64)
         batch = lengths.size
-        self.shape = (batch, length)
+        self.side = int(lengths.max())
         self.lengths = lengths
         self.starts = np.cumsum(lengths) - lengths  # first packed row of each sequence
         order = np.argsort(lengths, kind="stable")
@@ -313,8 +313,8 @@ def attention(q, k, v, layout: AttentionLayout, n_heads: int,
     q, k and v are (N, hidden): one row per real token, laid out by
     `layout`. The zero-padded (n_b, heads, L_b, L_b) grid of each bucket
     exists only inside this op, and a query attends only to the real keys
-    of its own sequence. keep, if given, is drawn on the full
-    (batch, heads, length, length) grid and multiplies the weights
+    of its own sequence. keep, if given, is drawn on a (batch,
+    heads, L, L) grid, L >= layout.side, and multiplies the weights
     (inverted dropout). Padded query rows are zero, so their weights are
     uniform over the real keys; no output row reads them. Returns the
     packed context (N, hidden) and each bucket's weights (n_b, heads,
@@ -326,11 +326,10 @@ def attention(q, k, v, layout: AttentionLayout, n_heads: int,
     d_head = hidden // n_heads
     scale_by = 1.0 / math.sqrt(d_head)
 
-    # The stacked grids get the rows of the full padded (batch, length) grid
-    # and the buckets use their front. Their sizes then repeat from batch to
-    # batch and freed memory is reused; sized to the buckets alone they vary,
-    # and the peak RSS of 100 DESC pretraining steps grew by about 4 MB.
-    capacity = layout.shape[0] * layout.shape[1]
+    # The stacked grids get the rows of the full (batch, side) grid and the
+    # buckets use their front, so their size follows only the batch size and
+    # its longest sequence, and freed blocks of that size are reused.
+    capacity = layout.lengths.size * layout.side
 
     def heads(grid, n_seqs, n_max, off):  # a bucket's (n_b, heads, L_b, d_head) view
         block = grid[off:off + n_seqs * n_max]

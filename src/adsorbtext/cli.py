@@ -400,6 +400,9 @@ def cmd_predict(args) -> None:
     _require_inputs(args.systems, args.corpus, args.vocab, args.ckpt)
     systems = {s.id: s for s in load_dataset(args.systems)}
     records = read_corpus(args.corpus)
+    missing = next((rec for rec in records if rec.system_id not in systems), None)
+    if missing is not None:
+        raise UserError(f"{missing.system_id}: not present in {args.systems}")
     vocab = Vocabulary.load(args.vocab)
     model, _ = load_checkpoint(args.ckpt, expected_vocab_sha256=vocab.sha256)
     seqs, labels = encode_labeled(records, vocab, model.config.max_positions,
@@ -407,10 +410,7 @@ def cmd_predict(args) -> None:
     preds = predict_energies(model, seqs, batch_size=args.batch_size)
     out_records = []
     for rec, label, pred in zip(records, labels, preds):
-        try:
-            system = systems[rec.system_id]
-        except KeyError:
-            raise UserError(f"{rec.system_id}: not present in {args.systems}")
+        system = systems[rec.system_id]
         out_records.append(pairs_mod.PredictionRecord(
             rec.system_id, rec.split, system.adsorbate_smiles,
             system.bulk_formula, float(label), float(pred)))

@@ -324,7 +324,6 @@ def _encode(
     model: EncoderModel,
     ids: np.ndarray,
     lengths: np.ndarray,
-    length: int,
     capture_attention: bool,
     train: bool,
     rng: np.random.Generator | None,
@@ -332,20 +331,20 @@ def _encode(
 ) -> tuple[Tensor, ag.AttentionLayout, list[list[np.ndarray]]]:
     """Shared encoder stack on packed tokens.
 
-    ids are the packed ids of sequences of the given lengths, on a grid of
-    `length` positions. Returns the final hidden states, the batch's
-    attention layout and, when capturing, each layer's bucket weights from
-    `autograd.attention` (else no layers). The states are (N, H),
-    one row per id, or, when rows (distinct packed row indices) is given,
-    (M, H) at those rows in that order: the last layer keeps them right
-    after attention.
+    ids are the packed ids of sequences of the given lengths; the attention
+    grids and the dropout keep mask take the longest of them as their side,
+    whatever length the batch was encoded to. Returns the final hidden
+    states, the batch's attention layout and, when capturing, each layer's
+    bucket weights from `autograd.attention` (else no layers). The states
+    are (N, H), one row per id, or, when rows (distinct packed row
+    indices) is given, (M, H) at those rows in that order: the last layer
+    keeps them right after attention.
     """
     cfg = model.config
     p = model.params
     dt = cfg.np_dtype
-    batch = lengths.size
     drop = cfg.dropout_rate if train else 0.0
-    layout = ag.AttentionLayout(lengths, length)  # one per batch, shared by every layer
+    layout = ag.AttentionLayout(lengths)  # one per batch, shared by every layer
     positions = np.arange(ids.size) - np.repeat(layout.starts, lengths)
 
     x = ag.add(ag.embedding(p["tok_emb"], ids),
@@ -365,7 +364,7 @@ def _encode(
             v = ag.linear(inp, p[pre + "wv"], p[pre + "bv"])
             keep = None
             if drop:  # drawn as ag.dropout draws its mask
-                shape = (batch, cfg.n_heads, length, length)
+                shape = (lengths.size, cfg.n_heads, layout.side, layout.side)
                 keep = (rng.random(shape) >= drop).astype(dt) / (1.0 - drop)
             ctx, weights = ag.attention(q, k, v, layout, cfg.n_heads, keep)
             if capture_attention:
@@ -404,17 +403,14 @@ def forward(
 
     Dropout (attention weights and feed-forward outputs) is active only
     when train=True, in which case rng must be provided. The head reads
-    each sequence's first token. The grid is cut to the longest real
-    sequence, since later positions are padding in every row, and so is
-    the dropout keep-mask. With capture_attention the result keeps each
-    layer's bucket weights, from which `ForwardResult.attention_record`
+    each sequence's first token. With capture_attention the result keeps
+    each layer's bucket weights, from which `ForwardResult.attention_record`
     cuts a sequence's block and `ForwardResult.attention` lays out the
     encoded (B, heads, L, L) grid.
     """
     cfg = model.config
     ids, lengths, length = _pack_batch(model, seqs, train, rng)
-    x, layout, captured = _encode(model, ids, lengths, int(lengths.max()),
-                                  capture_attention, train, rng)
+    x, layout, captured = _encode(model, ids, lengths, capture_attention, train, rng)
     p = model.params
     batch = lengths.size
     pooled = ag.take(x, (layout.starts,))
@@ -459,7 +455,7 @@ def mlm_logits(
     if (counts > 1).any():
         m = first[np.argmax(counts > 1)]
         raise ValueError(f"batch row {seq_index[m]} position {pos[m]} is repeated")
-    x, _, _ = _encode(model, ids, lengths, length, False, train, rng, rows)
+    x, _, _ = _encode(model, ids, lengths, False, train, rng, rows)
     w = p["mlm.w"] if "mlm.w" in p else ag.transpose(p["tok_emb"], (1, 0))
     return ag.linear(x, w, p["mlm.bias"])
 

@@ -57,6 +57,10 @@ class AtomicSystem:
     _cell_arr: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("id", "adsorbate_smiles", "bulk_formula"):  # TSV fields downstream
+            value = getattr(self, name)
+            if isinstance(value, str) and any(c in value for c in "\t\n\r"):
+                raise DatasetError(f"{name} {value!r} holds a tab or line break")
         if self.split not in SPLITS:
             raise DatasetError(f"{self.id}: unknown split {self.split!r}")
         if self.energy_ev is not None and not math.isfinite(self.energy_ev):

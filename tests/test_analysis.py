@@ -110,6 +110,17 @@ def test_word_alignment_matches_encoding(fixture_corpus):
         alignment = build_word_alignment(text, seq)
         covered = sorted(p for _, positions in alignment for p in positions)
         assert covered == list(range(seq.n_real))
+    # truncated: encode keeps </s> as the last id, and the alignment ends on it
+    text = "<s>NH3</s>VCr3 (2 1 0)</s>[N Cr Cr bridge [Cr Cr V N] [Cr V N]]</s>"
+    vocab = build_vocab([text])
+    for length in (2, 3, 8, 12):
+        seq = encode(text, vocab, length)
+        alignment = build_word_alignment(text, seq)
+        covered = sorted(p for _, positions in alignment for p in positions)
+        assert covered == list(range(seq.n_real))
+        assert alignment[-1] == ("</s>", [seq.n_real - 1])
+    assert [w for w, _ in build_word_alignment(text, encode(text, vocab, 8))] == [
+        "<s>", "NH3", "</s>", "VCr3", "(2", "1", "</s>"]
 
 
 def test_heatmap_round_trip(tmp_path):

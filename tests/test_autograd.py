@@ -246,7 +246,7 @@ ATT_LEN, ATT_HEADS, ATT_HIDDEN = 5, 2, 8
 
 
 def _packed_attention_inputs(rng):
-    layout = ag.AttentionLayout(np.array(ATT_LENGTHS), ATT_LEN)
+    layout = ag.AttentionLayout(np.array(ATT_LENGTHS))
     q, k, v = (Tensor(rng.normal(size=(sum(ATT_LENGTHS), ATT_HIDDEN)), requires_grad=True)
                for _ in range(3))
     return q, k, v, layout
@@ -345,14 +345,15 @@ BUCKET_CASES = {  # lengths -> buckets the layout cuts
 
 def test_equal_lengths_make_one_bucket():
     for batch, length in ((16, 40), (3, 7), (1, 1)):
-        assert len(ag.AttentionLayout(np.full(batch, length), length).buckets) == 1
+        assert len(ag.AttentionLayout(np.full(batch, length)).buckets) == 1
 
 
-def _run_attention(layout, q, k, v, g, keep):
-    """Context, (dq, dk, dv) for upstream g, and the full-grid weights."""
+def _run_attention(layout, length, q, k, v, g, keep):
+    """Context, (dq, dk, dv) for upstream g, and the weights on a grid of
+    the given length."""
     ctx, weights = ag.attention(Tensor(q, requires_grad=True), Tensor(k, requires_grad=True),
                                 Tensor(v, requires_grad=True), layout, BUCKET_HEADS, keep)
-    return ctx.data, ctx._backward(g), layout.padded_weights(weights, layout.shape[1])
+    return ctx.data, ctx._backward(g), layout.padded_weights(weights, length)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -361,20 +362,21 @@ def _run_attention(layout, q, k, v, g, keep):
 def test_attention_buckets_match_each_sequence_alone(rng, dtype, with_keep, case):
     lengths, n_buckets = BUCKET_CASES[case]
     length = max(lengths) + 3  # trailing padding on every row
-    layout = ag.AttentionLayout(np.array(lengths), length)
+    layout = ag.AttentionLayout(np.array(lengths))
     assert len(layout.buckets) == n_buckets
     n_rows = sum(lengths)
     q, k, v, g = (rng.normal(size=(n_rows, BUCKET_HIDDEN)).astype(dtype) for _ in range(4))
     shape = (len(lengths), BUCKET_HEADS, length, length)
     keep = ((rng.random(shape) >= 0.3) / 0.7).astype(dtype) if with_keep else None
-    ctx, grads, weights = _run_attention(layout, q, k, v, g, keep)
+    ctx, grads, weights = _run_attention(layout, length, q, k, v, g, keep)
     assert weights.shape == shape and weights.dtype == dtype
     start = 0
     for b, n in enumerate(lengths):
         rows = slice(start, start + n)
-        alone = ag.AttentionLayout(np.array([n]), length)
+        alone = ag.AttentionLayout(np.array([n]))
         want_ctx, want_grads, want_weights = _run_attention(
-            alone, q[rows], k[rows], v[rows], g[rows], None if keep is None else keep[b:b + 1])
+            alone, length, q[rows], k[rows], v[rows], g[rows],
+            None if keep is None else keep[b:b + 1])
         np.testing.assert_array_equal(ctx[rows], want_ctx)
         for got, want in zip(grads, want_grads):
             np.testing.assert_array_equal(got[rows], want)
@@ -384,10 +386,10 @@ def test_attention_buckets_match_each_sequence_alone(rng, dtype, with_keep, case
 
 def test_padded_weights_beyond_each_bucket(rng):
     lengths, _ = BUCKET_CASES["three"]
-    layout = ag.AttentionLayout(np.array(lengths), 90)
+    layout = ag.AttentionLayout(np.array(lengths))
     q, k, v, g = (rng.normal(size=(sum(lengths), BUCKET_HIDDEN)).astype(np.float32)
                   for _ in range(4))
-    _, _, weights = _run_attention(layout, q, k, v, g, None)
+    _, _, weights = _run_attention(layout, 90, q, k, v, g, None)
     for b, n in enumerate(lengths):
         assert layout.bucket_length[b] < 90
         assert np.all(weights[b, :, :, n:] == 0.0)  # padded keys

@@ -401,6 +401,22 @@ def test_featurize_refuses_malformed_description_cache(tmp_path, capsys, cache, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", ["id", "adsorbate_smiles", "bulk_formula"])
+@pytest.mark.parametrize("char", ["\t", "\n", "\r"])
+def test_featurize_refuses_tab_or_line_break_in_text_fields(tmp_path, capsys, field, char):
+    # predict and embeddings write these fields into TSV files
+    records = [s.to_record() for s in fixture_dataset(3)]
+    records[1][field] = records[1][field][:2] + char + records[1][field][2:]
+    dataset, out = tmp_path / "systems.jsonl", tmp_path / "corpus.jsonl"
+    dataset.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert run(["featurize", "--in", str(dataset), "--out", str(out),
+                "--format", "s4"]) == EXIT_USER_ERROR
+    value = records[1][field]
+    assert (f"error: {dataset}:2: {field} {value!r} holds a tab or line break"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_seed_only_on_subcommands_that_draw(tmp_path, table_system):
     dataset = tmp_path / "systems.jsonl"
     save_dataset([table_system], dataset)
@@ -443,17 +459,27 @@ def test_eval_and_pairs_cli(tmp_path):
     assert parity_files
 
 
-def test_predict_unknown_system_is_user_error(tmp_path, table_system):
+def test_predict_unknown_system_is_user_error(tmp_path, table_system, monkeypatch, capsys):
     out = tmp_path / "run"
     end_to_end_smoke(SmokeConfig(out_dir=out))
     other = tmp_path / "other.jsonl"
     save_dataset([table_system], other)
+
+    def predict_energies(*args, **kwargs):
+        raise AssertionError("the model ran before the corpus ids were checked")
+
+    monkeypatch.setattr("adsorbtext.cli.predict_energies", predict_energies)
+    capsys.readouterr()
     code = run(["predict", "--systems", str(other),
                 "--corpus", str(out / "corpus.jsonl"),
                 "--vocab", str(out / "vocab.txt"),
                 "--ckpt", str(out / "model.ckpt"),
                 "--out", str(tmp_path / "p.tsv")])
     assert code == EXIT_USER_ERROR
+    first = next(r.system_id for r in read_corpus(out / "corpus.jsonl")
+                 if r.system_id != table_system.id)
+    assert capsys.readouterr().err == f"error: {first}: not present in {other}\n"
+    assert not (tmp_path / "p.tsv").exists()
 
 
 def test_eval_rejects_unlabeled_prediction(tmp_path, capsys):

@@ -144,6 +144,25 @@ def test_encoded_length_beyond_max_positions_runs(rng):
     assert captured[0].shape == (1, 2, 512, 512)
 
 
+def test_encoded_length_changes_no_training_bits(rng):
+    # the attention grids and the dropout keep mask take their side from the
+    # longest real sequence, on both paths, not from the encoded length
+    model = init_model(small_config(max_positions=128, dropout_rate=0.1), seed=21)
+    ensure_mlm_head(model)
+    seqs = [make_seq(rng, n, max_positions=64) for n in (6, 17, 24)]
+    positions = (np.array([0, 1, 1, 2]), np.array([3, 9, 1, 20]))
+
+    def run(batch):
+        energies = forward(model, batch, train=True, rng=np.random.default_rng(5)).energies()
+        logits = mlm_logits(model, batch, positions, train=True, rng=np.random.default_rng(5))
+        return energies, logits.data
+
+    short = run(seqs)
+    wide = run([TokenSequence(s.ids, 128) for s in seqs])
+    np.testing.assert_array_equal(wide[0], short[0])  # forward
+    np.testing.assert_array_equal(wide[1], short[1])  # mlm_logits
+
+
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_attention_record_is_cut_from_its_bucket(rng, dtype):
     # 16 dimensions per head, where buckets give the bits of one padded grid
