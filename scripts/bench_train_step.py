@@ -20,6 +20,11 @@ way PROFILE_STEPS masked-token pretraining steps at the configuration
 of the benchmark's `pretrain_desc` workload (DESC text of the same
 systems, 52 positions, mask rate 0.15, tied head), recording the final
 loss and a parameter sha256 as well; the masks are drawn before timing.
+After each profile, and after its hash, TAPE_STEPS (16) more steps run
+untimed under `tracemalloc`: the profile records the median traced MB
+held when backward starts (the tape, and whatever else the forward left
+alive) and the median traced step peak, each above the traced bytes
+before the step's forward.
 
 The result goes into `--out` (default BENCH_train_step.json) under
 `--label`, keeping the other labels already in the file: running the
@@ -60,6 +65,7 @@ import platform
 import resource
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +82,7 @@ SEED = 7
 NOISE_SIGMA = 0.1
 FORMATS = (("S4", 80), ("S1", 16))
 PROFILE_STEPS = 100  # training steps of each per-op profile
+TAPE_STEPS = 16  # untimed, traced training steps of each tape measurement
 MLM_POSITIONS = 52  # pretrain_desc: the longest DESC text is 51 tokens
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 PAIRS = 10  # alternating runs of each side with --against
@@ -261,30 +268,59 @@ def profile_steps(model, run, batches, loss_of, steps: int) -> tuple[dict, float
     }, float(loss.data)
 
 
+def tape_memory(model, run, batches, loss_of, steps: int) -> dict:
+    """Medians over `steps` untimed training steps under tracemalloc: the
+    MB held when backward starts, which is the tape and what the forward
+    left alive, and the step's traced peak, each above the traced bytes
+    before the forward."""
+    plan = LrGroupPlan(model.config.n_layers, base_lr=run.base_lr)
+    state = OptimizerState(weight_decay=run.weight_decay)
+    held, peak = [], []
+    tracemalloc.start()
+    try:
+        for step in range(steps):
+            model.zero_grads()
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss = loss_of(batches[step % len(batches)])
+            held.append(tracemalloc.get_traced_memory()[0] - base)
+            autograd.backward(loss)
+            trainer.adamw_step(model, state, plan, clip_norm=run.clip_norm)
+            loss = None
+            peak.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    return {"tape_steps": steps,
+            "tape_mb_at_backward": round(float(np.median(held)) / 1e6, 3),
+            "step_peak_mb": round(float(np.median(peak)) / 1e6, 3)}
+
+
 def first_epoch_batches(n: int, batch_size: int) -> list[np.ndarray]:
     order = np.random.default_rng([SEED, 1, 0]).permutation(n)
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
 def op_profile(systems, steps: int) -> dict:
-    """Per-op forward and backward ms over the first S4 training steps."""
+    """Per-op forward and backward ms over the first S4 training steps, then
+    the tape memory of TAPE_STEPS more."""
     train, _, vocab = corpus(systems, "S4")
     model, run = model_and_run(vocab, 80)
     seqs, labels = trainer.encode_labeled(train, vocab, model.config.max_positions)
     labels = labels.astype(model.config.np_dtype)
+    batches = first_epoch_batches(len(seqs), run.batch_size)
 
     def loss_of(idx):
         res = trainer.forward(model, [seqs[i] for i in idx])
         return autograd.l1_loss(res.energy, labels[idx])
 
-    profile, _ = profile_steps(model, run, first_epoch_batches(len(seqs), run.batch_size),
-                               loss_of, steps)
-    return profile
+    profile, _ = profile_steps(model, run, batches, loss_of, steps)
+    return {**profile, **tape_memory(model, run, batches, loss_of, TAPE_STEPS)}
 
 
 def mlm_profile(systems, steps: int) -> dict:
     """Per-op forward and backward ms over the first DESC masked-token
-    pretraining steps, masked as `trainer.pretrain_mlm` masks epoch 1."""
+    pretraining steps, masked as `trainer.pretrain_mlm` masks epoch 1, then
+    the tape memory of TAPE_STEPS more."""
     records, _ = featurize_systems(systems, "desc")
     texts = [r.text for r in records]
     vocab = build_vocab(texts)
@@ -302,7 +338,8 @@ def mlm_profile(systems, steps: int) -> dict:
     profile, loss = profile_steps(model, run, batches, loss_of, steps)
     masked = sum(len(seq_labels) for _, labels in batches for seq_labels in labels) / len(batches)
     return {**profile, "masked_per_step": masked, "final_loss": loss,
-            "param_sha256": parameter_sha256(model)}
+            "param_sha256": parameter_sha256(model),
+            **tape_memory(model, run, batches, loss_of, TAPE_STEPS)}
 
 
 def import_checkout(checkout: Path, alias: str):
@@ -416,7 +453,9 @@ def main(argv=None) -> None:
                    f"{c10['gate']['wall_s']} s; step fwd {op['forward_ms_per_step']} ms, "
                    f"bwd {op['backward_ms_per_step']} ms, adamw {op['adamw_ms_per_step']} ms; "
                    f"MLM step fwd {mlm['forward_ms_per_step']} ms, "
-                   f"bwd {mlm['backward_ms_per_step']} ms, adamw {mlm['adamw_ms_per_step']} ms")
+                   f"bwd {mlm['backward_ms_per_step']} ms, adamw {mlm['adamw_ms_per_step']} ms; "
+                   f"tape at backward S4 {op['tape_mb_at_backward']} MB, "
+                   f"MLM {mlm['tape_mb_at_backward']} MB")
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"{args.label}: {summary}")
 

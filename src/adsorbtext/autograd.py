@@ -1,11 +1,16 @@
 """Minimal reverse-mode autodiff over dense numpy arrays.
 
-Define-by-run: every op records its parents and a local-gradient closure
-on the result, which is the computation tape. backward() walks that tape
-in reverse topological order and accumulates into .grad of every tensor
-that requires gradients; calling backward again without zeroing
-accumulates further. Inside `no_tape()` ops record nothing, so pure
-inference keeps no intermediate arrays alive.
+Define-by-run: an op whose parents need gradients gives its result a
+node, and the nodes are the tape. A node holds its parents' nodes, the
+op's backward closure and a weak reference to its Tensor; the closure
+holds only the arrays its backward reads, never a Tensor. So an
+intermediate whose data no backward reads (a projection that attention
+copies onto its grids, a residual sum that LayerNorm normalises) is freed
+as soon as the caller drops it. backward() walks the nodes in reverse
+topological order and accumulates into .grad of every leaf that requires
+gradients, and of a live op result that sets retain_grad; calling
+backward again without zeroing accumulates further. Inside `no_tape()`
+ops record nothing, so pure inference keeps no intermediate arrays alive.
 
 Besides elementwise and matrix ops the engine has two fused ones that
 the encoder runs on packed tokens (one row per real token): `linear`,
@@ -35,6 +40,7 @@ parameters as float32 (ops preserve the widest parent dtype).
 from __future__ import annotations
 
 import math
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -42,9 +48,20 @@ import numpy as np
 _taping = True  # switched off only inside no_tape()
 
 
+class _Node:
+    """A Tensor's place on the tape: its parents' nodes (None where a parent
+    needs no gradient), its backward closure (None for a leaf) and a weak
+    reference to the Tensor, whose .grad it fills while the Tensor lives."""
+
+    __slots__ = ("parents", "backward", "tensor")
+
+    def __init__(self, parents: tuple, backward, tensor: Tensor):
+        self.parents, self.backward, self.tensor = parents, backward, weakref.ref(tensor)
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "grad_view", "requires_grad", "retain_grad",
-                 "_parents", "_backward")
+    __slots__ = ("data", "grad", "grad_view", "requires_grad", "retain_grad", "_node",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=np.float64)
@@ -54,8 +71,19 @@ class Tensor:
         self.grad_view: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.retain_grad = False  # set to keep .grad on non-leaf tensors
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._node: _Node | None = None  # set by an op, or on a leaf's first taped use
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node.parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node.backward
+
+    @_backward.setter
+    def _backward(self, fn) -> None:
+        self._node.backward = fn
 
     @property
     def shape(self):
@@ -80,12 +108,20 @@ def no_tape():
         _taping = saved
 
 
+def _node_of(t: Tensor) -> _Node | None:
+    """t's node, made on a leaf's first use; None if t needs no gradient."""
+    if t.requires_grad and t._node is None:
+        t._node = _Node((), None, t)
+    return t._node if t.requires_grad else None
+
+
 def _result(data, parents, backward) -> Tensor:
     out = Tensor(data)
-    if _taping and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+    if _taping:
+        nodes = tuple(_node_of(p) for p in parents)
+        if any(nodes):
+            out.requires_grad = True
+            out._node = _Node(nodes, backward, out)
     return out
 
 
@@ -101,23 +137,22 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out_data = a.data + b.data
+    sa, sb = a.data.shape, b.data.shape
 
     def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
-    return _result(out_data, (a, b), backward)
+    return _result(a.data + b.data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out_data = a.data * b.data
+    x, y = a.data, b.data
 
     def backward(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
+        return _unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)
 
-    return _result(out_data, (a, b), backward)
+    return _result(x * y, (a, b), backward)
 
 
 def scale(a, s: float) -> Tensor:
@@ -131,14 +166,14 @@ def scale(a, s: float) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out_data = np.matmul(a.data, b.data)
+    x, y = a.data, b.data
 
     def backward(g):
-        da = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        db = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(da, a.data.shape), _unbroadcast(db, b.data.shape)
+        da = np.matmul(g, np.swapaxes(y, -1, -2))
+        db = np.matmul(np.swapaxes(x, -1, -2), g)
+        return _unbroadcast(da, x.shape), _unbroadcast(db, y.shape)
 
-    return _result(out_data, (a, b), backward)
+    return _result(np.matmul(x, y), (a, b), backward)
 
 
 def linear(x, w, b=None) -> Tensor:
@@ -146,20 +181,22 @@ def linear(x, w, b=None) -> Tensor:
     the weight gradient is one 2-D GEMM and the bias gradient one column sum.
     w may be a view, such as the transpose of a tied embedding table."""
     x, w = _wrap(x), _wrap(w)
-    x2 = x.data.reshape(-1, x.data.shape[-1])
-    out_data = x2 @ w.data
-    if b is not None:
+    shape, weight, need_dx = x.data.shape, w.data, x.requires_grad
+    x2 = x.data.reshape(-1, shape[-1])
+    out_data = x2 @ weight
+    biased = b is not None
+    if biased:
         b = _wrap(b)
         out_data += b.data
 
     def backward(g):
         g2 = g.reshape(-1, g.shape[-1])
-        dx = (g2 @ w.data.T).reshape(x.data.shape) if x.requires_grad else None
+        dx = (g2 @ weight.T).reshape(shape) if need_dx else None
         dw = x2.T @ g2
-        return (dx, dw) if b is None else (dx, dw, g2.sum(axis=0))
+        return (dx, dw, g2.sum(axis=0)) if biased else (dx, dw)
 
-    out_data = out_data.reshape(*x.data.shape[:-1], w.data.shape[-1])
-    return _result(out_data, (x, w) if b is None else (x, w, b), backward)
+    out_data = out_data.reshape(*shape[:-1], weight.shape[-1])
+    return _result(out_data, (x, w, b) if biased else (x, w), backward)
 
 
 def transpose(a, axes) -> Tensor:
@@ -185,9 +222,10 @@ def reshape(a, shape) -> Tensor:
 def take(a, index) -> Tensor:
     """Basic (non-repeating) slice/index with gradient scatter."""
     a = _wrap(a)
+    shape, dtype = a.data.shape, a.data.dtype
 
     def backward(g):
-        da = np.zeros_like(a.data)
+        da = np.zeros(shape, dtype)
         da[index] = g
         return (da,)
 
@@ -195,14 +233,14 @@ def take(a, index) -> Tensor:
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    out_data = table.data[ids]
+    weights = table.data
 
     def backward(g):
-        dt = np.zeros_like(table.data)
-        np.add.at(dt, ids.reshape(-1), g.reshape(-1, table.data.shape[-1]))
+        dt = np.zeros_like(weights)
+        np.add.at(dt, ids.reshape(-1), g.reshape(-1, weights.shape[-1]))
         return (dt,)
 
-    return _result(out_data, (table,), backward)
+    return _result(weights[ids], (table,), backward)
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -382,7 +420,7 @@ def attention(q, k, v, layout: AttentionLayout, n_heads: int,
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
-    h = x.data.shape[-1]
+    h, gd = x.data.shape[-1], gain.data
     # einsum sums a short last axis several times faster than mean or sum
     xhat = x.data - np.einsum("...i->...", x.data)[..., None] / h
     inv = np.einsum("...i,...i->...", xhat, xhat)[..., None]
@@ -391,14 +429,14 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     np.sqrt(inv, out=inv)
     np.reciprocal(inv, out=inv)
     xhat *= inv
-    out_data = xhat * gain.data
+    out_data = xhat * gd
     out_data += bias.data
 
     def backward(g):
         g2 = g.reshape(-1, h)
         dgain = np.einsum("ni,ni->i", g2, xhat.reshape(-1, h))
         dbias = g2.sum(axis=0)
-        dxhat = g * gain.data
+        dxhat = g * gd
         proj = np.einsum("...i,...i->...", dxhat, xhat)[..., None]
         proj /= h
         dx = dxhat - np.einsum("...i->...", dxhat)[..., None] / h
@@ -436,33 +474,36 @@ def gelu(a) -> Tensor:
     out_data = t + 1.0
     out_data *= x
     out_data *= 0.5
+    if not (_taping and a.requires_grad):
+        return Tensor(out_data)
+    # the derivative, kept in place of x and t:
+    # d/dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2)
+    d = x * x
+    d *= 3 * 0.044715
+    d += 1.0
+    d *= x
+    d *= 0.5 * _GELU_C
+    t2 = t * t
+    np.subtract(1.0, t2, out=t2)
+    d *= t2
+    d += 0.5
+    d += np.multiply(t, 0.5, out=t2)
 
     def backward(g):
-        # d/dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2)
-        d = x * x
-        d *= 3 * 0.044715
-        d += 1.0
-        d *= x
-        d *= 0.5 * _GELU_C
-        tmp = t * t
-        np.subtract(1.0, tmp, out=tmp)
-        d *= tmp
-        d += 0.5
-        d += np.multiply(t, 0.5, out=tmp)
-        d *= g
-        return (d,)
+        return (d * g,)
 
     return _result(out_data, (a,), backward)
 
 
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
+    shape = a.data.shape
 
     def backward(g):
         if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
+            return (np.broadcast_to(g, shape).copy(),)
         ga = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(ga, a.data.shape).copy(),)
+        return (np.broadcast_to(ga, shape).copy(),)
 
     # a full reduction gives a numpy scalar; asarray keeps its dtype, where
     # Tensor() would cast it to float64
@@ -504,9 +545,9 @@ def cross_entropy(logits, targets: np.ndarray) -> Tensor:
 
 
 def l1_loss(pred, target) -> Tensor:
-    """Mean absolute error; target is constant."""
+    """Mean absolute error; target is constant and taken in pred's dtype."""
     pred = _wrap(pred)
-    diff = pred.data - np.asarray(target)
+    diff = pred.data - np.asarray(target, dtype=pred.data.dtype)
     n = diff.size
 
     def backward(g):
@@ -522,9 +563,10 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         return
 
-    topo: list[Tensor] = []
+    root = _node_of(loss)
+    topo: list[_Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -534,31 +576,30 @@ def backward(loss: Tensor) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in seen:
+        for parent in node.parents:
+            if parent is not None and id(parent) not in seen:
                 stack.append((parent, False))
 
     grads: dict[int, np.ndarray] = {
-        id(loss): np.ones_like(loss.data, dtype=loss.data.dtype)
+        id(root): np.ones_like(loss.data, dtype=loss.data.dtype)
     }
     for node in reversed(topo):
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node._backward is None or node.retain_grad:
+        t = node.tensor()  # None once its owner dropped it: no one can read its grad
+        if t is not None and (node.backward is None or t.retain_grad):
             # leaf parameter (or explicitly retained): persistent accumulation
-            if node.grad_view is None:
-                node.grad = g if node.grad is None else node.grad + g
+            if t.grad_view is None:
+                t.grad = g if t.grad is None else t.grad + g
             else:  # written into the owner's gradient buffer, never rebound
-                if node.grad is None:
-                    node.grad_view[...] = g
+                if t.grad is None:
+                    t.grad_view[...] = g
                 else:
-                    np.add(node.grad, g, out=node.grad_view)
-                node.grad = node.grad_view
-        if node._backward is not None:
-            parent_grads = node._backward(g)
-            for parent, pg in zip(node._parents, parent_grads):
-                if not parent.requires_grad:
-                    continue
-                acc = grads.get(id(parent))
-                grads[id(parent)] = pg if acc is None else acc + pg
+                    np.add(t.grad, g, out=t.grad_view)
+                t.grad = t.grad_view
+        if node.backward is not None:
+            for parent, pg in zip(node.parents, node.backward(g)):
+                if parent is not None:
+                    acc = grads.get(id(parent))
+                    grads[id(parent)] = pg if acc is None else acc + pg

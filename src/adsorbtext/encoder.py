@@ -501,9 +501,38 @@ def _read_header(path: str | Path, raw: bytes) -> tuple[dict, int]:
         manifest = json.loads(raw[start:start + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt manifest ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{path}: manifest is not a JSON object")
     if manifest.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {manifest.get('version')}")
+    missing = [key for key in ("config", "params", "vocab_sha256") if key not in manifest]
+    if missing:
+        raise CheckpointError(f"{path}: manifest has no key {missing[0]!r}")
+    if not (manifest["vocab_sha256"] is None or isinstance(manifest["vocab_sha256"], str)):
+        raise CheckpointError(f"{path}: manifest vocab_sha256 must be a string or null, "
+                              f"got {manifest['vocab_sha256']!r}")
     return manifest, start + header_len
+
+
+def _param_entries(path, params) -> list[tuple[str, tuple[int, ...]]]:
+    """The manifest's (name, shape) entries, each checked for its types."""
+    if not isinstance(params, list):
+        raise CheckpointError(f"{path}: manifest params must be a list, got {params!r}")
+    entries = []
+    for index, entry in enumerate(params):
+        where = f"{path}: manifest params[{index}]"
+        if not isinstance(entry, dict):
+            raise CheckpointError(f"{where} is not an object")
+        for key in ("name", "shape"):
+            if key not in entry:
+                raise CheckpointError(f"{where} has no key {key!r}")
+        name, shape = entry["name"], entry["shape"]
+        if not isinstance(name, str):
+            raise CheckpointError(f"{where} name must be a string, got {name!r}")
+        if not (isinstance(shape, list) and all(is_count(d) and d >= 0 for d in shape)):
+            raise CheckpointError(f"{where} shape must be a list of sizes, got {shape!r}")
+        entries.append((name, tuple(shape)))
+    return entries
 
 
 def _check_layout(path, config: EncoderConfig, entries) -> None:
@@ -547,13 +576,7 @@ def load_checkpoint(
             f"({manifest['vocab_sha256'][:12]}... != {expected_vocab_sha256[:12]}...)",
             stacklevel=2,
         )
-    entries = []
-    for index, entry in enumerate(manifest["params"]):
-        try:
-            entries.append((entry["name"], tuple(entry["shape"])))
-        except KeyError as exc:
-            raise CheckpointError(
-                f"{path}: manifest params[{index}] has no key {exc}") from None
+    entries = _param_entries(path, manifest["params"])
     _check_layout(path, config, entries)
     model = EncoderModel(config, {name: Tensor(np.empty(shape, dtype=config.np_dtype),
                                                requires_grad=True) for name, shape in entries})

@@ -1,3 +1,6 @@
+import math
+import weakref
+
 import numpy as np
 import pytest
 
@@ -73,6 +76,13 @@ def test_backward_l1_sign_gradient(rng):
     label = np.array([0.0, 0.0, 5.0])
     ag.backward(ag.l1_loss(pred, label))
     assert np.allclose(pred.grad, np.array([1.0, -1.0, -1.0]) / 3)
+
+
+def test_l1_loss_keeps_the_prediction_dtype(rng):
+    pred = Tensor(rng.normal(size=5).astype(np.float32), requires_grad=True)
+    loss = ag.l1_loss(pred, rng.normal(size=5))  # a float64 target
+    ag.backward(loss)
+    assert loss.data.dtype == np.float32 and pred.grad.dtype == np.float32
 
 
 def test_backward_requires_scalar(rng):
@@ -192,6 +202,58 @@ def test_retain_grad_on_intermediate(rng):
     ag.backward(ag.tensor_sum(mid))
     assert np.allclose(mid.grad, 1.0)
     assert np.allclose(x.grad, 3.0)
+
+
+def _layer_norm_of_sum(x, y, gain, bias, keep_sum: bool):
+    """tensor_sum(layer_norm(x + y) * 3); the sum is the caller's to keep."""
+    s = ag.add(x, y)
+    out = ag.tensor_sum(ag.mul(ag.layer_norm(s, gain, bias), 3.0))
+    return out, (s if keep_sum else None), weakref.ref(s.data)
+
+
+def test_dropped_intermediate_is_freed(rng):
+    # layer_norm's backward reads its own normalised rows, not its input
+    leaves = [Tensor(rng.normal(size=shape), requires_grad=True)
+              for shape in ((4, 6), (4, 6), (6,), (6,))]
+    grads = []
+    for keep_sum in (True, False):
+        for t in leaves:
+            t.grad = None
+        loss, held, data = _layer_norm_of_sum(*leaves, keep_sum)
+        assert (data() is not None) == keep_sum
+        ag.backward(loss)
+        grads.append([t.grad.copy() for t in leaves])
+    for kept, dropped in zip(*grads):
+        assert np.array_equal(kept, dropped)
+
+
+def test_retain_grad_on_held_and_dropped_intermediates(rng):
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    held, dropped = ag.mul(x, 3.0), ag.mul(x, 2.0)
+    held.retain_grad = dropped.retain_grad = True
+    loss = ag.tensor_sum(ag.add(ag.tanh(held), dropped))
+    del dropped
+    ag.backward(loss)
+    assert np.array_equal(held.grad, 1.0 - np.tanh(held.data) ** 2)
+    assert np.array_equal(x.grad, 3.0 * held.grad + 2.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_gradient_is_its_closed_form_bit_for_bit(rng, dtype):
+    x = rng.normal(0.0, 2.0, size=(5, 7)).astype(dtype)
+    a = Tensor(x.copy(), requires_grad=True)
+    ag.backward(ag.tensor_sum(ag.gelu(a)))
+    # d/dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2), evaluated in
+    # the op's order, t = tanh(c x (1 + 0.044715 x^2))
+    c = math.sqrt(2.0 / math.pi)
+    t = np.tanh((x * x * 0.044715 + 1.0) * x * c)
+    want = (x * x * (3 * 0.044715) + 1.0) * x * (0.5 * c) * (1.0 - t * t) + 0.5 + t * 0.5
+    assert a.grad.dtype == dtype
+    assert np.array_equal(a.grad, want)
+    with ag.no_tape():
+        untaped = ag.gelu(a)
+    assert not untaped.requires_grad
+    assert untaped._parents == () and untaped._backward is None
 
 
 def test_forward_ops_stay_finite(rng):

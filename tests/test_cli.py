@@ -628,6 +628,23 @@ def test_attention_checkpoint_renamed_tensor(tmp_path, capsys):
     assert "m.ckpt: tensor 'layer0.query' is not in the layout" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m.pop("params"), "manifest has no key 'params'"),
+    (lambda m: m.pop("config"), "manifest has no key 'config'"),
+    (lambda m: m["params"][0].update(shape=5), "manifest params[0] shape must be a list of sizes"),
+], ids=["no-params", "no-config", "shape-int"])
+def test_predict_malformed_checkpoint_is_user_error(trained, tmp_path, capsys, edit, message):
+    ckpt = tmp_path / "m.ckpt"
+    ckpt.write_bytes(Path(trained["ckpt"]).read_bytes())
+    rewrite_checkpoint_manifest(ckpt, edit)
+    out = tmp_path / "pred.tsv"
+    assert run(["predict", "--systems", trained["systems"], "--corpus", trained["corpus"],
+                "--vocab", trained["vocab"], "--ckpt", str(ckpt), "--out", str(out)]) \
+        == EXIT_USER_ERROR
+    assert f"m.ckpt: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _oc20_size_predictions(path: Path, rng) -> dict[str, list[tuple[int, int, float]]]:
     """About 100k prediction records in four OC20-validation-size splits, 82
     adsorbates and 11,500 bulks; returns (adsorbate, bulk, error) per split."""

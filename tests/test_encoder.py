@@ -1,11 +1,15 @@
+import json
 import re
+import struct
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import adsorbtext.autograd as ag
 from adsorbtext.encoder import (
+    CHECKPOINT_MAGIC,
     CheckpointError,
     ConfigError,
     EncoderConfig,
@@ -197,6 +201,27 @@ def test_forward_without_tape_is_bitwise_equal(rng):
     for t in (untaped.energy, untaped.pooled):
         assert not t.requires_grad
         assert t._parents == () and t._backward is None
+
+
+def test_training_forward_frees_the_attention_projections(rng, monkeypatch):
+    # attention copies q, k and v onto its grids, so once forward returns no
+    # part of the tape reaches the projections' arrays
+    projections = []
+    attention = ag.attention
+
+    def recording(q, k, v, *args):
+        projections.extend(weakref.ref(a) for t in (q, k, v)
+                           for a in (t.data, t.data.base) if a is not None)
+        return attention(q, k, v, *args)
+
+    monkeypatch.setattr(ag, "attention", recording)
+    model = init_model(small_config(dropout_rate=0.1), seed=14)
+    res = forward(model, [make_seq(rng, n) for n in (5, 13, 20)], train=True,
+                  rng=np.random.default_rng(0))
+    assert res.energy.requires_grad and len(projections) >= 2 * 3
+    assert all(ref() is None for ref in projections)
+    ag.backward(ag.tensor_sum(res.energy))
+    assert all(np.isfinite(p.grad).all() for p in model.params.values())
 
 
 def test_permutation_sensitivity(rng):
@@ -402,6 +427,52 @@ def test_checkpoint_param_entry_missing_key(tmp_path, key):
     save_checkpoint(model, path)
     rewrite_checkpoint_manifest(path, lambda m: m["params"][3].pop(key))
     with pytest.raises(CheckpointError, match=rf"model\.ckpt: .*params\[3\].*'{key}'"):
+        load_checkpoint(path)
+
+
+def _write_manifest(path, manifest) -> None:
+    """Replace a saved checkpoint's JSON header with manifest, keeping its blob."""
+    blob = path.read_bytes()[_blob_start(path):]
+    header = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header + blob)
+
+
+def _without(key):
+    return lambda manifest: {k: v for k, v in manifest.items() if k != key}
+
+
+def _with(key, value):
+    return lambda manifest: {**manifest, key: value}
+
+
+def _with_entry(index, **fields):
+    def edit(manifest):
+        manifest["params"][index].update(fields)
+        return manifest
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: ["not", "an", "object"], "manifest is not a JSON object"),
+    (_without("config"), "manifest has no key 'config'"),
+    (_without("params"), "manifest has no key 'params'"),
+    (_without("vocab_sha256"), "manifest has no key 'vocab_sha256'"),
+    (_with("vocab_sha256", 7), "manifest vocab_sha256 must be a string or null, got 7"),
+    (_with("params", {"name": "tok_emb"}), "manifest params must be a list"),
+    (_with("params", [["tok_emb", [30, 16]]]), r"manifest params\[0\] is not an object"),
+    (_with_entry(2, shape=5), r"manifest params\[2\] shape must be a list of sizes, got 5"),
+    (_with_entry(4, shape=[16, "16"]),
+     r"manifest params\[4\] shape must be a list of sizes, got \[16, '16'\]"),
+    (_with_entry(1, shape=[True, 16]), r"manifest params\[1\] shape must be a list of sizes"),
+    (_with_entry(3, name=["layer0.wq"]), r"manifest params\[3\] name must be a string"),
+], ids=["list", "no-config", "no-params", "no-vocab-sha", "vocab-sha-int", "params-object",
+        "entry-list", "shape-int", "shape-str", "shape-bool", "name-list"])
+def test_checkpoint_malformed_manifest_named(tmp_path, edit, message):
+    model = init_model(small_config(), seed=10)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    _write_manifest(path, edit(json.loads(path.read_bytes()[12:_blob_start(path)])))
+    with pytest.raises(CheckpointError, match=rf"model\.ckpt: {message}"):
         load_checkpoint(path)
 
 
