@@ -40,7 +40,6 @@ hash, step, seed, tensor order) and the raw little-endian parameter blob.
 from __future__ import annotations
 
 import json
-import numbers
 import struct
 import warnings
 from dataclasses import asdict, dataclass
@@ -51,6 +50,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
+from .systems import is_count, is_real
 from .tokens import TokenSequence
 
 CHECKPOINT_MAGIC = b"ADTXCKPT"
@@ -75,16 +75,6 @@ def check_fields(config, *rules: tuple[str, bool, str]) -> None:
     for name, holds, requirement in rules:
         if not holds:
             raise ConfigError(name, f"must be {requirement}, got {getattr(config, name)!r}")
-
-
-def is_count(value) -> bool:
-    """An integer, numpy ones included, and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def is_real(value) -> bool:
-    """A real number, numpy ones included, and not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -140,14 +130,14 @@ class EncoderConfig:
 class EncoderModel:
     """A config and its named parameters, laid out in two flat buffers.
 
-    Each parameter's data is a view into `data_buffer` and, once backward
-    has written a gradient, its grad a view into `grad_buffer`, both in the
-    order of `params` (the checkpoint order), so the optimizer and the
-    checkpoint work on whole arrays. `offsets` maps each name to its
-    (start, stop) in both buffers; it is the one record of the layout, and
-    a new layout comes with a new dict. The part of `grad_buffer` under a
-    parameter whose grad is None holds no meaningful values. `buffers()`
-    lays both out again when a parameter was added, replaced or rebound.
+    Each parameter's data is a view into `data_buffer` and its `grad_view`
+    the same place in `grad_buffer`, in `params` (checkpoint) order;
+    `offsets` maps each name to its (start, stop) in both. The layout is
+    fixed when the model is built; only `ensure_mlm_head`, which adds
+    parameters, lays it out again. Under a parameter whose grad is None,
+    `grad_buffer` holds no meaningful values. Write values into the views:
+    a rebound tensor still runs through `forward`, `backward` and
+    `save_checkpoint`, but `trainer.adamw_step` refuses the model.
     """
 
     config: EncoderConfig
@@ -157,6 +147,7 @@ class EncoderModel:
         self._pack()
 
     def _pack(self) -> None:
+        """Copy every parameter into new buffers; drops every gradient."""
         tensors = list(self.params.values())
         data = np.empty(sum(p.data.size for p in tensors), dtype=self.config.np_dtype)
         grad = np.empty_like(data)  # a view is written before it is read, see grad_view
@@ -165,22 +156,9 @@ class EncoderModel:
             stop = start + p.data.size
             view = data[start:stop].reshape(p.data.shape)
             view[...] = p.data
-            p.data, p.grad_view = view, grad[start:stop].reshape(view.shape)
-            if p.grad is not None:
-                p.grad_view[...] = p.grad
-                p.grad = p.grad_view
+            p.data, p.grad_view, p.grad = view, grad[start:stop].reshape(view.shape), None
             offsets[name], start = (start, stop), stop
         self.data_buffer, self.grad_buffer, self.offsets = data, grad, offsets
-        self._packed = [(p, p.data) for p in tensors]
-
-    def buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        """The flat data and gradient buffers, in `params` order."""
-        if len(self._packed) != len(self.params) or any(
-                t is not p or p.data is not view
-                or (p.grad is not None and p.grad is not p.grad_view)
-                for (t, view), p in zip(self._packed, self.params.values())):
-            self._pack()
-        return self.data_buffer, self.grad_buffer
 
     def zero_grads(self) -> None:
         for p in self.params.values():
@@ -241,7 +219,8 @@ def init_model(config: EncoderConfig, seed: int = 0) -> EncoderModel:
 
 
 def ensure_mlm_head(model: EncoderModel, tied: bool = True, seed: int = 0) -> None:
-    """Add the vocabulary projection used by masked-token pretraining."""
+    """Add the vocabulary projection used by masked-token pretraining and lay
+    the model out again: call it before the first optimizer step."""
     dt = model.config.np_dtype
     shapes = _mlm_shapes(model.config)
     if "mlm.bias" not in model.params:
@@ -251,6 +230,7 @@ def ensure_mlm_head(model: EncoderModel, tied: bool = True, seed: int = 0) -> No
         rng = np.random.default_rng(seed)
         model.params["mlm.w"] = Tensor(
             rng.normal(0.0, 0.02, shapes["mlm.w"]).astype(dt), requires_grad=True)
+    model._pack()
 
 
 @dataclass
@@ -479,12 +459,13 @@ def save_checkpoint(
         ],
     }
     header = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    data, _ = model.buffers()
+    dtype = np.dtype(model.config.np_dtype).newbyteorder("<")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        fh.write(data.astype(data.dtype.newbyteorder("<"), copy=False).tobytes())
+        for n in names:  # each tensor's own data, so a rebound one is saved as it is
+            fh.write(model.params[n].data.astype(dtype, copy=False).tobytes())
 
 
 def _read_header(path: str | Path, raw: bytes) -> tuple[dict, int]:

@@ -30,6 +30,7 @@ from .systems import (
     TAG_ADSORBATE,
     TAG_SURFACE,
     AtomicSystem,
+    is_real,
     pairwise_min_image_distances,
 )
 
@@ -268,15 +269,13 @@ def load_description_cache(path: str | Path) -> dict:
 def merge_description_cache(
     samples: Iterable[SerializedSample],
     systems_by_id: dict[str, AtomicSystem],
-    cache: dict | str | Path,
+    cache: dict,
 ) -> tuple[list[SerializedSample], dict[str, int]]:
-    """Append cached adsorbate/catalyst prose to DESC samples.
+    """Append prose from a loaded description cache to DESC samples.
 
     Missing cache entries leave the corresponding paragraph out and are
     counted in the returned report.
     """
-    if not isinstance(cache, dict):
-        cache = load_description_cache(cache)
     report = {"merged_adsorbate": 0, "merged_catalyst": 0,
               "missing_adsorbate": 0, "missing_catalyst": 0}
     merged: list[SerializedSample] = []
@@ -363,6 +362,12 @@ def read_corpus(path: str | Path) -> list[CorpusRecord]:
                     rec["system_id"], rec["format"], rec["text"],
                     rec.get("energy_ev"), rec.get("split", "train"),
                 )
+                for key in ("system_id", "format", "text", "split"):
+                    if not isinstance(getattr(record, key), str):
+                        raise TypeError(f"{key} must be a string, got {getattr(record, key)!r}")
+                if not (record.energy_ev is None or is_real(record.energy_ev)):
+                    raise TypeError(f"energy_ev must be a number or null, "
+                                    f"got {record.energy_ev!r}")
                 finite = record.energy_ev is None or math.isfinite(record.energy_ev)
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad corpus record ({exc})") from None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +29,17 @@ class DatasetError(ValueError):
     """Malformed dataset file or invariant violation; message names the record."""
 
 
+def is_count(value) -> bool:
+    """An integer, numpy ones included, and not a bool; a JSON int takes the fast test."""
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
+
+
+def is_real(value) -> bool:
+    """A real number, numpy ones included, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Atom:
     element: str
@@ -36,8 +48,8 @@ class Atom:
 
     def __post_init__(self):
         element_properties(self.element)  # unknown symbols rejected here
-        if self.tag not in (TAG_SUBSURFACE, TAG_SURFACE, TAG_ADSORBATE):
-            raise DatasetError(f"tag must be 0, 1 or 2, got {self.tag}")
+        if not is_count(self.tag) or self.tag not in (TAG_SUBSURFACE, TAG_SURFACE, TAG_ADSORBATE):
+            raise DatasetError(f"tag must be the integer 0, 1 or 2, got {self.tag!r}")
         if not all(math.isfinite(c) for c in self.position):
             raise DatasetError(f"non-finite position {self.position}")
 
@@ -56,11 +68,15 @@ class AtomicSystem:
     split: str = "train"
     _cell_arr: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        for name in ("id", "adsorbate_smiles", "bulk_formula"):  # TSV fields downstream
+    def __post_init__(self):  # types first: the rules below compare and cast values
+        for name in ("id", "adsorbate_smiles", "bulk_formula", "split"):  # TSV fields downstream
             value = getattr(self, name)
-            if isinstance(value, str) and any(c in value for c in "\t\n\r"):
+            if not isinstance(value, str):
+                raise DatasetError(f"{name} must be a string, got {value!r}")
+            if any(c in value for c in "\t\n\r"):
                 raise DatasetError(f"{name} {value!r} holds a tab or line break")
+        if not (self.energy_ev is None or is_real(self.energy_ev)):
+            raise DatasetError(f"{self.id}: energy_ev must be a number, got {self.energy_ev!r}")
         if self.split not in SPLITS:
             raise DatasetError(f"{self.id}: unknown split {self.split!r}")
         if self.energy_ev is not None and not math.isfinite(self.energy_ev):
@@ -70,7 +86,7 @@ class AtomicSystem:
             raise DatasetError(f"{self.id}: cell must be 3x3")
         if abs(np.linalg.det(cell)) < 1e-10:
             raise DatasetError(f"{self.id}: cell vectors are linearly dependent")
-        if len(self.miller_index) != 3 or any(int(m) != m for m in self.miller_index):
+        if len(self.miller_index) != 3 or not all(map(is_count, self.miller_index)):
             raise DatasetError(f"{self.id}: miller_index must be an integer triple")
         tags = [a.tag for a in self.atoms]
         if TAG_ADSORBATE not in tags:
@@ -116,14 +132,14 @@ class AtomicSystem:
     @classmethod
     def from_record(cls, rec: dict) -> "AtomicSystem":
         atoms = tuple(
-            Atom(a["element"], tuple(float(c) for c in a["position"]), int(a["tag"]))
+            Atom(a["element"], tuple(float(c) for c in a["position"]), a["tag"])
             for a in rec["atoms"]
         )
         return cls(
-            id=str(rec["id"]),
+            id=rec["id"],
             adsorbate_smiles=rec["adsorbate_smiles"],
             bulk_formula=rec["bulk_formula"],
-            miller_index=tuple(int(m) for m in rec["miller_index"]),
+            miller_index=tuple(rec["miller_index"]),
             cell=tuple(tuple(float(c) for c in v) for v in rec["cell"]),
             atoms=atoms,
             energy_ev=rec.get("energy_ev"),

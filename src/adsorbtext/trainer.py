@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from . import autograd as ag
-from .encoder import (EncoderModel, check_fields, ensure_mlm_head, forward, is_count, is_real,
-                      mlm_logits)
+from .encoder import EncoderModel, check_fields, ensure_mlm_head, forward, mlm_logits
+from .systems import is_count, is_real
 from .tokens import TokenSequence, Vocabulary, dynamic_mask, encode
 
 log = logging.getLogger(__name__)
@@ -69,29 +69,15 @@ class LrGroupPlan:
 class OptimizerState:
     """AdamW's step counter and moments.
 
-    m and v are flat arrays laid out by `offsets`, the model's offsets
-    (`EncoderModel.offsets`) at the last step. When the model is laid out
-    again, each parameter keeps its moments if its name and size survive.
-    A parameter that has had no gradient yet has zero moments.
+    m and v are flat arrays laid out as the model's buffers, zeros from the
+    first step, so a parameter without a gradient yet has zero moments. A
+    state fits one layout: `ensure_mlm_head` after a step needs a new one.
     """
 
     weight_decay: float = 0.01
     step: int = 0
     m: np.ndarray | None = field(default=None, repr=False)
     v: np.ndarray | None = field(default=None, repr=False)
-    offsets: dict[str, tuple[int, int]] = field(default_factory=dict, repr=False)
-
-
-def _follow_layout(state: OptimizerState, model: EncoderModel) -> None:
-    """Lay the moments out by the model's offsets, keeping each survivor's."""
-    if state.offsets is model.offsets:
-        return
-    m, v = np.zeros_like(model.data_buffer), np.zeros_like(model.data_buffer)
-    for name, (lo, hi) in model.offsets.items():
-        old = state.offsets.get(name)
-        if old is not None and old[1] - old[0] == hi - lo:
-            m[lo:hi], v[lo:hi] = state.m[slice(*old)], state.v[slice(*old)]
-    state.m, state.v, state.offsets = m, v, model.offsets
 
 
 def adamw_step(model: EncoderModel, state: OptimizerState, plan: LrGroupPlan,
@@ -105,12 +91,18 @@ def adamw_step(model: EncoderModel, state: OptimizerState, plan: LrGroupPlan,
     arithmetic, in the same order, of an update tensor by tensor. A
     parameter without a gradient (the regression head during masked-token
     pretraining) gets no update, no weight decay and no moment update.
+    Raises ValueError if a parameter's data or grad is not its view of the
+    model's buffers, or if the state's moments do not fit them.
     """
-    data, grad = model.buffers()
+    data, grad = model.data_buffer, model.grad_buffer
     grads, runs = [], []  # runs: [start, stop, lr]
     for name, p in model.params.items():
+        if p.data.base is not data:  # numpy bases a view of a view on the owner
+            raise ValueError(f"{name}: data is not its view of the model's data_buffer")
         if p.grad is None:
             continue
+        if p.grad is not p.grad_view:
+            raise ValueError(f"{name}: grad is not its grad_view into the model's grad_buffer")
         grads.append(p.grad)
         lo, hi = model.offsets[name]
         lr = plan.lr_of(name)
@@ -120,6 +112,8 @@ def adamw_step(model: EncoderModel, state: OptimizerState, plan: LrGroupPlan,
             runs.append([lo, hi, lr])
     if not runs:
         raise ValueError("adamw_step called with no gradients populated")
+    if state.m is not None and state.m.shape != data.shape:
+        raise ValueError(f"optimizer moments hold {state.m.size} values, the model {data.size}")
     if not all(np.isfinite(grad[lo:hi]).all() for lo, hi, _ in runs):
         name = next(n for n, p in model.params.items()
                     if p.grad is not None and not np.isfinite(p.grad).all())
@@ -128,7 +122,8 @@ def adamw_step(model: EncoderModel, state: OptimizerState, plan: LrGroupPlan,
     norm = np.sqrt(sum(float((g * g).sum()) for g in grads))
     factor = clip_norm / norm if clip_norm is not None and norm > clip_norm else None
 
-    _follow_layout(state, model)
+    if state.m is None:
+        state.m, state.v = np.zeros_like(data), np.zeros_like(data)
     state.step += 1
     bc1 = 1.0 - BETA1 ** state.step
     bc2 = 1.0 - BETA2 ** state.step

@@ -4,8 +4,12 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import adsorbtext
 from adsorbtext import trainer
+from adsorbtext.encoder import EncoderConfig, ensure_mlm_head, init_model
+from adsorbtext.tokens import build_vocab, dynamic_mask, encode
 from test_trainer import _toy_records
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,3 +64,29 @@ def test_against_alternates_and_summarizes(monkeypatch):
     assert out["this"]["param_sha256"] == ["sha-this"]
     assert out["same_parameters"] is False
     assert all(r["minflt"] == 7 for r in out["runs"])
+
+
+def test_profile_steps_trains_a_model_with_an_mlm_head():
+    bench = _bench()
+    texts = [r.text for r in _toy_records(8)]
+    vocab = build_vocab(texts)
+    model = init_model(EncoderConfig(vocab_size=len(vocab), n_layers=1, n_heads=1,
+                                     hidden_size=8, max_positions=16, dropout_rate=0.0), seed=1)
+    ensure_mlm_head(model, tied=False, seed=1)  # as mlm_profile does, before the first step
+    run = trainer.TrainRunConfig(batch_size=4, seed=1, base_lr=1e-2)
+    seqs = [encode(t, vocab, 16) for t in texts]
+    batches = [list(zip(*(dynamic_mask(seqs[i], vocab, 0.3, seed=[1, 1, i])
+                          for i in range(start, start + 4)))) for start in (0, 4)]
+    before = {n: p.data.copy() for n, p in model.params.items()}
+
+    def loss_of(batch):
+        masked, labels = batch
+        return trainer._mlm_batch_loss(model, list(masked), list(labels))
+
+    profile, loss = bench.profile_steps(model, run, batches, loss_of, 2)
+    assert profile["steps"] == 2 and np.isfinite(loss)
+    assert {"attention", "cross_entropy", "linear"} <= set(profile["ops"])
+    assert all(profile["ops"][op]["calls_per_step"] > 0 for op in ("attention", "linear"))
+    for name in ("tok_emb", "layer0.wq", "mlm.w", "mlm.bias"):
+        assert not np.array_equal(model.params[name].data, before[name]), name
+    np.testing.assert_array_equal(model.params["head.w2"].data, before["head.w2"])  # no grad

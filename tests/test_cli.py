@@ -593,6 +593,61 @@ def test_malformed_corpus_record_is_user_error(tmp_path, capsys, line):
     assert "c.jsonl:1: bad corpus record" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("keys,raw,message", [
+    pytest.param(("atoms", 0, "tag"), "1.5", "tag must be the integer 0, 1 or 2, got 1.5",
+                 id="tag-float"),
+    pytest.param(("atoms", 0, "tag"), "true", "tag must be the integer 0, 1 or 2, got True",
+                 id="tag-bool"),
+    pytest.param(("atoms", 0, "tag"), "1e999", "tag must be the integer 0, 1 or 2, got inf",
+                 id="tag-overflow"),
+    pytest.param(("miller_index", 1), "1.5", "{id}: miller_index must be an integer triple",
+                 id="miller-float"),
+    pytest.param(("miller_index", 1), "1e999", "{id}: miller_index must be an integer triple",
+                 id="miller-overflow"),
+    pytest.param(("energy_ev",), "true", "{id}: energy_ev must be a number, got True",
+                 id="energy-bool"),
+    pytest.param(("id",), "{}", "id must be a string, got {{}}", id="id-object"),
+    pytest.param(("adsorbate_smiles",), "7", "adsorbate_smiles must be a string, got 7",
+                 id="smiles-number"),
+    pytest.param(("bulk_formula",), "null", "bulk_formula must be a string, got None",
+                 id="formula-null"),
+    pytest.param(("split",), "3", "split must be a string, got 3", id="split-number"),
+])
+def test_dataset_record_of_a_wrong_type_is_user_error(tmp_path, capsys, table_system,
+                                                       keys, raw, message):
+    rec = table_system.to_record()
+    target = rec
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = "@raw@"
+    dataset = tmp_path / "s.jsonl"
+    dataset.write_text(json.dumps(table_system.to_record()) + "\n"
+                       + json.dumps(rec).replace('"@raw@"', raw) + "\n")
+    assert run(["featurize", "--in", str(dataset), "--out", str(tmp_path / "c.jsonl"),
+                "--format", "s1"]) == EXIT_USER_ERROR
+    assert f"s.jsonl:2: {message.format(id=table_system.id)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,raw", [
+    pytest.param("system_id", "[]", id="system_id"),
+    pytest.param("format", "1", id="format"),
+    pytest.param("text", "0", id="text"),
+    pytest.param("text", "1e999", id="text-overflow"),
+    pytest.param("split", "3", id="split"),
+    pytest.param("energy_ev", "true", id="energy_ev"),
+])
+def test_corpus_record_of_a_wrong_type_is_user_error(tmp_path, capsys, key, raw):
+    rec = {"system_id": "x", "format": "S1", "text": "<s>N</s>", "energy_ev": 1.0,
+           "split": "train", key: "@raw@"}
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(json.dumps(rec).replace('"@raw@"', raw) + "\n")
+    assert run(["build-vocab", "--in", str(corpus), "--out", str(tmp_path / "v.txt")]) \
+        == EXIT_USER_ERROR
+    requirement = "a number or null" if key == "energy_ev" else "a string"
+    assert (f"c.jsonl:1: bad corpus record ({key} must be {requirement}, "
+            f"got {json.loads(raw)!r})") in capsys.readouterr().err
+
+
 def _attention_on_saved_checkpoint(tmp_path) -> tuple[list[str], Path]:
     """argv of an `attention` run that succeeds on the checkpoint it returns."""
     systems = fixture_dataset(4)

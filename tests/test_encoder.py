@@ -583,15 +583,16 @@ def test_mlm_head_required(rng):
 
 
 def _assert_views(model):
-    """Each parameter's data, and its grad where set, sits at its place in
-    the model's buffers, in checkpoint order."""
-    data, grad = model.buffers()
+    """Each parameter's data and grad_view, and its grad where set, sit at
+    its place in the model's buffers, in checkpoint order."""
+    data, grad = model.data_buffer, model.grad_buffer
     start = 0
-    for p in model.params.values():
+    for name, p in model.params.items():
         stop = start + p.data.size
-        assert p.data.ctypes.data == data[start:stop].ctypes.data
-        if p.grad is not None:
-            assert p.grad.ctypes.data == grad[start:stop].ctypes.data
+        assert model.offsets[name] == (start, stop)
+        assert p.data.base is data and p.data.ctypes.data == data[start:stop].ctypes.data
+        assert p.grad_view.ctypes.data == grad[start:stop].ctypes.data
+        assert p.grad is None or p.grad is p.grad_view
         start = stop
     assert start == data.size == grad.size
 
@@ -623,7 +624,7 @@ def test_parameters_stay_views_of_the_model_buffers(tmp_path, rng):
     fresh = init_model(small_config(), seed=12)
     fresh_data = fresh.data_buffer
     fresh.load_values(model, skip_prefixes=("head.",))
-    assert fresh.buffers()[0] is fresh_data  # written into the views, not rebound
+    assert fresh.data_buffer is fresh_data  # written into the views, not rebound
     _assert_views(fresh)
     np.testing.assert_array_equal(fresh.params["tok_emb"].data, model.params["tok_emb"].data)
 
@@ -634,12 +635,35 @@ def test_parameters_stay_views_of_the_model_buffers(tmp_path, rng):
     assert model.data_buffer is data  # nothing above laid the model out again
 
 
-def test_buffers_follow_a_rebound_tensor(rng):
+def test_ensure_mlm_head_lays_the_model_out_again(rng):
     model = init_model(small_config(), seed=13)
-    new = rng.normal(size=model.params["layer1.wq"].data.shape)
-    model.params["layer1.wq"].data = new
+    values = {n: p.data.copy() for n, p in model.params.items()}
+    ag.backward(ag.tensor_sum(forward(model, [make_seq(rng, 9)]).energy))
+    ensure_mlm_head(model, tied=False, seed=13)
+    assert list(model.params)[-2:] == ["mlm.bias", "mlm.w"]
     _assert_views(model)
-    np.testing.assert_array_equal(model.params["layer1.wq"].data, new)
+    assert all(p.grad is None for p in model.params.values())  # laying out drops gradients
+    for name, value in values.items():
+        np.testing.assert_array_equal(model.params[name].data, value)
+    data, offsets = model.data_buffer.copy(), model.offsets
+    ensure_mlm_head(model, tied=False, seed=13)  # adds nothing: the same layout again
+    _assert_views(model)
+    assert model.offsets == offsets
+    np.testing.assert_array_equal(model.data_buffer, data)
+
+
+def test_rebound_tensor_is_saved_and_loaded_with_its_new_values(tmp_path, rng):
+    model = init_model(small_config(dtype="float32"), seed=13)
+    data = model.data_buffer
+    new = rng.normal(size=model.params["layer1.wq"].data.shape)  # float64, cast on save
+    model.params["layer1.wq"].data = new
+    save_checkpoint(model, tmp_path / "m.ckpt")
+    assert model.params["layer1.wq"].data is new and model.data_buffer is data
+    loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
+    _assert_views(loaded)
+    for name, p in model.params.items():
+        np.testing.assert_array_equal(loaded.params[name].data,
+                                      p.data.astype(loaded.config.np_dtype), err_msg=name)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])

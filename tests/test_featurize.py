@@ -8,6 +8,7 @@ from adsorbtext.featurize import (
     detect_configuration,
     featurize_systems,
     format_distance,
+    load_description_cache,
     merge_description_cache,
     read_corpus,
     render_system_description,
@@ -237,10 +238,8 @@ def test_merge_full_cache_three_paragraphs(table_system, table_config):
                       "missing_adsorbate": 0, "missing_catalyst": 0}
 
 
-def test_merge_malformed_cache(tmp_path, table_system, table_config):
-    path = tmp_path / "cache.json"
+def test_merge_malformed_cache(tmp_path):
+    path = tmp_path / "cache.json"  # merge takes a cache that load_description_cache read
     path.write_text("{nope")
     with pytest.raises(ValueError, match="malformed"):
-        merge_description_cache(
-            _desc_samples(table_system, table_config),
-            {table_system.id: table_system}, path)
+        load_description_cache(path)
