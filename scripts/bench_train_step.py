@@ -8,28 +8,33 @@ It trains the criterion-10 desk benchmark of `tests/test_acceptance.py`
 (2,000 synthetic systems, S4 at 80 positions and S1 at 16, 4 layers,
 4 heads, 64 hidden, float32, batch 16, seed 7) and records, per format,
 the validation MAE, the epochs run, each epoch's wall time, the mean
-forward, backward and AdamW milliseconds of a training step and a sha256
-of the best model's parameter bytes, so two entries with equal hashes
-trained bit for bit the same model. It then
-runs PROFILE_STEPS (100) S4 training steps of a fresh model with every
-public `autograd` op wrapped from outside, the way `perfbench/trace.py`
-wraps the program: the wrapper times the op's forward call and swaps the
-backward closure on its result for a timed one, which gives per-op
-forward and backward milliseconds per step. Last it profiles the same
-way PROFILE_STEPS masked-token pretraining steps at the configuration
-of the benchmark's `pretrain_desc` workload (DESC text of the same
-systems, 52 positions, mask rate 0.15, tied head), recording the final
-loss and a parameter sha256 as well; the masks are drawn before timing.
-After each profile, and after its hash, TAPE_STEPS (16) more steps run
-untimed under `tracemalloc`: the profile records the median traced MB
-held when backward starts (the tape, and whatever else the forward left
-alive) and the median traced step peak, each above the traced bytes
-before the step's forward.
+forward, backward and AdamW milliseconds of a training step, the
+seconds of validation and a sha256 of the best model's parameter bytes,
+so two entries with equal hashes trained bit for bit the same model. The
+phase and validation times are the sums of the trainer's own history
+rows, the figures `history.tsv` reports for the same run. It then runs
+PROFILE_STEPS (100) S4 training steps of a fresh model through
+`trainer._step`, the step training runs, with every public `autograd` op
+wrapped from outside, the way `perfbench/trace.py` wraps the program:
+the wrapper times the op's forward call and swaps the backward closure
+on its result's tape node (`_node.backward`) for a timed one, which gives
+per-op forward and backward milliseconds per step. Last it profiles the
+same way PROFILE_STEPS masked-token pretraining steps at the
+configuration of the benchmark's `pretrain_desc` workload (DESC text of
+the same systems, 52 positions, mask rate 0.15, tied head), recording
+the final loss and a parameter sha256 as well; the masks are drawn
+before timing. After each profile, and after its hash, TAPE_STEPS (16)
+more `trainer._step`s run untimed under `tracemalloc`: the profile
+records the median traced MB held when backward starts (the tape, and
+whatever else the forward left alive) and the median traced step peak,
+each above the traced bytes before the step's forward.
 
 The result goes into `--out` (default BENCH_train_step.json) under
-`--label`, keeping the other labels already in the file: running the
-script once with PYTHONPATH at another checkout's `src` and `--label
-before`, and once here with `--label after`, puts both sides in one file.
+`--label`, keeping the other labels already in the file: running another
+checkout's own copy of this script from that checkout with `--label
+before` and `--out` at this file, and this one with `--label after`, puts
+both sides in one file. The script drives only a package that has
+`trainer._step`.
 
 With `--against <checkout>` the script instead times the `train` of the
 benchmark's `finetune_s4` workload (400 synthetic systems of input seed
@@ -122,26 +127,6 @@ class Timers:
         self._saved.clear()
 
 
-def patch_step_phases(timers: Timers) -> None:
-    """Time forward, backward and AdamW; forward inside validation counts apart."""
-    validating = [False]
-
-    def predict(fn):
-        def wrapper(*args, **kwargs):
-            validating[0] = True
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                validating[0] = False
-        return wrapper
-
-    timers.patch(trainer, "predict_energies", predict)
-    timers.patch(trainer, "forward", lambda fn: timers.timed(
-        fn, lambda: "forward_infer" if validating[0] else "forward"))
-    timers.patch(autograd, "backward", lambda fn: timers.timed(fn, lambda: "backward"))
-    timers.patch(trainer, "adamw_step", lambda fn: timers.timed(fn, lambda: "adamw"))
-
-
 def public_ops() -> list[str]:
     return sorted(name for name, fn in vars(autograd).items()
                   if inspect.isfunction(fn) and fn.__module__ == autograd.__name__
@@ -155,10 +140,9 @@ def patch_ops(timers: Timers) -> None:
             tic = time.perf_counter()
             result = fn(*args, **kwargs)
             timers.add(f"{op}.fwd", time.perf_counter() - tic)
-            out = result[0] if isinstance(result, tuple) else result
-            closure = getattr(out, "_backward", None)
-            if closure is not None:
-                out._backward = timers.timed(closure, lambda: f"{op}.bwd")
+            node = (result[0] if isinstance(result, tuple) else result)._node
+            if node is not None:
+                node.backward = timers.timed(node.backward, lambda: f"{op}.bwd")
             return result
         return wrapper
 
@@ -166,8 +150,8 @@ def patch_ops(timers: Timers) -> None:
         timers.patch(autograd, op, lambda fn, op=op: make(fn, op))
 
 
-def ms_per_step(timers: Timers, name: str, steps: int) -> float:
-    return round(1e3 * timers.seconds.get(name, 0.0) / steps, 3)
+def ms_per_step(seconds: float, steps: int) -> float:
+    return round(1e3 * seconds / steps, 3)
 
 
 def parameter_sha256(model) -> str:
@@ -197,19 +181,17 @@ def model_and_run(vocab, max_positions: int):
 
 
 def criterion_10(systems) -> dict:
-    """The criterion-10 run with step-phase timers; its gate is S4 < 0.2 and S4 < S1."""
+    """The criterion-10 run, its step phases and validation time summed from
+    the trainer's history; its gate is S4 < 0.2 and S4 < S1."""
     out: dict = {}
     tic = time.perf_counter()
     for fmt, max_positions in FORMATS:
         train, val, vocab = corpus(systems, fmt)
         model, run = model_and_run(vocab, max_positions)
-        timers = Timers()
-        patch_step_phases(timers)
-        try:
-            result = train_regression(model, train, val, run, vocab)
-        finally:
-            timers.restore()
-        steps = timers.calls["adamw"]
+        result = train_regression(model, train, val, run, vocab)
+        total = {key: sum(h[key] for h in result.history)
+                 for key in ("steps", *trainer._PHASES, "validation_s")}
+        steps = total["steps"]
         out[fmt] = {
             "val_mae": result.best_val_mae,
             "best_epoch": result.best_epoch,
@@ -218,10 +200,10 @@ def criterion_10(systems) -> dict:
             "epoch_wall_s": [round(h["wall_time_s"], 3) for h in result.history],
             "median_epoch_wall_s": round(float(np.median(
                 [h["wall_time_s"] for h in result.history])), 3),
-            "forward_ms_per_step": ms_per_step(timers, "forward", steps),
-            "backward_ms_per_step": ms_per_step(timers, "backward", steps),
-            "adamw_ms_per_step": ms_per_step(timers, "adamw", steps),
-            "validation_s": round(timers.seconds.get("forward_infer", 0.0), 3),
+            "forward_ms_per_step": ms_per_step(total["forward_s"], steps),
+            "backward_ms_per_step": ms_per_step(total["backward_s"], steps),
+            "adamw_ms_per_step": ms_per_step(total["optimizer_s"], steps),
+            "validation_s": round(total["validation_s"], 3),
             "param_sha256": parameter_sha256(result.model),
         }
     s4, s1 = out["S4"]["val_mae"], out["S1"]["val_mae"]
@@ -232,61 +214,58 @@ def criterion_10(systems) -> dict:
 
 
 def profile_steps(model, run, batches, loss_of, steps: int) -> tuple[dict, float]:
-    """Per-phase and per-op ms of `steps` training steps over prepared
+    """Per-phase and per-op ms of `steps` `trainer._step`s over prepared
     batches, loss_of(batch) giving each step's loss; returns them and the
     last loss."""
     plan = LrGroupPlan(model.config.n_layers, base_lr=run.base_lr)
     state = OptimizerState(weight_decay=run.weight_decay)
     timers = Timers()
     patch_ops(timers)
-    phases = Timers()
+    phases = np.zeros(len(trainer._PHASES))
     try:
         for step in range(steps):
             batch = batches[step % len(batches)]
-            model.zero_grads()
-            tic = time.perf_counter()
-            loss = loss_of(batch)
-            phases.add("forward", time.perf_counter() - tic)
-            tic = time.perf_counter()
-            autograd.backward(loss)
-            phases.add("backward", time.perf_counter() - tic)
-            tic = time.perf_counter()
-            trainer.adamw_step(model, state, plan, clip_norm=run.clip_norm)
-            phases.add("adamw", time.perf_counter() - tic)
+            loss, _, seconds = trainer._step(model, state, plan, run.clip_norm,
+                                             lambda: loss_of(batch))
+            phases += seconds
     finally:
         timers.restore()
+    forward, backward, adamw = phases.tolist()
     ops = sorted({name.rsplit(".", 1)[0] for name in timers.seconds})
     return {
         "steps": steps,
-        "forward_ms_per_step": ms_per_step(phases, "forward", steps),
-        "backward_ms_per_step": ms_per_step(phases, "backward", steps),
-        "adamw_ms_per_step": ms_per_step(phases, "adamw", steps),
+        "forward_ms_per_step": ms_per_step(forward, steps),
+        "backward_ms_per_step": ms_per_step(backward, steps),
+        "adamw_ms_per_step": ms_per_step(adamw, steps),
         "ops": {op: {"calls_per_step": timers.calls.get(f"{op}.fwd", 0) / steps,
-                     "fwd_ms_per_step": ms_per_step(timers, f"{op}.fwd", steps),
-                     "bwd_ms_per_step": ms_per_step(timers, f"{op}.bwd", steps)}
+                     "fwd_ms_per_step": ms_per_step(timers.seconds.get(f"{op}.fwd", 0.0), steps),
+                     "bwd_ms_per_step": ms_per_step(timers.seconds.get(f"{op}.bwd", 0.0), steps)}
                 for op in ops},
-    }, float(loss.data)
+    }, loss
 
 
 def tape_memory(model, run, batches, loss_of, steps: int) -> dict:
-    """Medians over `steps` untimed training steps under tracemalloc: the
+    """Medians over `steps` untimed `trainer._step`s under tracemalloc: the
     MB held when backward starts, which is the tape and what the forward
     left alive, and the step's traced peak, each above the traced bytes
     before the forward."""
     plan = LrGroupPlan(model.config.n_layers, base_lr=run.base_lr)
     state = OptimizerState(weight_decay=run.weight_decay)
-    held, peak = [], []
+    held, peak, base = [], [], 0
+
+    def traced_loss(batch):
+        nonlocal base
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss = loss_of(batch)
+        held.append(tracemalloc.get_traced_memory()[0] - base)
+        return loss
+
     tracemalloc.start()
     try:
         for step in range(steps):
-            model.zero_grads()
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            loss = loss_of(batches[step % len(batches)])
-            held.append(tracemalloc.get_traced_memory()[0] - base)
-            autograd.backward(loss)
-            trainer.adamw_step(model, state, plan, clip_norm=run.clip_norm)
-            loss = None
+            batch = batches[step % len(batches)]
+            trainer._step(model, state, plan, run.clip_norm, lambda: traced_loss(batch))
             peak.append(tracemalloc.get_traced_memory()[1] - base)
     finally:
         tracemalloc.stop()

@@ -74,18 +74,6 @@ class Tensor:
         self._node: _Node | None = None  # set by an op, or on a leaf's first taped use
 
     @property
-    def _parents(self) -> tuple:
-        return () if self._node is None else self._node.parents
-
-    @property
-    def _backward(self):
-        return None if self._node is None else self._node.backward
-
-    @_backward.setter
-    def _backward(self, fn) -> None:
-        self._node.backward = fn
-
-    @property
     def shape(self):
         return self.data.shape
 

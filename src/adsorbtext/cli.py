@@ -48,9 +48,7 @@ from .encoder import (
 )
 from .featurize import (
     DEFAULT_CUTOFF_TOLERANCE,
-    CorpusRecord,
     NoBindingError,
-    SerializedSample,
     detect_configuration,
     featurize_systems,
     load_description_cache,
@@ -110,7 +108,6 @@ def _add_train_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--epochs", type=int, default=100)
     sp.add_argument("--batch-size", type=int, default=12)
     sp.add_argument("--lr", type=float, default=1e-6)
-    sp.add_argument("--patience", type=int, default=5)
     sp.add_argument("--weight-decay", type=float, default=0.01)
     sp.add_argument("--clip-norm", type=float, default=None)
 
@@ -160,6 +157,7 @@ def build_parser() -> _Parser:
                          "(heads are reinitialized)")
     sp.add_argument("--train-split", default="train")
     sp.add_argument("--history", type=Path, default=None)
+    sp.add_argument("--patience", type=int, default=5)
     _add_model_flags(sp)
     _add_train_flags(sp)
 
@@ -328,11 +326,7 @@ def cmd_featurize(args) -> None:
     if args.format == "desc" and args.desc_cache is not None:
         cache = load_description_cache(args.desc_cache)
         by_id = {s.id: s for s in systems}
-        samples = [SerializedSample(r.system_id, r.format, r.text, r.energy_ev)
-                   for r in records]
-        merged, cache_report = merge_description_cache(samples, by_id, cache)
-        records = [CorpusRecord(s.system_id, s.format, s.text, s.energy_ev, r.split)
-                   for s, r in zip(merged, records)]
+        records, cache_report = merge_description_cache(records, by_id, cache)
         report.update(cache_report)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     write_corpus(records, args.out)

@@ -75,19 +75,14 @@ class AdsorptionConfiguration:
             raise ValueError("primary contact distances must be positive")
 
 
-@dataclass(frozen=True)
-class SerializedSample:
+class CorpusRecord(NamedTuple):
+    """One system's serialized text, as one corpus line."""
+
     system_id: str
     format: str
     text: str
-    energy_ev: float | None = None
-
-    def __post_init__(self):
-        if not self.text:
-            raise ValueError(f"{self.system_id}: empty serialized text")
-        # DESC paragraphs carry no sequence markers; the encoder adds them.
-        if self.format != "DESC" and not self.text.startswith("<s>"):
-            raise ValueError(f"{self.system_id}: string sample must start with <s>")
+    energy_ev: float | None
+    split: str
 
 
 def detect_configuration(
@@ -187,7 +182,7 @@ def serialize(
     system: AtomicSystem,
     config: AdsorptionConfiguration | None,
     fmt: str,
-) -> SerializedSample:
+) -> CorpusRecord:
     """Render one system in the requested string format (S1 needs no config)."""
     fmt = fmt.upper()
     if fmt not in FORMATS:
@@ -197,7 +192,7 @@ def serialize(
 
     text = _base_string(system)
     if fmt == "S1":
-        return SerializedSample(system.id, "S1", text, system.energy_ev)
+        return CorpusRecord(system.id, "S1", text, system.energy_ev, system.split)
     if config is None:
         raise NoBindingError(f"{system.id}: format {fmt} needs a binding configuration")
 
@@ -223,12 +218,12 @@ def serialize(
         inner = " ".join([config.binding_element, *primary_fields, config.site_type, *groups])
         text += f"[{inner}]</s>"
 
-    return SerializedSample(system.id, fmt, text, system.energy_ev)
+    return CorpusRecord(system.id, fmt, text, system.energy_ev, system.split)
 
 
 def render_system_description(
     system: AtomicSystem, config: AdsorptionConfiguration | None
-) -> SerializedSample:
+) -> CorpusRecord:
     """Deterministic system paragraph (the first paragraph of a description)."""
     if config is None:
         raise NoBindingError(f"{system.id}: description needs a binding configuration")
@@ -241,7 +236,7 @@ def render_system_description(
         f"{config.site_type} site and is binding to the catalytic surface atoms "
         f"{surface_atoms}."
     )
-    return SerializedSample(system.id, "DESC", text, system.energy_ev)
+    return CorpusRecord(system.id, "DESC", text, system.energy_ev, system.split)
 
 
 def load_description_cache(path: str | Path) -> dict:
@@ -267,24 +262,24 @@ def load_description_cache(path: str | Path) -> dict:
 
 
 def merge_description_cache(
-    samples: Iterable[SerializedSample],
+    records: Iterable[CorpusRecord],
     systems_by_id: dict[str, AtomicSystem],
     cache: dict,
-) -> tuple[list[SerializedSample], dict[str, int]]:
-    """Append prose from a loaded description cache to DESC samples.
+) -> tuple[list[CorpusRecord], dict[str, int]]:
+    """Append prose from a loaded description cache to DESC records.
 
     Missing cache entries leave the corresponding paragraph out and are
     counted in the returned report.
     """
     report = {"merged_adsorbate": 0, "merged_catalyst": 0,
               "missing_adsorbate": 0, "missing_catalyst": 0}
-    merged: list[SerializedSample] = []
-    for sample in samples:
-        if sample.format != "DESC":
-            merged.append(sample)
+    merged: list[CorpusRecord] = []
+    for record in records:
+        if record.format != "DESC":
+            merged.append(record)
             continue
-        system = systems_by_id[sample.system_id]
-        text = sample.text
+        system = systems_by_id[record.system_id]
+        text = record.text
         ads_prose = cache["adsorbates"].get(system.adsorbate_smiles)
         if ads_prose:
             text += "\n\n" + ads_prose
@@ -297,37 +292,18 @@ def merge_description_cache(
             report["merged_catalyst"] += 1
         else:
             report["missing_catalyst"] += 1
-        merged.append(SerializedSample(sample.system_id, "DESC", text, sample.energy_ev))
+        merged.append(record._replace(text=text))
     return merged, report
 
 
-class CorpusRecord(NamedTuple):
-    """One serialized-corpus line: the sample plus its system's split label."""
-
-    system_id: str
-    format: str
-    text: str
-    energy_ev: float | None
-    split: str
-
-
 def _featurize_one(system: AtomicSystem, fmt: str, tol: float) -> tuple[CorpusRecord, bool]:
-    fallback = False
     config = None
     if fmt != "S1":
         try:
             config = detect_configuration(system, tol)
         except NoBindingError:
-            fallback = True
-    if fallback:
-        sample = serialize(system, None, "S1")
-    else:
-        sample = serialize(system, config, fmt)
-    return (
-        CorpusRecord(sample.system_id, sample.format, sample.text,
-                     sample.energy_ev, system.split),
-        fallback,
-    )
+            return serialize(system, None, "S1"), True
+    return serialize(system, config, fmt), False
 
 
 def featurize_systems(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,6 +39,23 @@ def is_count(value) -> bool:
 def is_real(value) -> bool:
     """A real number, numpy ones included, and not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real_triple(values, what: str, index: int) -> tuple[float, float, float]:
+    """values, a JSON list of 3 real numbers, as floats; DatasetError naming
+    what.format(index) for another length, a bool, a string or an integer
+    too large for a float. Three JSON floats take the fast test."""
+    if isinstance(values, list) and len(values) == 3:
+        x, y, z = values
+        if type(x) is type(y) is type(z) is float:
+            return x, y, z
+        try:
+            if all(map(is_real, values)):
+                return tuple(map(float, values))
+        except OverflowError:
+            pass
+    raise DatasetError(f"{what.format(index)} must be 3 real numbers within float range, "
+                       f"got {reprlib.repr(values)}")
 
 
 @dataclass(frozen=True)
@@ -84,6 +102,8 @@ class AtomicSystem:
         cell = np.asarray(self.cell, dtype=float)
         if cell.shape != (3, 3):
             raise DatasetError(f"{self.id}: cell must be 3x3")
+        if not np.isfinite(cell).all():
+            raise DatasetError(f"{self.id}: cell must be finite, got {self.cell}")
         if abs(np.linalg.det(cell)) < 1e-10:
             raise DatasetError(f"{self.id}: cell vectors are linearly dependent")
         if len(self.miller_index) != 3 or not all(map(is_count, self.miller_index)):
@@ -132,15 +152,18 @@ class AtomicSystem:
     @classmethod
     def from_record(cls, rec: dict) -> "AtomicSystem":
         atoms = tuple(
-            Atom(a["element"], tuple(float(c) for c in a["position"]), a["tag"])
-            for a in rec["atoms"]
+            Atom(a["element"], _real_triple(a["position"], "atom {} position", i), a["tag"])
+            for i, a in enumerate(rec["atoms"])
         )
+        cell = rec["cell"]
+        if not isinstance(cell, list) or len(cell) != 3:
+            raise DatasetError(f"cell must be 3 rows, got {reprlib.repr(cell)}")
         return cls(
             id=rec["id"],
             adsorbate_smiles=rec["adsorbate_smiles"],
             bulk_formula=rec["bulk_formula"],
             miller_index=tuple(rec["miller_index"]),
-            cell=tuple(tuple(float(c) for c in v) for v in rec["cell"]),
+            cell=tuple(_real_triple(row, "cell row {}", i) for i, row in enumerate(cell)),
             atoms=atoms,
             energy_ev=rec.get("energy_ev"),
             split=rec.get("split", "train"),

@@ -230,15 +230,33 @@ def _pad_heap_top() -> None:
     mallopt(M_TOP_PAD, HEAP_TOP_PAD)
 
 
+def _step(model: EncoderModel, state: OptimizerState, plan: LrGroupPlan,
+          clip_norm: float | None, loss_of):
+    """One training step: `model.zero_grads`, `loss_of()`, `ag.backward` and
+    `adamw_step`. Returns None when loss_of returns None (a batch to skip),
+    else (loss, gradient norm before clipping, (forward_s, backward_s,
+    optimizer_s)). The loss, and so its tape, is dropped on return, so no two
+    tapes are resident at once. The only step loop body: training runs it,
+    and so does the step benchmark (`scripts/bench_train_step.py`)."""
+    model.zero_grads()
+    t0 = time.perf_counter()
+    loss = loss_of()
+    if loss is None:
+        return None
+    t1 = time.perf_counter()
+    ag.backward(loss)
+    t2 = time.perf_counter()
+    norm = adamw_step(model, state, plan, clip_norm=clip_norm)
+    return float(loss.data), norm, (t1 - t0, t2 - t1, time.perf_counter() - t2)
+
+
 def _epochs(model: EncoderModel, run_cfg: TrainRunConfig, plan: LrGroupPlan, n: int,
             batch_loss, by_size: bool, batch_of=lambda epoch, idx: idx):
     """The epoch loop of both objectives; yields (epoch, mean loss, start
     time, step stats) per epoch, the stats being the seconds per step
-    phase and the largest step gradient norm (NaN when no step ran). A
-    step is `zero_grads`, `batch_loss` (None skips it), `ag.backward` and
-    `adamw_step`; its batch is made before it begins. Each step's loss,
-    and so its tape, is dropped once its value is read, so no two tapes
-    are resident at once, validation included. Before its first step the
+    phase, the steps run and the largest step gradient norm (NaN when no
+    step ran). Each batch is made before its `_step` begins, and
+    `batch_loss` returning None skips the batch. Before its first step the
     loop pads the process's heap top (`_pad_heap_top`), so the freed tape
     stays mapped for the next step instead of being trimmed and faulted
     back in. On the benchmark's `pretrain_desc` this cut peak RSS from 99
@@ -251,28 +269,25 @@ def _epochs(model: EncoderModel, run_cfg: TrainRunConfig, plan: LrGroupPlan, n: 
         tic = time.perf_counter()
         order = np.random.default_rng([run_cfg.seed, epoch, 0]).permutation(n)
         dropout_rng = np.random.default_rng([run_cfg.seed, epoch, 1])
-        loss_sum, weight, phases = 0.0, 0, np.zeros(len(_PHASES))
+        loss_sum, weight, steps, phases = 0.0, 0, 0, np.zeros(len(_PHASES))
         grad_norm_max = 0.0
         for start in range(0, n, run_cfg.batch_size):
             idx = order[start:start + run_cfg.batch_size]
             batch = batch_of(epoch, idx)
-            model.zero_grads()
-            t0 = time.perf_counter()
-            loss = batch_loss(epoch, start, batch, dropout_rng)
-            if loss is None:
+            done = _step(model, state, plan, run_cfg.clip_norm,
+                         lambda: batch_loss(epoch, start, batch, dropout_rng))
+            if done is None:
                 continue
-            t1 = time.perf_counter()
-            ag.backward(loss)
-            t2 = time.perf_counter()
-            norm = adamw_step(model, state, plan, clip_norm=run_cfg.clip_norm)
-            phases += (t1 - t0, t2 - t1, time.perf_counter() - t2)
+            loss, norm, seconds = done
+            phases += seconds
             grad_norm_max = max(grad_norm_max, norm)
             w = len(idx) if by_size else 1
-            loss_sum += float(loss.data) * w
-            loss = None  # frees the tape before the next forward
+            loss_sum += loss * w
             weight += w
+            steps += 1
         yield epoch, loss_sum / max(weight, 1), tic, {
-            **dict(zip(_PHASES, phases.tolist())), "grad_norm_max": grad_norm_max if weight else np.nan}
+            **dict(zip(_PHASES, phases.tolist())), "steps": steps,
+            "grad_norm_max": grad_norm_max if steps else np.nan}
 
 
 def _history_row(epoch: int, metrics: dict, plan: LrGroupPlan, tic: float, stats: dict) -> dict:
@@ -311,8 +326,10 @@ def train_regression(
     epochs_since_best = 0
     for epoch, train_mae, tic, stats in _epochs(model, run_cfg, plan, len(train_seqs),
                                                 batch_loss, by_size=True):
+        val_tic = time.perf_counter()
         val_pred = predict_energies(model, val_seqs, run_cfg.batch_size)
         val_mae = float(np.mean(np.abs(val_pred - val_labels)))
+        stats["validation_s"] = time.perf_counter() - val_tic
         history.append(_history_row(epoch, {"train_mae": train_mae, "val_mae": val_mae},
                                     plan, tic, stats))
 

@@ -1,14 +1,18 @@
-"""The paired mode of scripts/bench_train_step.py (`--against <checkout>`)."""
+"""scripts/bench_train_step.py: its step profiles, criterion-10 figures and
+paired mode (`--against <checkout>`)."""
 
 import importlib
 import importlib.util
+import weakref
 from pathlib import Path
 
 import numpy as np
 
 import adsorbtext
+from adsorbtext import autograd as ag
 from adsorbtext import trainer
 from adsorbtext.encoder import EncoderConfig, ensure_mlm_head, init_model
+from adsorbtext.synth import synthetic_systems
 from adsorbtext.tokens import build_vocab, dynamic_mask, encode
 from test_trainer import _toy_records
 
@@ -90,3 +94,66 @@ def test_profile_steps_trains_a_model_with_an_mlm_head():
     for name in ("tok_emb", "layer0.wq", "mlm.w", "mlm.bias"):
         assert not np.array_equal(model.params[name].data, before[name]), name
     np.testing.assert_array_equal(model.params["head.w2"].data, before["head.w2"])  # no grad
+
+
+def test_profile_steps_drops_each_tape_before_the_next_forward():
+    bench = _bench()
+    records = _toy_records(16)
+    vocab = build_vocab([r.text for r in records])
+    model = init_model(EncoderConfig(vocab_size=len(vocab), n_layers=1, n_heads=1,
+                                     hidden_size=8, max_positions=16, dropout_rate=0.0), seed=1)
+    run = trainer.TrainRunConfig(batch_size=4, seed=1, base_lr=1e-2)
+    seqs, labels = trainer.encode_labeled(records, vocab, 16)
+    batches = [np.arange(start, start + 4) for start in range(0, 16, 4)]
+    previous, alive = [], []
+
+    def loss_of(idx):
+        if previous and previous[0]() is not None:
+            alive.append(len(previous))
+        loss = ag.l1_loss(trainer.forward(model, [seqs[i] for i in idx]).energy, labels[idx])
+        previous[:] = [weakref.ref(loss)]
+        return loss
+
+    profile, loss = bench.profile_steps(model, run, batches, loss_of, 4)
+    assert profile["steps"] == 4 and np.isfinite(loss)
+    assert alive == []
+    assert bench.tape_memory(model, run, batches, loss_of, 3)["tape_steps"] == 3
+    assert alive == []
+
+
+def test_criterion_10_reads_its_phases_from_the_history(monkeypatch):
+    bench = _bench()
+    histories = {}
+    train_regression = bench.train_regression
+
+    def small(vocab, max_positions):
+        cfg = EncoderConfig(vocab_size=len(vocab), n_layers=1, n_heads=1, hidden_size=8,
+                            max_positions=max_positions, dropout_rate=0.0, dtype="float32")
+        run = trainer.TrainRunConfig(batch_size=16, max_epochs=2, early_stopping_patience=2,
+                                     seed=bench.SEED, base_lr=1e-3)
+        return init_model(cfg, seed=bench.SEED), run
+
+    def recording(model, train, val, run, vocab):
+        result = train_regression(model, train, val, run, vocab)
+        histories[model.config.max_positions] = result.history
+        return result
+
+    monkeypatch.setattr(bench, "model_and_run", small)
+    monkeypatch.setattr(bench, "train_regression", recording)
+    out = bench.criterion_10(synthetic_systems(60, seed=123, noise_sigma=bench.NOISE_SIGMA))
+    assert out.keys() == {"S4", "S1", "gate"}
+    assert out["gate"].keys() == {"s4_below", "margin_to_gate", "margin_to_s1", "passed",
+                                  "wall_s"}
+    for fmt, max_positions in bench.FORMATS:
+        entry, history = out[fmt], histories[max_positions]
+        assert entry.keys() == {
+            "val_mae", "best_epoch", "epochs", "steps", "epoch_wall_s", "median_epoch_wall_s",
+            "forward_ms_per_step", "backward_ms_per_step", "adamw_ms_per_step",
+            "validation_s", "param_sha256"}
+        steps = sum(h["steps"] for h in history)
+        assert entry["steps"] == steps > 0 and entry["epochs"] == len(history) == 2
+        for key, metric in (("forward_ms_per_step", "forward_s"),
+                            ("backward_ms_per_step", "backward_s"),
+                            ("adamw_ms_per_step", "optimizer_s")):
+            assert entry[key] == round(1e3 * sum(h[metric] for h in history) / steps, 3)
+        assert entry["validation_s"] == round(sum(h["validation_s"] for h in history), 3)

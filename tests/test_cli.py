@@ -115,18 +115,22 @@ def test_verbose_flag_is_gone(tmp_path, table_system):
     assert "verbose" not in manifest["config"]
 
 
-def test_history_times_step_phases(tmp_path):
+def test_history_times_step_phases(tmp_path, caplog):
     corpus, vocab = tmp_path / "corpus.jsonl", tmp_path / "vocab.txt"
     assert run(["featurize", "--in", str(fixture_dataset_path()), "--out", str(corpus),
                 "--format", "s1"]) == EXIT_OK
     assert run(["build-vocab", "--in", str(corpus), "--out", str(vocab)]) == EXIT_OK
+    records = read_corpus(corpus)
     flags = ["--layers", "1", "--heads", "1", "--hidden", "8", "--max-positions", "32",
-             "--epochs", "2", "--patience", "2", "--lr", "1e-3"]
-    for command in ("pretrain", "train"):
+             "--epochs", "2", "--lr", "1e-3"]
+    for command, extra, n in (("pretrain", [], len(records)),
+                              ("train", ["--patience", "2"],
+                               sum(r.split == "train" for r in records))):
         history = tmp_path / f"{command}_history.tsv"
+        caplog.clear()
         assert run([command, "--corpus", str(corpus), "--vocab", str(vocab),
                     "--out", str(tmp_path / f"{command}.ckpt"), "--history", str(history),
-                    *flags]) == EXIT_OK
+                    *flags, *extra]) == EXIT_OK
         rows = {}
         for line in history.read_text().splitlines():
             epoch, split, metric, value = line.split("\t")
@@ -137,6 +141,13 @@ def test_history_times_step_phases(tmp_path):
             assert 0 < sum(value for _, value in phases) <= rows[epoch, "wall_time_s"][1], command
             split, norm = rows[epoch, "grad_norm_max"]
             assert split == "train" and 0 < norm < math.inf, command
+            skipped = caplog.text.count(f"epoch {epoch}: batch at")  # pretrain's empty masks
+            assert rows[epoch, "steps"] == ("train", -(-n // 12) - skipped), command
+            if command == "train":
+                split, seconds = rows[epoch, "validation_s"]
+                assert split == "val" and 0 < seconds <= rows[epoch, "wall_time_s"][1]
+            else:
+                assert (epoch, "validation_s") not in rows
 
 
 _TINY_MODEL = ["--layers", "1", "--heads", "1", "--hidden", "8", "--max-positions", "64",
@@ -304,7 +315,7 @@ def test_config_file_refuses_values_its_flags_refuse(trained, tmp_path, capsys,
 _MODEL_RUN = ["--layers", "1", "--heads", "1", "--hidden", "8", "--ffn", "32",
               "--max-positions", "64", "--dropout", "0.05", "--head-activation", "gelu",
               "--pre-norm", "--dtype", "float32", "--seed", "3", "--epochs", "1",
-              "--batch-size", "8", "--lr", "1e-3", "--patience", "2", "--weight-decay", "0",
+              "--batch-size", "8", "--lr", "1e-3", "--weight-decay", "0",
               "--clip-norm", "2"]  # integral text for float flags: JSON 2 must mean 2.0
 
 
@@ -322,7 +333,7 @@ def _every_option(command: str, trained: dict, work: Path) -> list[str]:
                      str(work / "history.tsv"), *_MODEL_RUN],
         "train": ["--corpus", corpus, "--vocab", vocab, "--out", str(work / "model.ckpt"),
                   "--init-from", trained["ckpt"], "--train-split", "ID",
-                  "--history", str(work / "history.tsv"), *_MODEL_RUN],
+                  "--history", str(work / "history.tsv"), "--patience", "2", *_MODEL_RUN],
         "predict": ["--corpus", corpus, *model, "--out", str(work / "pred.tsv"),
                     "--batch-size", "5"],
         "eval": ["--pred", trained["pred"], "--out", str(work / "eval")],
@@ -593,6 +604,10 @@ def test_malformed_corpus_record_is_user_error(tmp_path, capsys, line):
     assert "c.jsonl:1: bad corpus record" in capsys.readouterr().err
 
 
+_POSITION = "atom 0 position must be 3 real numbers within float range, got ["
+_CELL_ROW = "cell row 1 must be 3 real numbers within float range, got ["
+
+
 @pytest.mark.parametrize("keys,raw,message", [
     pytest.param(("atoms", 0, "tag"), "1.5", "tag must be the integer 0, 1 or 2, got 1.5",
                  id="tag-float"),
@@ -612,6 +627,16 @@ def test_malformed_corpus_record_is_user_error(tmp_path, capsys, line):
     pytest.param(("bulk_formula",), "null", "bulk_formula must be a string, got None",
                  id="formula-null"),
     pytest.param(("split",), "3", "split must be a string, got 3", id="split-number"),
+    pytest.param(("atoms", 0, "position", 1), '"1.5"', _POSITION, id="position-string"),
+    pytest.param(("atoms", 0, "position", 1), "true", _POSITION, id="position-bool"),
+    pytest.param(("atoms", 0, "position", 1), "1" + "0" * 400, _POSITION,
+                 id="position-overflow"),
+    pytest.param(("atoms", 0, "position"), "[1.0, 2.0]", _POSITION, id="position-short"),
+    pytest.param(("cell", 1, 2), '"1.5"', _CELL_ROW, id="cell-string"),
+    pytest.param(("cell", 1), "[1.0, 2.0]", _CELL_ROW, id="cell-row-short"),
+    pytest.param(("cell",), "[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]", "cell must be 3 rows",
+                 id="cell-two-rows"),
+    pytest.param(("cell", 0, 0), "NaN", "{id}: cell must be finite", id="cell-nan"),
 ])
 def test_dataset_record_of_a_wrong_type_is_user_error(tmp_path, capsys, table_system,
                                                        keys, raw, message):

@@ -200,7 +200,7 @@ def test_forward_without_tape_is_bitwise_equal(rng):
     assert np.array_equal(untaped.energies(), taped.energies())
     for t in (untaped.energy, untaped.pooled):
         assert not t.requires_grad
-        assert t._parents == () and t._backward is None
+        assert t._node is None
 
 
 def test_training_forward_frees_the_attention_projections(rng, monkeypatch):

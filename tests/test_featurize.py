@@ -4,7 +4,6 @@ import pytest
 
 from adsorbtext.featurize import (
     NoBindingError,
-    SerializedSample,
     detect_configuration,
     featurize_systems,
     format_distance,
@@ -160,15 +159,6 @@ def test_distance_rounding_stable_under_reserialization():
     for raw in (2.0499999, 2.1, 1.9501, 0.31, 3.456):
         once = format_distance(raw)
         assert format_distance(float(once)) == once
-
-
-def test_sample_invariants():
-    with pytest.raises(ValueError, match="start with <s>"):
-        SerializedSample("x", "S1", "no marker")
-    with pytest.raises(ValueError, match="empty"):
-        SerializedSample("x", "S1", "")
-    # description paragraphs are exempt from the marker rule
-    SerializedSample("x", "DESC", "Adsorbate ...")
 
 
 def test_featurize_fallback_to_s1():

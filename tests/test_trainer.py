@@ -459,6 +459,31 @@ def test_mlm_no_masked_positions_skips_batch(caplog):
     assert result.history[0]["mlm_loss"] == 0.0
 
 
+def test_history_counts_the_steps_run(monkeypatch):
+    texts = _mlm_corpus()  # 24 texts: batches of 10, 10 and 4
+    vocab = build_vocab(texts)
+    batch_loss = trainer._mlm_batch_loss
+    calls = []
+
+    def skip_second(*args, **kwargs):
+        calls.append(None)
+        return None if len(calls) % 3 == 2 else batch_loss(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "_mlm_batch_loss", skip_second)
+    run = TrainRunConfig(batch_size=10, max_epochs=2, seed=0, base_lr=1e-3)
+    result = pretrain_mlm(init_model(_desk_config(vocab, max_positions=16), seed=0),
+                          texts, run, vocab)
+    assert [h["steps"] for h in result.history] == [2, 2]
+    assert all("validation_s" not in h for h in result.history)
+
+    records = _toy_records(20)
+    vocab = build_vocab([r.text for r in records])
+    result = train_regression(init_model(_desk_config(vocab), seed=0), records, records[:10],
+                              run, vocab)
+    assert [h["steps"] for h in result.history] == [2, 2]  # 20 records, batches of 10
+    assert all(0 < h["validation_s"] < h["wall_time_s"] for h in result.history)
+
+
 def test_mlm_corpus_shorter_than_batch():
     texts = ["<s>a b</s>"]
     vocab = build_vocab(texts)
