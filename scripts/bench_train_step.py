@@ -14,12 +14,10 @@ so two entries with equal hashes trained bit for bit the same model. The
 phase and validation times are the sums of the trainer's own history
 rows, the figures `history.tsv` reports for the same run. It then runs
 PROFILE_STEPS (100) S4 training steps of a fresh model through
-`trainer._step`, the step training runs, with every public `autograd` op
-wrapped from outside, the way `perfbench/trace.py` wraps the program:
-the wrapper times the op's forward call and swaps the backward closure
-on its result's tape node (`_node.backward`) for a timed one, which gives
-per-op forward and backward milliseconds per step. Last it profiles the
-same way PROFILE_STEPS masked-token pretraining steps at the
+`trainer._step`, the step training runs, and reads each op's calls and
+forward and backward ms per step from the engine's op timer
+(`autograd.op_totals()`), as `history.tsv`'s per-op rows do. Last it
+profiles the same way PROFILE_STEPS masked-token pretraining steps at the
 configuration of the benchmark's `pretrain_desc` workload (DESC text of
 the same systems, 52 positions, mask rate 0.15, tied head), recording
 the final loss and a parameter sha256 as well; the masks are drawn
@@ -34,27 +32,23 @@ The result goes into `--out` (default BENCH_train_step.json) under
 checkout's own copy of this script from that checkout with `--label
 before` and `--out` at this file, and this one with `--label after`, puts
 both sides in one file. The script drives only a package that has
-`trainer._step`.
+`trainer._step` and `autograd.op_totals`.
 
 With `--against <checkout>` the script instead times the `train` of the
-benchmark's `finetune_s4` workload (400 synthetic systems of input seed
-0, S4, 6 epochs, learning rate 5e-4, the criterion-10 model) in one
-process, alternately by this checkout and by the other one, whose
-`src/adsorbtext` it imports under another package name. It runs PAIRS
+benchmark's `finetune_s4` workload (input seed 0, with the systems,
+splits, positions, epochs, learning rate and model seed of
+`perfbench.workloads.FinetuneS4` and `MODEL_SEED`) in one process,
+alternately by this checkout and by the other one, whose `src/adsorbtext`
+it imports under another package name. It runs PAIRS
 pairs, swapping which side runs first, and writes under `against` in
 `--out`, keyed by `--label`: each side's median and quartiles of the
 seconds, how many pairs each side won, each side's parameter sha256 and
 every run's minor page faults (`ru_minflt`). Both sides share one heap,
-so this method hides allocator effects. On 2 shared cores, freeing each
-step's tape before the next forward without a heap pad took 0-1 minor
-faults a run in one process and won 7 of 10 pairs (median 3.64 against
-3.68 s), yet as a separate `train` process it took 558k faults against
-59k and its throughput was 17-19 % lower, because the heap it returned
-to the system was faulted back in every step. Training now sets the
-process's heap-top pad (`trainer._pad_heap_top`), and once either side
-has trained, the pad holds for both sides of the pair for the rest of
-the process. Compare an allocator change in separate processes, and
-confirm any gain between processes before claiming it.
+and the heap-top pad that training sets (`trainer._pad_heap_top`) holds
+for both once either has trained, so this method hides allocator effects
+(README: a tape freed without the pad won 7 of 10 pairs here, yet lost
+17-19 % throughput as its own process). Confirm any gain between
+processes before claiming it.
 """
 
 from __future__ import annotations
@@ -63,7 +57,6 @@ import argparse
 import hashlib
 import importlib
 import importlib.util
-import inspect
 import json
 import os
 import platform
@@ -83,7 +76,10 @@ from adsorbtext.synth import synthetic_systems
 from adsorbtext.tokens import build_vocab, dynamic_mask, encode
 from adsorbtext.trainer import LrGroupPlan, OptimizerState, TrainRunConfig, train_regression
 
-SEED = 7
+sys.path.append(str(Path(__file__).resolve().parent.parent))  # perfbench
+from perfbench.workloads import MODEL_SEED, FinetuneS4  # noqa: E402
+
+SEED = MODEL_SEED  # criterion 10's, and the benchmark's, model seed
 NOISE_SIGMA = 0.1
 FORMATS = (("S4", 80), ("S1", 16))
 PROFILE_STEPS = 100  # training steps of each per-op profile
@@ -91,63 +87,6 @@ TAPE_STEPS = 16  # untimed, traced training steps of each tape measurement
 MLM_POSITIONS = 52  # pretrain_desc: the longest DESC text is 51 tokens
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 PAIRS = 10  # alternating runs of each side with --against
-FINETUNE_S4_SPLITS = {"train": 0.8, "ID": 0.05, "OOD_ads": 0.05, "OOD_cat": 0.05,
-                      "OOD_both": 0.05}
-
-
-class Timers:
-    """Calls and seconds per name, from wrappers installed on module attributes."""
-
-    def __init__(self):
-        self.seconds: dict[str, float] = {}
-        self.calls: dict[str, int] = {}
-        self._saved: list[tuple[object, str, object]] = []
-
-    def add(self, name: str, seconds: float) -> None:
-        self.seconds[name] = self.seconds.get(name, 0.0) + seconds
-        self.calls[name] = self.calls.get(name, 0) + 1
-
-    def timed(self, fn, name_of):
-        def wrapper(*args, **kwargs):
-            tic = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                self.add(name_of(), time.perf_counter() - tic)
-        return wrapper
-
-    def patch(self, owner, attr: str, make) -> None:
-        fn = getattr(owner, attr)
-        self._saved.append((owner, attr, fn))
-        setattr(owner, attr, make(fn))
-
-    def restore(self) -> None:
-        for owner, attr, fn in reversed(self._saved):
-            setattr(owner, attr, fn)
-        self._saved.clear()
-
-
-def public_ops() -> list[str]:
-    return sorted(name for name, fn in vars(autograd).items()
-                  if inspect.isfunction(fn) and fn.__module__ == autograd.__name__
-                  and not name.startswith("_") and name not in ("backward", "no_tape"))
-
-
-def patch_ops(timers: Timers) -> None:
-    """Time every op's forward call and the backward closure it records."""
-    def make(fn, op):
-        def wrapper(*args, **kwargs):
-            tic = time.perf_counter()
-            result = fn(*args, **kwargs)
-            timers.add(f"{op}.fwd", time.perf_counter() - tic)
-            node = (result[0] if isinstance(result, tuple) else result)._node
-            if node is not None:
-                node.backward = timers.timed(node.backward, lambda: f"{op}.bwd")
-            return result
-        return wrapper
-
-    for op in public_ops():
-        timers.patch(autograd, op, lambda fn, op=op: make(fn, op))
 
 
 def ms_per_step(seconds: float, steps: int) -> float:
@@ -219,28 +158,24 @@ def profile_steps(model, run, batches, loss_of, steps: int) -> tuple[dict, float
     last loss."""
     plan = LrGroupPlan(model.config.n_layers, base_lr=run.base_lr)
     state = OptimizerState(weight_decay=run.weight_decay)
-    timers = Timers()
-    patch_ops(timers)
     phases = np.zeros(len(trainer._PHASES))
-    try:
-        for step in range(steps):
-            batch = batches[step % len(batches)]
-            loss, _, seconds = trainer._step(model, state, plan, run.clip_norm,
-                                             lambda: loss_of(batch))
-            phases += seconds
-    finally:
-        timers.restore()
+    before = autograd.op_totals()
+    for step in range(steps):
+        batch = batches[step % len(batches)]
+        loss, _, seconds = trainer._step(model, state, plan, run.clip_norm,
+                                         lambda: loss_of(batch))
+        phases += seconds
     forward, backward, adamw = phases.tolist()
-    ops = sorted({name.rsplit(".", 1)[0] for name in timers.seconds})
     return {
         "steps": steps,
         "forward_ms_per_step": ms_per_step(forward, steps),
         "backward_ms_per_step": ms_per_step(backward, steps),
         "adamw_ms_per_step": ms_per_step(adamw, steps),
-        "ops": {op: {"calls_per_step": timers.calls.get(f"{op}.fwd", 0) / steps,
-                     "fwd_ms_per_step": ms_per_step(timers.seconds.get(f"{op}.fwd", 0.0), steps),
-                     "bwd_ms_per_step": ms_per_step(timers.seconds.get(f"{op}.bwd", 0.0), steps)}
-                for op in ops},
+        "ops": {op: {"calls_per_step": (calls - before[op][0]) / steps,
+                     "fwd_ms_per_step": ms_per_step(fwd - before[op][1], steps),
+                     "bwd_ms_per_step": ms_per_step(bwd - before[op][2], steps)}
+                for op, (calls, fwd, bwd) in sorted(autograd.op_totals().items())
+                if calls > before[op][0]},
     }, loss
 
 
@@ -340,16 +275,18 @@ def finetune_s4_train(package):
     name = package.__name__
     mods = {m: importlib.import_module(f"{name}.{m}")
             for m in ("encoder", "featurize", "synth", "tokens", "trainer")}
-    systems = mods["synth"].synthetic_systems(400, seed=0, split_fractions=FINETUNE_S4_SPLITS)
+    w = FinetuneS4  # the workload's settings: systems, splits, positions, epochs, lr
+    systems = mods["synth"].synthetic_systems(w.SYSTEMS, seed=0, split_fractions=w.SPLITS)
     records, _ = mods["featurize"].featurize_systems(systems, "S4")
     vocab = mods["tokens"].build_vocab([r.text for r in records])
     train = [r for r in records if r.split == "train"]
     val = [r for r in records if r.split != "train"]
     cfg = mods["encoder"].EncoderConfig(
-        vocab_size=len(vocab), n_layers=4, n_heads=4, hidden_size=64, max_positions=80,
-        dropout_rate=0.0, dtype="float32")
-    run = mods["trainer"].TrainRunConfig(batch_size=16, max_epochs=6, early_stopping_patience=6,
-                                         seed=SEED, base_lr=5e-4)
+        vocab_size=len(vocab), n_layers=4, n_heads=4, hidden_size=64,
+        max_positions=w.MAX_POSITIONS, dropout_rate=0.0, dtype="float32")
+    run = mods["trainer"].TrainRunConfig(batch_size=16, max_epochs=w.EPOCHS,
+                                         early_stopping_patience=w.EPOCHS, seed=SEED,
+                                         base_lr=w.LR)
 
     def once() -> tuple[float, int, str]:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

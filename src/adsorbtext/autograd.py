@@ -32,6 +32,13 @@ A leaf whose owner keeps gradients in one flat buffer (EncoderModel) has
 a `grad_view` into it; backward writes that leaf's gradient there instead
 of binding a new array.
 
+Every public op is registered by `@_op` and timed, always: per op, the
+engine adds up its calls, its forward seconds and the seconds backward()
+spends in the closures it put on the tape (each node records its op).
+`op_totals()` reads the sums; callers take differences of two readings,
+as training does around each epoch's steps. Callers call ops as module
+attributes (`autograd.linear`), so a tool wrapping those still sees all.
+
 Double precision is the default so finite-difference checks are
 meaningful; single precision is supported for training speed by creating
 parameters as float32 (ops preserve the widest parent dtype).
@@ -39,24 +46,52 @@ parameters as float32 (ops preserve the widest parent dtype).
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from contextlib import contextmanager
+from time import perf_counter
 
 import numpy as np
 
 _taping = True  # switched off only inside no_tape()
+_totals: dict[str, list] = {}  # the op registry: name -> [calls, forward s, backward s]
+_running: list | None = None  # the totals of the op whose forward runs
+
+
+def _op(fn):
+    """Register fn as a public op and time its forward calls."""
+    totals = _totals[fn.__name__] = [0, 0.0, 0.0]
+
+    @functools.wraps(fn)
+    def op(*args, **kwargs):
+        global _running
+        _running = totals  # no op calls another, so this is the running one
+        tic = perf_counter()
+        out = fn(*args, **kwargs)
+        totals[1] += perf_counter() - tic
+        totals[0] += 1
+        return out
+    return op
+
+
+def op_totals() -> dict[str, tuple[int, float, float]]:
+    """Each registered op's calls, forward seconds and backward seconds
+    since import, in definition order; callers take differences."""
+    return {name: tuple(t) for name, t in _totals.items()}
 
 
 class _Node:
     """A Tensor's place on the tape: its parents' nodes (None where a parent
-    needs no gradient), its backward closure (None for a leaf) and a weak
-    reference to the Tensor, whose .grad it fills while the Tensor lives."""
+    needs no gradient), its backward closure and op's totals (None for a
+    leaf) and a weak reference to the Tensor, whose .grad it fills while
+    the Tensor lives."""
 
-    __slots__ = ("parents", "backward", "tensor")
+    __slots__ = ("parents", "backward", "op", "tensor")
 
-    def __init__(self, parents: tuple, backward, tensor: Tensor):
-        self.parents, self.backward, self.tensor = parents, backward, weakref.ref(tensor)
+    def __init__(self, parents: tuple, backward, tensor: Tensor, op: list | None = None):
+        self.parents, self.backward, self.op = parents, backward, op
+        self.tensor = weakref.ref(tensor)
 
 
 class Tensor:
@@ -109,7 +144,7 @@ def _result(data, parents, backward) -> Tensor:
         nodes = tuple(_node_of(p) for p in parents)
         if any(nodes):
             out.requires_grad = True
-            out._node = _Node(nodes, backward, out)
+            out._node = _Node(nodes, backward, out, _running)
     return out
 
 
@@ -123,6 +158,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+@_op
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     sa, sb = a.data.shape, b.data.shape
@@ -133,6 +169,7 @@ def add(a, b) -> Tensor:
     return _result(a.data + b.data, (a, b), backward)
 
 
+@_op
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     x, y = a.data, b.data
@@ -143,6 +180,7 @@ def mul(a, b) -> Tensor:
     return _result(x * y, (a, b), backward)
 
 
+@_op
 def scale(a, s: float) -> Tensor:
     a = _wrap(a)
 
@@ -152,6 +190,7 @@ def scale(a, s: float) -> Tensor:
     return _result(a.data * s, (a,), backward)
 
 
+@_op
 def matmul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     x, y = a.data, b.data
@@ -164,6 +203,7 @@ def matmul(a, b) -> Tensor:
     return _result(np.matmul(x, y), (a, b), backward)
 
 
+@_op
 def linear(x, w, b=None) -> Tensor:
     """x @ w (+ b) with x of any rank viewed as rows of its last axis, so
     the weight gradient is one 2-D GEMM and the bias gradient one column sum.
@@ -187,6 +227,7 @@ def linear(x, w, b=None) -> Tensor:
     return _result(out_data, (x, w, b) if biased else (x, w), backward)
 
 
+@_op
 def transpose(a, axes) -> Tensor:
     a = _wrap(a)
     inverse = np.argsort(axes)
@@ -197,6 +238,7 @@ def transpose(a, axes) -> Tensor:
     return _result(np.transpose(a.data, axes), (a,), backward)
 
 
+@_op
 def reshape(a, shape) -> Tensor:
     a = _wrap(a)
     old = a.data.shape
@@ -207,6 +249,7 @@ def reshape(a, shape) -> Tensor:
     return _result(a.data.reshape(shape), (a,), backward)
 
 
+@_op
 def take(a, index) -> Tensor:
     """Basic (non-repeating) slice/index with gradient scatter."""
     a = _wrap(a)
@@ -220,6 +263,7 @@ def take(a, index) -> Tensor:
     return _result(a.data[index], (a,), backward)
 
 
+@_op
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     weights = table.data
 
@@ -231,6 +275,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _result(weights[ids], (table,), backward)
 
 
+@_op
 def softmax(a, axis: int = -1) -> Tensor:
     """Max-subtracted softmax; -inf inputs give exact zeros."""
     a = _wrap(a)
@@ -332,6 +377,7 @@ class AttentionLayout:
         return out
 
 
+@_op
 def attention(q, k, v, layout: AttentionLayout, n_heads: int,
               keep: np.ndarray | None = None) -> tuple[Tensor, list[np.ndarray]]:
     """Multi-head softmax(QK^T / sqrt(d_head)) V on packed rows.
@@ -405,6 +451,7 @@ def attention(q, k, v, layout: AttentionLayout, n_heads: int,
     return out, [s[3].swapaxes(-1, -2) for s in saved]
 
 
+@_op
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
@@ -435,6 +482,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return _result(out_data, (x, gain, bias), backward)
 
 
+@_op
 def tanh(a) -> Tensor:
     a = _wrap(a)
     out_data = np.tanh(a.data)
@@ -448,6 +496,7 @@ def tanh(a) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
+@_op
 def gelu(a) -> Tensor:
     """tanh-formulation GELU: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))."""
     a = _wrap(a)
@@ -483,14 +532,13 @@ def gelu(a) -> Tensor:
     return _result(out_data, (a,), backward)
 
 
+@_op
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
     shape = a.data.shape
 
     def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        ga = g if keepdims else np.expand_dims(g, axis)
+        ga = g if axis is None or keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(ga, shape).copy(),)
 
     # a full reduction gives a numpy scalar; asarray keeps its dtype, where
@@ -498,6 +546,7 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _result(np.asarray(a.data.sum(axis=axis, keepdims=keepdims)), (a,), backward)
 
 
+@_op
 def dropout(a, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; identity when rate is 0."""
     if rate <= 0.0:
@@ -512,6 +561,7 @@ def dropout(a, rate: float, rng: np.random.Generator) -> Tensor:
     return _result(out_data, (a,), backward)
 
 
+@_op
 def cross_entropy(logits, targets: np.ndarray) -> Tensor:
     """Mean cross-entropy of row-wise class logits against integer targets."""
     logits = _wrap(logits)
@@ -532,6 +582,7 @@ def cross_entropy(logits, targets: np.ndarray) -> Tensor:
     return _result(out_data, (logits,), backward)
 
 
+@_op
 def l1_loss(pred, target) -> Tensor:
     """Mean absolute error; target is constant and taken in pred's dtype."""
     pred = _wrap(pred)
@@ -568,9 +619,7 @@ def backward(loss: Tensor) -> None:
             if parent is not None and id(parent) not in seen:
                 stack.append((parent, False))
 
-    grads: dict[int, np.ndarray] = {
-        id(root): np.ones_like(loss.data, dtype=loss.data.dtype)
-    }
+    grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     for node in reversed(topo):
         g = grads.pop(id(node), None)
         if g is None:
@@ -587,7 +636,10 @@ def backward(loss: Tensor) -> None:
                     np.add(t.grad, g, out=t.grad_view)
                 t.grad = t.grad_view
         if node.backward is not None:
-            for parent, pg in zip(node.parents, node.backward(g)):
+            tic = perf_counter()
+            parent_grads = node.backward(g)
+            node.op[2] += perf_counter() - tic
+            for parent, pg in zip(node.parents, parent_grads):
                 if parent is not None:
                     acc = grads.get(id(parent))
                     grads[id(parent)] = pg if acc is None else acc + pg

@@ -96,7 +96,7 @@ class Vocabulary:
         tokens = []
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
-                if line.startswith("#"):
+                if not tokens and line.startswith("#"):  # the header; `#b` is a token
                     continue
                 token = line.rstrip("\n")
                 if token:

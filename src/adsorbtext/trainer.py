@@ -254,15 +254,13 @@ def _epochs(model: EncoderModel, run_cfg: TrainRunConfig, plan: LrGroupPlan, n: 
             batch_loss, by_size: bool, batch_of=lambda epoch, idx: idx):
     """The epoch loop of both objectives; yields (epoch, mean loss, start
     time, step stats) per epoch, the stats being the seconds per step
-    phase, the steps run and the largest step gradient norm (NaN when no
-    step ran). Each batch is made before its `_step` begins, and
+    phase, the steps run, the largest step gradient norm and each op's
+    forward and backward ms per step (`_op_ms`); the loss and the norm are
+    NaN when no step ran. Each batch is made before its `_step` begins, and
     `batch_loss` returning None skips the batch. Before its first step the
     loop pads the process's heap top (`_pad_heap_top`), so the freed tape
     stays mapped for the next step instead of being trimmed and faulted
-    back in. On the benchmark's `pretrain_desc` this cut peak RSS from 99
-    to 79 MB and minor faults from 68k to 16k; a tape that keeps only the
-    arrays backward reads (`autograd`) then cut it to 72 MB (README,
-    Notes)."""
+    back in (README, Notes, has the measurements)."""
     _pad_heap_top()
     state = OptimizerState(weight_decay=run_cfg.weight_decay)
     for epoch in range(1, run_cfg.max_epochs + 1):
@@ -271,6 +269,7 @@ def _epochs(model: EncoderModel, run_cfg: TrainRunConfig, plan: LrGroupPlan, n: 
         dropout_rng = np.random.default_rng([run_cfg.seed, epoch, 1])
         loss_sum, weight, steps, phases = 0.0, 0, 0, np.zeros(len(_PHASES))
         grad_norm_max = 0.0
+        ops_before = ag.op_totals()
         for start in range(0, n, run_cfg.batch_size):
             idx = order[start:start + run_cfg.batch_size]
             batch = batch_of(epoch, idx)
@@ -285,9 +284,19 @@ def _epochs(model: EncoderModel, run_cfg: TrainRunConfig, plan: LrGroupPlan, n: 
             loss_sum += loss * w
             weight += w
             steps += 1
-        yield epoch, loss_sum / max(weight, 1), tic, {
+        yield epoch, loss_sum / weight if weight else np.nan, tic, {
             **dict(zip(_PHASES, phases.tolist())), "steps": steps,
-            "grad_norm_max": grad_norm_max if steps else np.nan}
+            "grad_norm_max": grad_norm_max if steps else np.nan,
+            **_op_ms(ops_before, steps)}
+
+
+def _op_ms(before: dict, steps: int) -> dict:
+    """`<op>_fwd_ms_per_step` and `<op>_bwd_ms_per_step` of every op called
+    since `before`, an `ag.op_totals()` reading, over `steps` steps; none
+    when no step ran."""
+    return {f"{op}_{phase}_ms_per_step": 1e3 * (now[i] - before[op][i]) / steps
+            for op, now in ag.op_totals().items() if steps and now[0] > before[op][0]
+            for phase, i in (("fwd", 1), ("bwd", 2))}
 
 
 def _history_row(epoch: int, metrics: dict, plan: LrGroupPlan, tic: float, stats: dict) -> dict:

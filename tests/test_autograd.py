@@ -1,3 +1,4 @@
+import inspect
 import math
 import weakref
 
@@ -275,6 +276,37 @@ def test_no_tape_records_nothing_and_restores_after_error():
             raise RuntimeError("inside the context")
     taped = ag.gelu(ag.matmul(w, w))
     assert taped.requires_grad and taped._node.backward is not None
+
+
+PUBLIC_OPS = ("add", "attention", "cross_entropy", "dropout", "embedding", "gelu", "l1_loss",
+              "layer_norm", "linear", "matmul", "mul", "reshape", "scale", "softmax", "take",
+              "tanh", "tensor_sum", "transpose")
+
+
+def test_op_registry_holds_every_public_op():
+    public = {name for name, fn in vars(ag).items()
+              if inspect.isfunction(fn) and fn.__module__ == ag.__name__
+              and not name.startswith("_") and name not in ("backward", "no_tape", "op_totals")}
+    assert sorted(ag.op_totals()) == sorted(public) == list(PUBLIC_OPS)
+
+
+def test_op_timer_counts_calls_and_backward_closures(rng):
+    x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    before = ag.op_totals()
+    loss = ag.l1_loss(ag.gelu(ag.linear(x, w)), np.zeros((6, 3)))
+    with ag.no_tape():
+        ag.gelu(x)  # a forward call; nothing to time in backward
+    mid = ag.op_totals()
+    ag.backward(loss)
+    after = ag.op_totals()
+    calls = {op: mid[op][0] - before[op][0] for op in PUBLIC_OPS}
+    assert calls == {op: {"gelu": 2, "linear": 1, "l1_loss": 1}.get(op, 0) for op in PUBLIC_OPS}
+    for op in PUBLIC_OPS:
+        assert after[op][:2] == mid[op][:2]  # backward calls no op
+        assert (mid[op][1] > before[op][1]) == (calls[op] > 0), op
+        assert mid[op][2] == before[op][2], op
+        assert (after[op][2] > mid[op][2]) == (op in ("gelu", "linear", "l1_loss")), op
 
 
 def test_linear_matches_matmul_plus_bias(rng):

@@ -449,6 +449,24 @@ def test_smoke_produces_all_artifacts(tmp_path):
     assert written == report
 
 
+def test_smoke_history_times_every_op_of_each_epoch(tmp_path):
+    end_to_end_smoke(SmokeConfig(out_dir=tmp_path / "run", train_epochs=2))
+    rows = {}
+    for line in (tmp_path / "run" / "history.tsv").read_text().splitlines():
+        epoch, split, metric, value = line.split("\t")
+        rows.setdefault(int(epoch), {})[metric] = (split, float(value))
+    step_ops = {"add", "attention", "embedding", "gelu", "l1_loss", "layer_norm", "linear",
+                "reshape", "take", "tanh"}  # post-norm, tanh head, no dropout
+    assert sorted(rows) == [1, 2]
+    for epoch, metrics in rows.items():
+        per_op = {m: v for m, v in metrics.items() if m.endswith("_ms_per_step")}
+        assert set(per_op) == {f"{op}_{phase}_ms_per_step"
+                               for op in step_ops for phase in ("fwd", "bwd")}, epoch
+        assert all(split == "train" and value > 0 for split, value in per_op.values()), epoch
+        slowest = max(per_op, key=lambda m: per_op[m][1])  # the history names its slowest op
+        assert slowest.rsplit("_", 4)[0] in step_ops
+
+
 def test_smoke_corrupted_intermediate_names_stage(tmp_path):
     out = tmp_path / "run"
     dataset = tmp_path / "broken.jsonl"

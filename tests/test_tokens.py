@@ -77,6 +77,17 @@ def test_vocab_save_load_and_hash(tmp_path, fixture_corpus):
     assert loaded.sha256 == vocab.sha256
 
 
+def test_vocab_round_trips_tokens_that_begin_with_a_hash(tmp_path):
+    vocab = build_vocab(["<s>a #b c</s>", "x # y"])
+    assert len(vocab) == 11 and {"#b", "#"} <= set(vocab.id_to_token)
+    path = tmp_path / "vocab.txt"
+    vocab.save(path)
+    loaded = Vocabulary.load(path)
+    assert loaded.id_to_token == vocab.id_to_token
+    assert loaded.sha256 == vocab.sha256
+    assert loaded.id_of("#b") == vocab.id_of("#b") != UNK
+
+
 def test_vocab_requires_specials_first():
     with pytest.raises(ValueError):
         Vocabulary(["a", "b"])

@@ -456,7 +456,8 @@ def test_mlm_no_masked_positions_skips_batch(caplog):
     with caplog.at_level(logging.WARNING):
         result = pretrain_mlm(model, texts, run, vocab)
     assert "no masked positions" in caplog.text
-    assert result.history[0]["mlm_loss"] == 0.0
+    assert np.isnan(result.history[0]["mlm_loss"])  # no step ran: no mean loss
+    assert result.history[0]["steps"] == 0 and np.isnan(result.history[0]["grad_norm_max"])
 
 
 def test_history_counts_the_steps_run(monkeypatch):
@@ -482,6 +483,31 @@ def test_history_counts_the_steps_run(monkeypatch):
                               run, vocab)
     assert [h["steps"] for h in result.history] == [2, 2]  # 20 records, batches of 10
     assert all(0 < h["validation_s"] < h["wall_time_s"] for h in result.history)
+
+
+def test_history_times_each_op_of_the_steps_only(monkeypatch):
+    records = _toy_records(20)
+    vocab = build_vocab([r.text for r in records])
+    predict = trainer.predict_energies
+
+    def validate_with_scale(model, seqs, batch_size=32):
+        ag.scale(ag.Tensor(np.ones(2)), 2.0)  # an op no training step calls
+        return predict(model, seqs, batch_size)
+
+    monkeypatch.setattr(trainer, "predict_energies", validate_with_scale)
+    run = TrainRunConfig(batch_size=10, max_epochs=2, seed=0, base_lr=1e-3)
+    result = train_regression(init_model(_desk_config(vocab), seed=0), records, records[:10],
+                              run, vocab)
+    step_ops = {"add", "attention", "embedding", "gelu", "l1_loss", "layer_norm", "linear",
+                "reshape", "take", "tanh"}
+    for h in result.history:
+        ops = {key.rsplit("_", 4)[0]: key for key in h if key.endswith("_ms_per_step")}
+        assert set(ops) == step_ops  # scale ran only in validation
+        for op in step_ops:
+            assert h[f"{op}_fwd_ms_per_step"] > 0 and h[f"{op}_bwd_ms_per_step"] > 0, op
+        steps_ms = 1e3 * h["forward_s"] / h["steps"], 1e3 * h["backward_s"] / h["steps"]
+        assert sum(h[f"{op}_fwd_ms_per_step"] for op in step_ops) <= steps_ms[0]
+        assert sum(h[f"{op}_bwd_ms_per_step"] for op in step_ops) <= steps_ms[1]
 
 
 def test_mlm_corpus_shorter_than_batch():
