@@ -70,11 +70,11 @@ import numpy as np
 
 import adsorbtext
 from adsorbtext import autograd, trainer
-from adsorbtext.encoder import EncoderConfig, ensure_mlm_head, init_model
+from adsorbtext.encoder import ensure_mlm_head, init_model
 from adsorbtext.featurize import featurize_systems
 from adsorbtext.synth import synthetic_systems
 from adsorbtext.tokens import build_vocab, dynamic_mask, encode
-from adsorbtext.trainer import LrGroupPlan, OptimizerState, TrainRunConfig, train_regression
+from adsorbtext.trainer import LrGroupPlan, OptimizerState, train_regression
 
 sys.path.append(str(Path(__file__).resolve().parent.parent))  # perfbench
 from perfbench.workloads import MODEL_SEED, FinetuneS4  # noqa: E402
@@ -87,6 +87,11 @@ TAPE_STEPS = 16  # untimed, traced training steps of each tape measurement
 MLM_POSITIONS = 52  # pretrain_desc: the longest DESC text is 51 tokens
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 PAIRS = 10  # alternating runs of each side with --against
+# criterion 10's encoder and batch size, which the finetune_s4 workload shares
+ENCODER = {"n_layers": 4, "n_heads": 4, "hidden_size": 64, "dropout_rate": 0.0,
+           "dtype": "float32"}
+BATCH_SIZE = 16
+CRITERION_10_RUN = {"max_epochs": 40, "early_stopping_patience": 5, "base_lr": 1e-3}
 
 
 def ms_per_step(seconds: float, steps: int) -> float:
@@ -111,11 +116,17 @@ def corpus(systems, fmt: str):
     return train, val, vocab
 
 
+def configs(package, vocab_size: int, max_positions: int, **run):
+    """`package`'s own EncoderConfig of the ENCODER and TrainRunConfig of a
+    BATCH_SIZE run at SEED, run setting the run's other fields."""
+    mods = {m: importlib.import_module(f"{package.__name__}.{m}") for m in ("encoder", "trainer")}
+    return (mods["encoder"].EncoderConfig(vocab_size=vocab_size, max_positions=max_positions,
+                                          **ENCODER),
+            mods["trainer"].TrainRunConfig(batch_size=BATCH_SIZE, seed=SEED, **run))
+
+
 def model_and_run(vocab, max_positions: int):
-    cfg = EncoderConfig(vocab_size=len(vocab), n_layers=4, n_heads=4, hidden_size=64,
-                        max_positions=max_positions, dropout_rate=0.0, dtype="float32")
-    run = TrainRunConfig(batch_size=16, max_epochs=40, early_stopping_patience=5,
-                         seed=SEED, base_lr=1e-3)
+    cfg, run = configs(adsorbtext, len(vocab), max_positions, **CRITERION_10_RUN)
     return init_model(cfg, seed=SEED), run
 
 
@@ -281,12 +292,8 @@ def finetune_s4_train(package):
     vocab = mods["tokens"].build_vocab([r.text for r in records])
     train = [r for r in records if r.split == "train"]
     val = [r for r in records if r.split != "train"]
-    cfg = mods["encoder"].EncoderConfig(
-        vocab_size=len(vocab), n_layers=4, n_heads=4, hidden_size=64,
-        max_positions=w.MAX_POSITIONS, dropout_rate=0.0, dtype="float32")
-    run = mods["trainer"].TrainRunConfig(batch_size=16, max_epochs=w.EPOCHS,
-                                         early_stopping_patience=w.EPOCHS, seed=SEED,
-                                         base_lr=w.LR)
+    cfg, run = configs(package, len(vocab), w.MAX_POSITIONS, max_epochs=w.EPOCHS,
+                       early_stopping_patience=w.EPOCHS, base_lr=w.LR)
 
     def once() -> tuple[float, int, str]:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -358,9 +365,9 @@ def main(argv=None) -> None:
         }
         doc.setdefault("config", {
             "systems": 2000, "synth_seed": 123, "noise_sigma": NOISE_SIGMA, "model_seed": SEED,
-            "formats": dict(FORMATS), "n_layers": 4, "n_heads": 4, "hidden_size": 64,
-            "dtype": "float32", "batch_size": 16, "base_lr": 1e-3, "max_epochs": 40,
-            "patience": 5, "dropout_rate": 0.0, "profile_format": "S4",
+            "formats": dict(FORMATS), **ENCODER, "batch_size": BATCH_SIZE,
+            "base_lr": CRITERION_10_RUN["base_lr"], "max_epochs": CRITERION_10_RUN["max_epochs"],
+            "patience": CRITERION_10_RUN["early_stopping_patience"], "profile_format": "S4",
             "mlm_profile": {"format": "desc", "max_positions": MLM_POSITIONS,
                             "mask_rate": 0.15, "tied": True}})
         doc.setdefault("runs", {})[args.label] = run

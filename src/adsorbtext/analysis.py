@@ -22,6 +22,7 @@ from .elements import formula_elements
 from .encoder import AttentionRecord, EncoderModel, forward
 from .systems import AtomicSystem
 from .tokens import TokenSequence, tokenize_words
+from .trainer import INFERENCE_BATCH_SIZE
 
 # bulk-content flags follow the most common bulk elements of the
 # large-scale corpus this toolkit mirrors
@@ -162,7 +163,7 @@ def export_embeddings(
     systems: Sequence[AtomicSystem],
     seqs: Sequence[TokenSequence],
     path: str | Path,
-    batch_size: int = 32,
+    batch_size: int = INFERENCE_BATCH_SIZE,
 ) -> None:
     """First-token embeddings with the metadata columns used for coloring
     latent-space plots (adsorbate type and size class, bulk-content flags,

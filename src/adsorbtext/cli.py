@@ -38,6 +38,8 @@ import numpy as np
 
 from . import __version__, analysis, pairs as pairs_mod
 from .encoder import (
+    DTYPES,
+    HEAD_ACTIVATIONS,
     CheckpointError,
     ConfigError,
     EncoderConfig,
@@ -48,6 +50,7 @@ from .encoder import (
 )
 from .featurize import (
     DEFAULT_CUTOFF_TOLERANCE,
+    FORMATS,
     NoBindingError,
     detect_configuration,
     featurize_systems,
@@ -60,6 +63,8 @@ from .featurize import (
 from .systems import SPLITS, load_dataset
 from .tokens import Vocabulary, build_vocab, encode
 from .trainer import (
+    INFERENCE_BATCH_SIZE,
+    NonFiniteGradientError,
     TrainRunConfig,
     encode_labeled,
     predict_energies,
@@ -91,25 +96,41 @@ class _Parser(argparse.ArgumentParser):
                 if flag.startswith("--") and action.dest not in ("help", "config")}
 
 
-def _add_model_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--layers", type=int, default=4)
-    sp.add_argument("--heads", type=int, default=4)
-    sp.add_argument("--hidden", type=int, default=64)
-    sp.add_argument("--ffn", type=int, default=None)
-    sp.add_argument("--max-positions", type=int, default=512)
-    sp.add_argument("--dropout", type=float, default=0.1)
-    sp.add_argument("--head-activation", choices=("tanh", "gelu"), default="tanh")
-    sp.add_argument("--pre-norm", action="store_true")
-    sp.add_argument("--dtype", choices=("float64", "float32"), default="float64")
+# config field -> (flag, its type, or its choices); a flag's default is its field's
+_MODEL_FLAGS = {
+    "n_layers": ("--layers", int), "n_heads": ("--heads", int),
+    "hidden_size": ("--hidden", int), "ffn_size": ("--ffn", int),
+    "max_positions": ("--max-positions", int), "dropout_rate": ("--dropout", float),
+    "head_activation": ("--head-activation", HEAD_ACTIVATIONS),
+    "pre_norm": ("--pre-norm", bool), "dtype": ("--dtype", DTYPES),
+}
+_RUN_FLAGS = {
+    "mask_rate": ("--mask-rate", float),  # pretrain only; train keeps the default
+    "early_stopping_patience": ("--patience", int),  # train only
+    "seed": ("--seed", int), "max_epochs": ("--epochs", int),
+    "batch_size": ("--batch-size", int), "base_lr": ("--lr", float),
+    "weight_decay": ("--weight-decay", float), "clip_norm": ("--clip-norm", float),
+}
+_SHARED_RUN_FIELDS = [f for f in _RUN_FLAGS if f not in ("mask_rate", "early_stopping_patience")]
+_FORMATS = tuple(f.lower() for f in FORMATS)
 
 
-def _add_train_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--epochs", type=int, default=100)
-    sp.add_argument("--batch-size", type=int, default=12)
-    sp.add_argument("--lr", type=float, default=1e-6)
-    sp.add_argument("--weight-decay", type=float, default=0.01)
-    sp.add_argument("--clip-norm", type=float, default=None)
+def _add_config_flags(sp: argparse.ArgumentParser, config_class, table: dict,
+                      fields=None) -> None:
+    """The flags of table's fields (all by default), each defaulting to its
+    field's default in config_class."""
+    for name in fields or table:
+        flag, kind = table[name]
+        sp.add_argument(flag, default=getattr(config_class, name), **(
+            {"action": "store_true"} if kind is bool
+            else {"choices": kind} if isinstance(kind, tuple) else {"type": kind}))
+
+
+def _config_values(args: argparse.Namespace, table: dict) -> dict:
+    """The values of the table's flags the subcommand has, by config field."""
+    values = vars(args)
+    return {name: values[dest] for name, (flag, _) in table.items()
+            if (dest := flag[2:].replace("-", "_")) in values}
 
 
 def build_parser() -> _Parser:
@@ -127,8 +148,7 @@ def build_parser() -> _Parser:
     sp = add_parser("featurize", help="serialize systems to text")
     sp.add_argument("--in", dest="inp", type=Path, required=True)
     sp.add_argument("--out", type=Path, required=True)
-    sp.add_argument("--format", required=True,
-                    choices=("s1", "s2", "s3", "s4", "s5", "desc"))
+    sp.add_argument("--format", required=True, choices=_FORMATS)
     sp.add_argument("--cutoff-tolerance", type=float,
                     default=DEFAULT_CUTOFF_TOLERANCE)
     sp.add_argument("--desc-cache", type=Path, default=None)
@@ -142,11 +162,11 @@ def build_parser() -> _Parser:
     sp.add_argument("--corpus", type=Path, required=True)
     sp.add_argument("--vocab", type=Path, required=True)
     sp.add_argument("--out", type=Path, required=True)
-    sp.add_argument("--mask-rate", type=float, default=0.15)
+    _add_config_flags(sp, TrainRunConfig, _RUN_FLAGS, ["mask_rate"])
     sp.add_argument("--untied-mlm", action="store_true")
     sp.add_argument("--history", type=Path, default=None)
-    _add_model_flags(sp)
-    _add_train_flags(sp)
+    _add_config_flags(sp, EncoderConfig, _MODEL_FLAGS)
+    _add_config_flags(sp, TrainRunConfig, _RUN_FLAGS, _SHARED_RUN_FIELDS)
 
     sp = add_parser("train", help="MAE-loss regression finetuning")
     sp.add_argument("--corpus", type=Path, required=True)
@@ -157,9 +177,9 @@ def build_parser() -> _Parser:
                          "(heads are reinitialized)")
     sp.add_argument("--train-split", default="train")
     sp.add_argument("--history", type=Path, default=None)
-    sp.add_argument("--patience", type=int, default=5)
-    _add_model_flags(sp)
-    _add_train_flags(sp)
+    _add_config_flags(sp, TrainRunConfig, _RUN_FLAGS, ["early_stopping_patience"])
+    _add_config_flags(sp, EncoderConfig, _MODEL_FLAGS)
+    _add_config_flags(sp, TrainRunConfig, _RUN_FLAGS, _SHARED_RUN_FIELDS)
 
     sp = add_parser("predict", help="predict energies for a corpus")
     sp.add_argument("--systems", type=Path, required=True)
@@ -167,7 +187,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--vocab", type=Path, required=True)
     sp.add_argument("--ckpt", type=Path, required=True)
     sp.add_argument("--out", type=Path, required=True)
-    sp.add_argument("--batch-size", type=int, default=32)
+    sp.add_argument("--batch-size", type=int, default=INFERENCE_BATCH_SIZE)
 
     sp = add_parser("eval", help="split-wise MAE and parity export")
     sp.add_argument("--pred", type=Path, required=True)
@@ -178,8 +198,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--vocab", type=Path, required=True)
     sp.add_argument("--ckpt", type=Path, required=True)
     sp.add_argument("--out", type=Path, required=True)
-    sp.add_argument("--format", default="s4",
-                    choices=("s2", "s3", "s4", "s5", "desc"))
+    sp.add_argument("--format", default="s4", choices=tuple(f for f in _FORMATS if f != "s1"))
     sp.add_argument("--id", default=None, help="system id (default: first)")
 
     sp = add_parser("embeddings", help="export first-token embeddings")
@@ -187,9 +206,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--vocab", type=Path, required=True)
     sp.add_argument("--ckpt", type=Path, required=True)
     sp.add_argument("--out", type=Path, required=True)
-    sp.add_argument("--format", default="s4",
-                    choices=("s1", "s2", "s3", "s4", "s5", "desc"))
-    sp.add_argument("--batch-size", type=int, default=32)
+    sp.add_argument("--format", default="s4", choices=_FORMATS)
+    sp.add_argument("--batch-size", type=int, default=INFERENCE_BATCH_SIZE)
 
     sp = add_parser("pairs", help="energy-difference pair statistics")
     sp.add_argument("--pred", type=Path, required=True)
@@ -290,28 +308,13 @@ def _require_inputs(*paths: Path | None) -> None:
             raise UserError(f"input does not exist: {p}")
 
 
-# config field -> the option that sets it
-_MODEL_OPTIONS = {
-    "n_layers": "layers", "n_heads": "heads", "hidden_size": "hidden", "ffn_size": "ffn",
-    "max_positions": "max_positions", "dropout_rate": "dropout",
-    "head_activation": "head_activation", "pre_norm": "pre_norm", "dtype": "dtype",
-}
-_RUN_OPTIONS = {
-    "batch_size": "batch_size", "max_epochs": "epochs", "early_stopping_patience": "patience",
-    "seed": "seed", "base_lr": "lr", "weight_decay": "weight_decay", "clip_norm": "clip_norm",
-    "mask_rate": "mask_rate",  # pretrain only; train keeps the default
-}
-
-
 def _model_config(args: argparse.Namespace, vocab_size: int) -> EncoderConfig:
-    return EncoderConfig(vocab_size=vocab_size,
-                         **{f: getattr(args, o) for f, o in _MODEL_OPTIONS.items()})
+    return EncoderConfig(vocab_size=vocab_size, **_config_values(args, _MODEL_FLAGS))
 
 
 def _run_config(args: argparse.Namespace) -> TrainRunConfig:
     return TrainRunConfig(tied_mlm=not getattr(args, "untied_mlm", False),
-                          **{f: getattr(args, o) for f, o in _RUN_OPTIONS.items()
-                             if hasattr(args, o)})
+                          **_config_values(args, _RUN_FLAGS))
 
 
 def _require_batch_size(args: argparse.Namespace) -> None:
@@ -381,6 +384,13 @@ def cmd_train(args) -> None:
     if args.init_from:
         pretrained, _ = load_checkpoint(args.init_from,
                                         expected_vocab_sha256=vocab.sha256)
+        # the fields that fix which encoder tensors there are, their shapes and what they do
+        for name in ("n_layers", "n_heads", "hidden_size", "ffn_size", "max_positions",
+                     "pre_norm"):
+            ours, theirs = getattr(model.config, name), getattr(pretrained.config, name)
+            if ours != theirs:
+                raise ConfigError(name, f"is {ours!r}, but {theirs!r} in --init-from "
+                                        f"{args.init_from}")
         copied = model.load_values(pretrained, skip_prefixes=("head.", "mlm."))
         log.info("train: seeded %d tensors from %s", len(copied), args.init_from)
     result = train_regression(model, train_records, val_records, run_cfg, vocab)
@@ -437,13 +447,10 @@ def cmd_eval(args) -> None:
 def cmd_attention(args) -> None:
     _require_inputs(args.systems, args.vocab, args.ckpt)
     systems = load_dataset(args.systems)
-    if args.id is not None:
-        matches = [s for s in systems if s.id == args.id]
-        if not matches:
-            raise UserError(f"system id {args.id!r} not found in {args.systems}")
-        system = matches[0]
-    else:
-        system = systems[0]
+    system = next((s for s in systems if args.id in (None, s.id)), None)
+    if system is None:  # an unknown --id, or an empty dataset
+        raise UserError(f"no system{'' if args.id is None else f' with id {args.id!r}'} "
+                        f"in {args.systems}")
     vocab = Vocabulary.load(args.vocab)
     model, _ = load_checkpoint(args.ckpt, expected_vocab_sha256=vocab.sha256)
     try:
@@ -522,11 +529,12 @@ def run(argv: list[str] | None = None) -> int:
         logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
         _COMMANDS[args.command](args)
         return EXIT_OK
-    except ConfigError as exc:  # a model or run setting: name the option that set it
-        option = {**_MODEL_OPTIONS, **_RUN_OPTIONS}.get(exc.field, exc.field)
-        print(f"error: --{option.replace('_', '-')}: {exc}", file=sys.stderr)
+    except ConfigError as exc:  # a model or run setting: name the flag that set it
+        flag = {**_MODEL_FLAGS, **_RUN_FLAGS}.get(exc.field, (f"--{exc.field}",))[0]
+        print(f"error: {flag}: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
-    except (UserError, ValueError, CheckpointError, FileNotFoundError) as exc:
+    except (UserError, ValueError, CheckpointError, FileNotFoundError,
+            NonFiniteGradientError) as exc:  # a diverging run is its settings' fault
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
     except Exception as exc:  # internal failure: report and exit 2

@@ -55,6 +55,8 @@ from .tokens import TokenSequence
 
 CHECKPOINT_MAGIC = b"ADTXCKPT"
 CHECKPOINT_VERSION = 1
+HEAD_ACTIVATIONS = ("tanh", "gelu")
+DTYPES = ("float64", "float32")
 
 
 class CheckpointError(RuntimeError):
@@ -86,9 +88,9 @@ class EncoderConfig:
     ffn_size: int | None = None  # defaults to 4x hidden
     max_positions: int = 512
     dropout_rate: float = 0.1
-    head_activation: str = "tanh"  # "tanh" | "gelu"
+    head_activation: str = "tanh"  # one of HEAD_ACTIVATIONS
     pre_norm: bool = False
-    dtype: str = "float64"  # float32 permitted for training speed
+    dtype: str = "float64"  # one of DTYPES; float32 permitted for training speed
 
     def __post_init__(self):
         check_fields(  # types first: the range rules below compare values
@@ -117,8 +119,8 @@ class EncoderConfig:
             ("ffn_size", self.ffn_size >= 1, ">= 1"),
             ("max_positions", self.max_positions >= 2, ">= 2 (room for <s> and </s>)"),
             ("dropout_rate", 0.0 <= self.dropout_rate < 1.0, "in [0, 1)"),
-            ("head_activation", self.head_activation in ("tanh", "gelu"), "'tanh' or 'gelu'"),
-            ("dtype", self.dtype in ("float64", "float32"), "'float64' or 'float32'"),
+            *((f, getattr(self, f) in allowed, " or ".join(map(repr, allowed)))
+              for f, allowed in (("head_activation", HEAD_ACTIVATIONS), ("dtype", DTYPES))),
         )
 
     @property

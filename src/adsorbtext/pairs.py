@@ -59,19 +59,6 @@ class PairRecord(NamedTuple):
     shares_bulk: bool
 
 
-class SimilarityFlags(NamedTuple):
-    shares_adsorbate: bool
-    shares_bulk: bool
-    sharing_one: bool
-    sharing_two: bool
-    chemically_similar: bool
-
-
-def similarity_flags(pair: PairRecord) -> SimilarityFlags:
-    a, b = pair.shares_adsorbate, pair.shares_bulk
-    return SimilarityFlags(a, b, a != b, a and b, a or b)
-
-
 def sharing_one(pair: PairRecord) -> bool:
     return pair.shares_adsorbate != pair.shares_bulk
 

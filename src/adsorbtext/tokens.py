@@ -27,8 +27,6 @@ SPECIALS = ("<s>", "</s>", "<pad>", "<unk>", "<mask>")
 BOS, EOS, PAD, UNK, MASK = range(5)
 N_SPECIALS = len(SPECIALS)
 
-DEFAULT_MAX_POSITIONS = 512
-
 _SPLIT_RE = re.compile(r"(<s>|</s>|\[|\]|\(|\)|,)")
 _MARKER_RE = re.compile(r"(<s>|</s>)")
 
@@ -153,8 +151,7 @@ class TokenSequence:
         return (np.arange(self.length) < self.ids.size).astype(np.int64)
 
 
-def encode(text: str, vocab: Vocabulary,
-           max_positions: int = DEFAULT_MAX_POSITIONS) -> TokenSequence:
+def encode(text: str, vocab: Vocabulary, max_positions: int) -> TokenSequence:
     """bos + body + eos, truncated keeping bos/eos, encoded to max_positions."""
     toks = tokenize(text)
     if not toks or toks[0] != "<s>":

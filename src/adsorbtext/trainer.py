@@ -37,6 +37,7 @@ M_TOP_PAD = -2  # glibc's mallopt(3) parameter number
 # finetune_s4 runs (--seconds 30) took 52k minor faults at 16 MiB, 24k at
 # 32 MiB and 23k at 64 MiB, with peak RSS 107 MB at each size.
 HEAP_TOP_PAD = 32 << 20
+INFERENCE_BATCH_SIZE = 32  # sequences per tape-free forward of `predict` and `embeddings`
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -202,7 +203,7 @@ def encode_labeled(records, vocab: Vocabulary, max_positions: int,
 
 
 def predict_energies(model: EncoderModel, seqs: Sequence[TokenSequence],
-                     batch_size: int = 32) -> np.ndarray:
+                     batch_size: int = INFERENCE_BATCH_SIZE) -> np.ndarray:
     out = []
     with ag.no_tape():
         for start in range(0, len(seqs), batch_size):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -10,22 +11,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adsorbtext.analysis import export_embeddings
 from adsorbtext.cli import (
     EXIT_OK,
     EXIT_USER_ERROR,
     SmokeConfig,
     SmokeStageError,
+    _model_config,
+    _run_config,
     build_parser,
     end_to_end_smoke,
     fixture_dataset_path,
     run,
 )
 from adsorbtext.encoder import EncoderConfig, init_model, save_checkpoint
-from adsorbtext.featurize import read_corpus
+from adsorbtext.featurize import FORMATS, read_corpus
 from adsorbtext.pairs import read_predictions
 from adsorbtext.synth import fixture_dataset
 from adsorbtext.systems import SPLITS, save_dataset
 from adsorbtext.tokens import Vocabulary
+from adsorbtext.trainer import INFERENCE_BATCH_SIZE, TrainRunConfig, predict_energies
 from conftest import REFERENCE_TEXTS, rewrite_checkpoint_manifest
 
 
@@ -156,8 +161,9 @@ _TINY_MODEL = ["--layers", "1", "--heads", "1", "--hidden", "8", "--max-position
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
-    """The fixture dataset's S4 corpus, its vocabulary, a one-epoch model and
-    its predictions."""
+    """The fixture dataset's S4 corpus, its vocabulary, a one-epoch pre-norm
+    model and its predictions. The model is pre-norm, as is the train run of
+    the --config round trip, which --init-from seeds from it."""
     work = tmp_path_factory.mktemp("trained")
     paths = {"systems": str(fixture_dataset_path()), "corpus": str(work / "corpus.jsonl"),
              "vocab": str(work / "vocab.txt"), "ckpt": str(work / "model.ckpt"),
@@ -166,7 +172,7 @@ def trained(tmp_path_factory):
                   "--format", "s4"],
                  ["build-vocab", "--in", paths["corpus"], "--out", paths["vocab"]],
                  ["train", "--corpus", paths["corpus"], "--vocab", paths["vocab"],
-                  "--out", paths["ckpt"], "--epochs", "1", *_TINY_MODEL],
+                  "--out", paths["ckpt"], "--epochs", "1", *_TINY_MODEL, "--pre-norm"],
                  ["predict", "--systems", paths["systems"], "--corpus", paths["corpus"],
                   "--vocab", paths["vocab"], "--ckpt", paths["ckpt"], "--out", paths["pred"]]):
         assert run(argv) == EXIT_OK, argv[0]
@@ -205,6 +211,67 @@ def test_invalid_setting_is_user_error_naming_its_flag(trained, tmp_path, capsys
     assert run([command, *inputs[command], "--out", str(out), flag, value]) == EXIT_USER_ERROR
     assert f"error: {flag}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "pretrain"])
+def test_model_and_run_flags_default_to_their_config_fields(command):
+    args = build_parser().parse_args([command, "--corpus", "c.jsonl", "--vocab", "v.txt",
+                                      "--out", "m.ckpt"])
+    assert _model_config(args, 57) == EncoderConfig(vocab_size=57)
+    assert _run_config(args) == TrainRunConfig()
+
+
+def test_inference_batch_size_and_format_choices_have_one_definition():
+    commands = build_parser().commands
+    for command in ("predict", "embeddings"):
+        assert commands[command].config_options()["batch-size"].default == INFERENCE_BATCH_SIZE
+    for function in (predict_energies, export_embeddings):
+        batch_size = inspect.signature(function).parameters["batch_size"]
+        assert batch_size.default == INFERENCE_BATCH_SIZE
+    formats = tuple(f.lower() for f in FORMATS)
+    choices = {command: tuple(commands[command].config_options()["format"].choices)
+               for command in ("featurize", "attention", "embeddings")}
+    assert choices == {"featurize": formats, "embeddings": formats,
+                       "attention": tuple(f for f in formats if f != "s1")}
+
+
+# the trained fixture's checkpoint has 1 layer, 1 head, 8 hidden, 32 ffn, 64
+# positions and pre-norm
+@pytest.mark.parametrize("flags, named", [
+    (["--pre-norm", "--layers", "2"], "--layers"),
+    (["--pre-norm", "--heads", "2"], "--heads"),
+    ([], "--pre-norm"),
+    (["--pre-norm", "--hidden", "16"], "--hidden"),
+    (["--pre-norm", "--ffn", "16"], "--ffn"),
+    (["--pre-norm", "--max-positions", "80"], "--max-positions"),
+])
+def test_train_init_from_refuses_a_different_encoder(trained, tmp_path, capsys, flags, named):
+    out = tmp_path / "model.ckpt"
+    assert run(["train", "--corpus", trained["corpus"], "--vocab", trained["vocab"],
+                "--out", str(out), "--init-from", trained["ckpt"], "--epochs", "1",
+                *_TINY_MODEL, *flags]) == EXIT_USER_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}: ") and trained["ckpt"] in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_init_from_takes_another_dtype_dropout_and_head(trained, tmp_path, caplog):
+    out = tmp_path / "model.ckpt"
+    with caplog.at_level("INFO", logger="adsorbtext"):
+        assert run(["train", "--corpus", trained["corpus"], "--vocab", trained["vocab"],
+                    "--out", str(out), "--init-from", trained["ckpt"], "--epochs", "1",
+                    *_TINY_MODEL, "--pre-norm", "--dtype", "float32", "--dropout", "0",
+                    "--head-activation", "gelu"]) == EXIT_OK
+    assert "train: seeded 18 tensors" in caplog.text  # every tensor but the 4 of the head
+
+
+def test_diverging_run_is_user_error(trained, tmp_path, capsys):
+    out = tmp_path / "model.ckpt"
+    assert run(["train", "--corpus", trained["corpus"], "--vocab", trained["vocab"],
+                "--out", str(out), "--epochs", "1", *_TINY_MODEL, "--lr", "1e30"]) \
+        == EXIT_USER_ERROR
+    assert capsys.readouterr().err.startswith("error: non-finite gradient in ")
+    assert list(tmp_path.iterdir()) == []  # no checkpoint, history or manifest
 
 
 def test_featurize_idempotent(tmp_path, table_system):
@@ -572,6 +639,15 @@ def test_attention_cli_selects_system(tmp_path):
                 "--ckpt", str(out / "model.ckpt"),
                 "--out", str(heat), "--id", "no-such-id"])
     assert code == EXIT_USER_ERROR
+
+
+def test_attention_on_an_empty_dataset_is_user_error(trained, tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert run(["attention", "--systems", str(empty), "--vocab", trained["vocab"],
+                "--ckpt", trained["ckpt"], "--out", str(tmp_path / "heat.tsv")]) \
+        == EXIT_USER_ERROR
+    assert capsys.readouterr().err == f"error: no system in {empty}\n"
 
 
 def _write_with_energy(src: Path, dst: Path, lineno: int, energy: float) -> None:

@@ -20,7 +20,6 @@ from adsorbtext.pairs import (
     secr,
     sharing_one,
     sharing_two,
-    similarity_flags,
     split_pair_stats,
     write_predictions,
     _groups,
@@ -112,26 +111,25 @@ def test_similarity_flags_shared_adsorbate():
     a = PredictionRecord("a", "ID", "NH", "Al20Rh8", 0.0, 0.0)
     b = PredictionRecord("b", "ID", "NH", "N2Ti4", 0.0, 0.0)
     pair = next(generate_pairs([a, b]))
-    flags = similarity_flags(pair)
-    assert flags.shares_adsorbate and not flags.shares_bulk
-    assert flags.sharing_one and not flags.sharing_two
-    assert flags.chemically_similar
+    assert pair.shares_adsorbate and not pair.shares_bulk
+    assert sharing_one(pair) and not sharing_two(pair)
+    assert chemically_similar(pair)
 
 
 def test_similarity_flags_shared_catalyst():
     a = PredictionRecord("a", "ID", "OCH3", "Sc3Al", 0.0, 0.0)
     b = PredictionRecord("b", "ID", "COCH2O", "Sc3Al", 0.0, 0.0)
-    flags = similarity_flags(next(generate_pairs([a, b])))
-    assert flags.shares_bulk and not flags.shares_adsorbate
-    assert flags.sharing_one
+    pair = next(generate_pairs([a, b]))
+    assert pair.shares_bulk and not pair.shares_adsorbate
+    assert sharing_one(pair)
 
 
 def test_similarity_flags_sharing_two():
     a = PredictionRecord("a", "ID", "NH3", "VCr3", 0.0, 0.0)
     b = PredictionRecord("b", "ID", "NH3", "VCr3", 1.0, 1.0)
-    flags = similarity_flags(next(generate_pairs([a, b])))
-    assert flags.sharing_two and not flags.sharing_one
-    assert flags.chemically_similar
+    pair = next(generate_pairs([a, b]))
+    assert sharing_two(pair) and not sharing_one(pair)
+    assert chemically_similar(pair)
 
 
 def test_subgroup_set_algebra(rng):
@@ -140,10 +138,9 @@ def test_subgroup_set_algebra(rng):
     records = [_rec(i, smiles=smiles[i % 3], bulk=bulks[i % 2],
                     err=float(rng.normal())) for i in range(12)]
     for pair in generate_pairs(records):
-        flags = similarity_flags(pair)
-        if flags.sharing_two:
-            assert flags.chemically_similar
-        assert not (flags.sharing_one and flags.sharing_two)
+        if sharing_two(pair):
+            assert chemically_similar(pair)
+        assert not (sharing_one(pair) and sharing_two(pair))
 
 
 def test_secr_total_subgroup_is_zero(rng):
