@@ -19,7 +19,11 @@ The result goes into `--out` (default BENCH_pairs.json) under `--label`,
 keeping the other labels already in the file: running the script once with
 PYTHONPATH at another checkout's `src` and `--label before`, and once here
 with `--label after`, puts both sides in one file. The input generator is
-always this checkout's `perfbench`, so both sides read the same bytes.
+always this checkout's `perfbench`, so both sides read the same bytes. The
+entry's `environment` is a run manifest's (`cli.run_environment`) plus the
+CPU count, so the other checkout's package needs `cli.run_environment`;
+against one without it, run that checkout's own copy of the script from
+its root with `--out` at this file.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import argparse
 import hashlib
 import json
 import os
-import platform
 import sys
 import tempfile
 import time
@@ -41,9 +44,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.append(str(ROOT))  # perfbench, after the adsorbtext on PYTHONPATH
 
 from adsorbtext import pairs  # noqa: E402
+from adsorbtext.cli import run_environment  # noqa: E402
 from perfbench.workloads import PairsOC20, file_digest  # noqa: E402
-
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def summary(seconds: list[float]) -> dict:
@@ -90,9 +92,7 @@ def main(argv=None) -> None:
             traced[name] = round((tracemalloc.get_traced_memory()[1] - base) / 2 ** 20, 2)
         tracemalloc.stop()
         run = {
-            "environment": {**{v: os.environ.get(v) for v in THREAD_VARS},
-                            "cpus": os.cpu_count(), "python": platform.python_version(),
-                            "numpy": np.__version__},
+            "environment": {**run_environment(), "cpus": os.cpu_count()},
             "seed": args.seed,
             "repeats": args.repeats,
             "inputs_sha256": file_digest([workload.pred]),

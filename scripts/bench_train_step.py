@@ -31,8 +31,10 @@ The result goes into `--out` (default BENCH_train_step.json) under
 `--label`, keeping the other labels already in the file: running another
 checkout's own copy of this script from that checkout with `--label
 before` and `--out` at this file, and this one with `--label after`, puts
-both sides in one file. The script drives only a package that has
-`trainer._step` and `autograd.op_totals`.
+both sides in one file. The script drives only a package whose
+`trainer._step` takes the run's `TrainRunConfig`, and that has
+`autograd.op_totals` and `cli.run_environment` (the entry's `environment`
+is a run manifest's plus the CPU count).
 
 With `--against <checkout>` the script instead times the `train` of the
 benchmark's `finetune_s4` workload (input seed 0, with the systems,
@@ -59,7 +61,6 @@ import importlib
 import importlib.util
 import json
 import os
-import platform
 import resource
 import sys
 import time
@@ -70,11 +71,12 @@ import numpy as np
 
 import adsorbtext
 from adsorbtext import autograd, trainer
+from adsorbtext.cli import run_environment
 from adsorbtext.encoder import ensure_mlm_head, init_model
 from adsorbtext.featurize import featurize_systems
 from adsorbtext.synth import synthetic_systems
 from adsorbtext.tokens import build_vocab, dynamic_mask, encode
-from adsorbtext.trainer import LrGroupPlan, OptimizerState, train_regression
+from adsorbtext.trainer import OptimizerState, train_regression
 
 sys.path.append(str(Path(__file__).resolve().parent.parent))  # perfbench
 from perfbench.workloads import MODEL_SEED, FinetuneS4  # noqa: E402
@@ -85,7 +87,6 @@ FORMATS = (("S4", 80), ("S1", 16))
 PROFILE_STEPS = 100  # training steps of each per-op profile
 TAPE_STEPS = 16  # untimed, traced training steps of each tape measurement
 MLM_POSITIONS = 52  # pretrain_desc: the longest DESC text is 51 tokens
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 PAIRS = 10  # alternating runs of each side with --against
 # criterion 10's encoder and batch size, which the finetune_s4 workload shares
 ENCODER = {"n_layers": 4, "n_heads": 4, "hidden_size": 64, "dropout_rate": 0.0,
@@ -167,14 +168,12 @@ def profile_steps(model, run, batches, loss_of, steps: int) -> tuple[dict, float
     """Per-phase and per-op ms of `steps` `trainer._step`s over prepared
     batches, loss_of(batch) giving each step's loss; returns them and the
     last loss."""
-    plan = LrGroupPlan(model.config.n_layers, base_lr=run.base_lr)
-    state = OptimizerState(weight_decay=run.weight_decay)
+    state = OptimizerState()
     phases = np.zeros(len(trainer._PHASES))
     before = autograd.op_totals()
     for step in range(steps):
         batch = batches[step % len(batches)]
-        loss, _, seconds = trainer._step(model, state, plan, run.clip_norm,
-                                         lambda: loss_of(batch))
+        loss, _, seconds = trainer._step(model, state, run, lambda: loss_of(batch))
         phases += seconds
     forward, backward, adamw = phases.tolist()
     return {
@@ -195,8 +194,7 @@ def tape_memory(model, run, batches, loss_of, steps: int) -> dict:
     MB held when backward starts, which is the tape and what the forward
     left alive, and the step's traced peak, each above the traced bytes
     before the forward."""
-    plan = LrGroupPlan(model.config.n_layers, base_lr=run.base_lr)
-    state = OptimizerState(weight_decay=run.weight_decay)
+    state = OptimizerState()
     held, peak, base = [], [], 0
 
     def traced_loss(batch):
@@ -211,7 +209,7 @@ def tape_memory(model, run, batches, loss_of, steps: int) -> dict:
     try:
         for step in range(steps):
             batch = batches[step % len(batches)]
-            trainer._step(model, state, plan, run.clip_norm, lambda: traced_loss(batch))
+            trainer._step(model, state, run, lambda: traced_loss(batch))
             peak.append(tracemalloc.get_traced_memory()[1] - base)
     finally:
         tracemalloc.stop()
@@ -334,8 +332,8 @@ def against(checkout: Path, pairs: int) -> dict:
 
 
 def environment() -> dict:
-    return {**{v: os.environ.get(v) for v in THREAD_VARS}, "cpus": os.cpu_count(),
-            "python": platform.python_version(), "numpy": np.__version__}
+    """A run manifest's environment (`cli.run_environment`) and the CPU count."""
+    return {**run_environment(), "cpus": os.cpu_count()}
 
 
 def main(argv=None) -> None:

@@ -276,6 +276,14 @@ _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
                      "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "BLIS_NUM_THREADS")
 
 
+def run_environment() -> dict:
+    """The numpy and Python versions and the BLAS/OpenMP thread variables:
+    float results depend on them, so every run manifest and every
+    `scripts/bench_*.py` entry records them beside its settings."""
+    return {"numpy": np.__version__, "python": platform.python_version(),
+            "threads": {var: os.environ.get(var) for var in _THREAD_VARIABLES}}
+
+
 def write_run_manifest(args: argparse.Namespace, out: Path) -> Path:
     """Manifest beside the outputs: <file>.manifest.json or <dir>/manifest.json."""
     config = _resolved_config(args)
@@ -285,11 +293,7 @@ def write_run_manifest(args: argparse.Namespace, out: Path) -> Path:
         "config": config,
         "config_sha256": hashlib.sha256(
             json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest(),
-        "environment": {  # float results depend on these, so they sit beside the config
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-            "threads": {var: os.environ.get(var) for var in _THREAD_VARIABLES},
-        },
+        "environment": run_environment(),
         "minor_faults": usage.ru_minflt,  # the page faults peak RSS is traded against
         "peak_rss_mb": usage.ru_maxrss / 1024,  # KiB on Linux
         "version": __version__,
@@ -382,8 +386,12 @@ def cmd_train(args) -> None:
     run_cfg = _run_config(args)
     model = init_model(_model_config(args, len(vocab)), seed=args.seed)
     if args.init_from:
-        pretrained, _ = load_checkpoint(args.init_from,
-                                        expected_vocab_sha256=vocab.sha256)
+        pretrained, manifest = load_checkpoint(args.init_from)
+        # token embedding rows are the vocabulary's: another one, even of equal size, misreads them
+        if (manifest["vocab_sha256"] not in (None, vocab.sha256)
+                or pretrained.config.vocab_size != len(vocab)):
+            raise UserError(f"--init-from {args.init_from} was built on another vocabulary "
+                            f"than --vocab {args.vocab}")
         # the fields that fix which encoder tensors there are, their shapes and what they do
         for name in ("n_layers", "n_heads", "hidden_size", "ffn_size", "max_positions",
                      "pre_norm"):
@@ -548,22 +556,13 @@ def main() -> int:
 
 @dataclass
 class SmokeConfig:
-    """Desk-scale end-to-end pipeline configuration."""
+    """Desk-scale end-to-end pipeline configuration; the model and the other
+    run settings are fixed in `end_to_end_smoke`."""
 
     out_dir: Path
     dataset: Path | None = None  # defaults to the bundled fixture dataset
     seed: int = 0
-    fmt: str = "s4"
-    layers: int = 2
-    heads: int = 2
-    hidden: int = 32
-    max_positions: int = 64
-    batch_size: int = 12
-    pretrain_epochs: int = 2
     train_epochs: int = 6
-    lr: float = 1e-3
-    dropout: float = 0.0
-    dtype: str = "float64"
 
 
 class SmokeStageError(RuntimeError):
@@ -579,7 +578,8 @@ def fixture_dataset_path() -> Path:
 
 def end_to_end_smoke(cfg: SmokeConfig) -> dict:
     """featurize -> build-vocab -> pretrain -> train -> predict -> eval ->
-    pairs -> attention -> embeddings on the fixture dataset.
+    pairs -> attention -> embeddings on the fixture dataset, in S4 text with
+    a fixed desk-scale model and run (the flags below).
 
     Returns a report with per-stage wall times and the artifact inventory,
     also written beside the artifacts as smoke_report.json; any stage
@@ -599,22 +599,19 @@ def end_to_end_smoke(cfg: SmokeConfig) -> dict:
         "attention": out / "attention.tsv",
         "embeddings": out / "embeddings.tsv",
     }
-    model_flags = [
-        "--layers", str(cfg.layers), "--heads", str(cfg.heads),
-        "--hidden", str(cfg.hidden), "--max-positions", str(cfg.max_positions),
-        "--dropout", str(cfg.dropout), "--dtype", cfg.dtype,
-    ]
-    train_flags = ["--batch-size", str(cfg.batch_size), "--lr", str(cfg.lr),
-                   "--seed", str(cfg.seed)]
+    fmt = "s4"
+    model_flags = ["--layers", "2", "--heads", "2", "--hidden", "32", "--max-positions", "64",
+                   "--dropout", "0.0", "--dtype", "float64"]
+    train_flags = ["--batch-size", "12", "--lr", "0.001", "--seed", str(cfg.seed)]
     stages = [
         ("featurize", ["featurize", "--in", str(dataset), "--out",
-                       str(artifacts["corpus"]), "--format", cfg.fmt]),
+                       str(artifacts["corpus"]), "--format", fmt]),
         ("build-vocab", ["build-vocab", "--in", str(artifacts["corpus"]),
                          "--out", str(artifacts["vocab"])]),
         ("pretrain", ["pretrain", "--corpus", str(artifacts["corpus"]),
                       "--vocab", str(artifacts["vocab"]),
                       "--out", str(artifacts["pretrain_ckpt"]),
-                      "--epochs", str(cfg.pretrain_epochs)]
+                      "--epochs", "2"]
          + model_flags + train_flags),
         ("train", ["train", "--corpus", str(artifacts["corpus"]),
                    "--vocab", str(artifacts["vocab"]),
@@ -636,12 +633,12 @@ def end_to_end_smoke(cfg: SmokeConfig) -> dict:
                        "--vocab", str(artifacts["vocab"]),
                        "--ckpt", str(artifacts["model_ckpt"]),
                        "--out", str(artifacts["attention"]),
-                       "--format", cfg.fmt if cfg.fmt != "s1" else "s4"]),
+                       "--format", fmt]),
         ("embeddings", ["embeddings", "--systems", str(dataset),
                         "--vocab", str(artifacts["vocab"]),
                         "--ckpt", str(artifacts["model_ckpt"]),
                         "--out", str(artifacts["embeddings"]),
-                        "--format", cfg.fmt]),
+                        "--format", fmt]),
     ]
     report = {"stages": [], "artifacts": {k: str(v) for k, v in artifacts.items()}}
     for name, argv in stages:

@@ -49,7 +49,7 @@ class LrGroupPlan:
     """Maps parameter names to the three gLLRD groups."""
 
     n_layers: int
-    base_lr: float = 1e-6
+    base_lr: float
 
     def group_of(self, name: str) -> int:
         if name.startswith(("tok_emb", "pos_emb")):
@@ -68,24 +68,25 @@ class LrGroupPlan:
 
 @dataclass
 class OptimizerState:
-    """AdamW's step counter and moments.
+    """AdamW's step counter and moments; the rates, the weight decay and the
+    clip norm are the run's (`TrainRunConfig`), read at every step.
 
     m and v are flat arrays laid out as the model's buffers, zeros from the
     first step, so a parameter without a gradient yet has zero moments. A
     state fits one layout: `ensure_mlm_head` after a step needs a new one.
     """
 
-    weight_decay: float = 0.01
     step: int = 0
     m: np.ndarray | None = field(default=None, repr=False)
     v: np.ndarray | None = field(default=None, repr=False)
 
 
-def adamw_step(model: EncoderModel, state: OptimizerState, plan: LrGroupPlan,
-               clip_norm: float | None = None) -> float:
+def adamw_step(model: EncoderModel, state: OptimizerState, run_cfg: TrainRunConfig) -> float:
     """One decoupled-weight-decay Adam update over all gradients in place;
     returns the global gradient norm before clipping.
 
+    The base learning rate, the weight decay and the clip norm are
+    run_cfg's; each parameter's rate is its gLLRD group's (`LrGroupPlan`).
     Runs on the model's flat buffers. The parameters that have a gradient
     form a few contiguous runs of the model's offsets with one learning
     rate each, and every run takes whole-array ops with the element-wise
@@ -95,6 +96,7 @@ def adamw_step(model: EncoderModel, state: OptimizerState, plan: LrGroupPlan,
     Raises ValueError if a parameter's data or grad is not its view of the
     model's buffers, or if the state's moments do not fit them.
     """
+    plan = LrGroupPlan(model.config.n_layers, run_cfg.base_lr)
     data, grad = model.data_buffer, model.grad_buffer
     grads, runs = [], []  # runs: [start, stop, lr]
     for name, p in model.params.items():
@@ -121,6 +123,7 @@ def adamw_step(model: EncoderModel, state: OptimizerState, plan: LrGroupPlan,
         raise NonFiniteGradientError(f"non-finite gradient in {name} at step {state.step + 1}")
 
     norm = np.sqrt(sum(float((g * g).sum()) for g in grads))
+    clip_norm, weight_decay = run_cfg.clip_norm, run_cfg.weight_decay
     factor = clip_norm / norm if clip_norm is not None and norm > clip_norm else None
 
     if state.m is None:
@@ -136,8 +139,8 @@ def adamw_step(model: EncoderModel, state: OptimizerState, plan: LrGroupPlan,
         v *= BETA2
         v += (1.0 - BETA2) * (g * g)
         update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
-        if state.weight_decay:
-            update += state.weight_decay * p
+        if weight_decay:
+            update += weight_decay * p
         update *= lr
         p -= update
     return float(norm)
@@ -231,14 +234,14 @@ def _pad_heap_top() -> None:
     mallopt(M_TOP_PAD, HEAP_TOP_PAD)
 
 
-def _step(model: EncoderModel, state: OptimizerState, plan: LrGroupPlan,
-          clip_norm: float | None, loss_of):
+def _step(model: EncoderModel, state: OptimizerState, run_cfg: TrainRunConfig, loss_of):
     """One training step: `model.zero_grads`, `loss_of()`, `ag.backward` and
-    `adamw_step`. Returns None when loss_of returns None (a batch to skip),
-    else (loss, gradient norm before clipping, (forward_s, backward_s,
-    optimizer_s)). The loss, and so its tape, is dropped on return, so no two
-    tapes are resident at once. The only step loop body: training runs it,
-    and so does the step benchmark (`scripts/bench_train_step.py`)."""
+    `adamw_step` with run_cfg's optimizer settings. Returns None when
+    loss_of returns None (a batch to skip), else (loss, gradient norm before
+    clipping, (forward_s, backward_s, optimizer_s)). The loss, and so its
+    tape, is dropped on return, so no two tapes are resident at once. The
+    only step loop body: training runs it, and so does the step benchmark
+    (`scripts/bench_train_step.py`)."""
     model.zero_grads()
     t0 = time.perf_counter()
     loss = loss_of()
@@ -247,12 +250,12 @@ def _step(model: EncoderModel, state: OptimizerState, plan: LrGroupPlan,
     t1 = time.perf_counter()
     ag.backward(loss)
     t2 = time.perf_counter()
-    norm = adamw_step(model, state, plan, clip_norm=clip_norm)
+    norm = adamw_step(model, state, run_cfg)
     return float(loss.data), norm, (t1 - t0, t2 - t1, time.perf_counter() - t2)
 
 
-def _epochs(model: EncoderModel, run_cfg: TrainRunConfig, plan: LrGroupPlan, n: int,
-            batch_loss, by_size: bool, batch_of=lambda epoch, idx: idx):
+def _epochs(model: EncoderModel, run_cfg: TrainRunConfig, n: int, batch_loss, by_size: bool,
+            batch_of=lambda epoch, idx: idx):
     """The epoch loop of both objectives; yields (epoch, mean loss, start
     time, step stats) per epoch, the stats being the seconds per step
     phase, the steps run, the largest step gradient norm and each op's
@@ -263,7 +266,7 @@ def _epochs(model: EncoderModel, run_cfg: TrainRunConfig, plan: LrGroupPlan, n: 
     stays mapped for the next step instead of being trimmed and faulted
     back in (README, Notes, has the measurements)."""
     _pad_heap_top()
-    state = OptimizerState(weight_decay=run_cfg.weight_decay)
+    state = OptimizerState()
     for epoch in range(1, run_cfg.max_epochs + 1):
         tic = time.perf_counter()
         order = np.random.default_rng([run_cfg.seed, epoch, 0]).permutation(n)
@@ -274,7 +277,7 @@ def _epochs(model: EncoderModel, run_cfg: TrainRunConfig, plan: LrGroupPlan, n: 
         for start in range(0, n, run_cfg.batch_size):
             idx = order[start:start + run_cfg.batch_size]
             batch = batch_of(epoch, idx)
-            done = _step(model, state, plan, run_cfg.clip_norm,
+            done = _step(model, state, run_cfg,
                          lambda: batch_loss(epoch, start, batch, dropout_rng))
             if done is None:
                 continue
@@ -300,8 +303,9 @@ def _op_ms(before: dict, steps: int) -> dict:
             for phase, i in (("fwd", 1), ("bwd", 2))}
 
 
-def _history_row(epoch: int, metrics: dict, plan: LrGroupPlan, tic: float, stats: dict) -> dict:
-    return {"epoch": epoch, **metrics, "lrs": list(plan.effective_lrs()),
+def _history_row(epoch: int, metrics: dict, run_cfg: TrainRunConfig, tic: float,
+                 stats: dict) -> dict:
+    return {"epoch": epoch, **metrics, "lrs": [run_cfg.base_lr * f for f in GROUP_FACTORS],
             "wall_time_s": time.perf_counter() - tic, **stats}
 
 
@@ -321,7 +325,6 @@ def train_regression(
     if not train_records or not val_records:
         raise ValueError("train and validation sets must be non-empty")
     cfg = model.config
-    plan = LrGroupPlan(cfg.n_layers, base_lr=run_cfg.base_lr)
     train_seqs, train_labels = encode_labeled(train_records, vocab, cfg.max_positions)
     val_seqs, val_labels = encode_labeled(val_records, vocab, cfg.max_positions)
 
@@ -334,14 +337,14 @@ def train_regression(
     best_model = model.clone()
     best_epoch = None
     epochs_since_best = 0
-    for epoch, train_mae, tic, stats in _epochs(model, run_cfg, plan, len(train_seqs),
-                                                batch_loss, by_size=True):
+    for epoch, train_mae, tic, stats in _epochs(model, run_cfg, len(train_seqs), batch_loss,
+                                                by_size=True):
         val_tic = time.perf_counter()
         val_pred = predict_energies(model, val_seqs, run_cfg.batch_size)
         val_mae = float(np.mean(np.abs(val_pred - val_labels)))
         stats["validation_s"] = time.perf_counter() - val_tic
         history.append(_history_row(epoch, {"train_mae": train_mae, "val_mae": val_mae},
-                                    plan, tic, stats))
+                                    run_cfg, tic, stats))
 
         if val_mae < best_val:
             best_val = val_mae
@@ -382,7 +385,6 @@ def pretrain_mlm(
         raise ValueError("pretraining corpus is empty")
     cfg = model.config
     ensure_mlm_head(model, tied=run_cfg.tied_mlm, seed=run_cfg.seed)
-    plan = LrGroupPlan(cfg.n_layers, base_lr=run_cfg.base_lr)
     base_seqs = [encode(t, vocab, cfg.max_positions) for t in texts]
     if len(base_seqs) < run_cfg.batch_size:
         raise ValueError("corpus shorter than one batch")
@@ -405,17 +407,17 @@ def pretrain_mlm(
                         epoch, start)
         return loss
 
-    history = [_history_row(epoch, {"mlm_loss": mlm_loss}, plan, tic, stats)
+    history = [_history_row(epoch, {"mlm_loss": mlm_loss}, run_cfg, tic, stats)
                for epoch, mlm_loss, tic, stats in _epochs(
-                   model, run_cfg, plan, len(base_seqs), batch_loss, by_size=False,
+                   model, run_cfg, len(base_seqs), batch_loss, by_size=False,
                    batch_of=masked_batch)]
     return TrainResult(model, history)
 
 
 def masked_top1_accuracy(model: EncoderModel, texts: Sequence[str],
-                         vocab: Vocabulary, rate: float = 0.15,
-                         seed: int = 1234) -> float:
-    """Top-1 accuracy of the MLM head on freshly masked positions."""
+                         vocab: Vocabulary, rate: float, seed: int = 1234) -> float:
+    """Top-1 accuracy of the MLM head on positions freshly masked at rate
+    (the run's `mask_rate`)."""
     hits = total = 0
     for i, text in enumerate(texts):
         seq = encode(text, vocab, model.config.max_positions)

@@ -29,7 +29,7 @@ from adsorbtext.featurize import FORMATS, read_corpus
 from adsorbtext.pairs import read_predictions
 from adsorbtext.synth import fixture_dataset
 from adsorbtext.systems import SPLITS, save_dataset
-from adsorbtext.tokens import Vocabulary
+from adsorbtext.tokens import N_SPECIALS, Vocabulary
 from adsorbtext.trainer import INFERENCE_BATCH_SIZE, TrainRunConfig, predict_energies
 from conftest import REFERENCE_TEXTS, rewrite_checkpoint_manifest
 
@@ -253,6 +253,25 @@ def test_train_init_from_refuses_a_different_encoder(trained, tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith(f"error: {named}: ") and trained["ckpt"] in err, err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("edit", ["reordered", "one_longer"])
+def test_train_init_from_refuses_another_vocabulary(trained, tmp_path, capsys, edit):
+    """A vocabulary of the checkpoint's size in another order misreads the
+    token embeddings as surely as one of another size."""
+    vocab = Vocabulary.load(trained["vocab"])
+    tokens = vocab.id_to_token[N_SPECIALS:]
+    tokens = tokens[::-1] if edit == "reordered" else [*tokens, "extra"]
+    other = tmp_path / "vocab.txt"
+    Vocabulary(vocab.id_to_token[:N_SPECIALS] + tokens).save(other)
+    out = tmp_path / "model.ckpt"
+    assert run(["train", "--corpus", trained["corpus"], "--vocab", str(other),
+                "--out", str(out), "--init-from", trained["ckpt"], "--epochs", "1",
+                *_TINY_MODEL, "--pre-norm"]) == EXIT_USER_ERROR
+    err = capsys.readouterr().err
+    assert err == (f"error: --init-from {trained['ckpt']} was built on another vocabulary "
+                   f"than --vocab {other}\n"), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["vocab.txt"]
 
 
 def test_train_init_from_takes_another_dtype_dropout_and_head(trained, tmp_path, caplog):
@@ -514,6 +533,11 @@ def test_smoke_produces_all_artifacts(tmp_path):
         assert Path(path).exists()
     written = json.loads((tmp_path / "run" / "smoke_report.json").read_text())
     assert written == report
+
+
+def test_smoke_config_holds_only_what_callers_set():
+    assert [f.name for f in dataclasses.fields(SmokeConfig)] == [
+        "out_dir", "dataset", "seed", "train_epochs"]
 
 
 def test_smoke_history_times_every_op_of_each_epoch(tmp_path):

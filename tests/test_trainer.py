@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import logging
 import os
 import subprocess
@@ -39,13 +41,13 @@ from adsorbtext.trainer import _mlm_batch_loss
 
 
 def test_group_plan_thirds_of_twelve():
-    plan = LrGroupPlan(n_layers=12)
+    plan = LrGroupPlan(n_layers=12, base_lr=TrainRunConfig().base_lr)
     groups = [plan.group_of(f"layer{i}.wq") for i in range(12)]
     assert groups == [0] * 4 + [1] * 4 + [2] * 4
 
 
 def test_group_plan_desk_scale_and_edges():
-    plan = LrGroupPlan(n_layers=4)
+    plan = LrGroupPlan(n_layers=4, base_lr=TrainRunConfig().base_lr)
     assert [plan.group_of(f"layer{i}.w1") for i in range(4)] == [0, 0, 1, 2]
     assert plan.group_of("tok_emb") == 0
     assert plan.group_of("pos_emb") == 0
@@ -58,6 +60,15 @@ def test_effective_lr_ratio_is_exact():
     lrs = plan.effective_lrs()
     assert lrs[1] == 1.75 * lrs[0]
     assert lrs[2] == 3.5 * lrs[0]
+
+
+def test_optimizer_settings_live_only_in_the_run_config():
+    assert [f.name for f in dataclasses.fields(OptimizerState)] == ["step", "m", "v"]
+    assert {f.name: f.default for f in dataclasses.fields(LrGroupPlan)} == {
+        "n_layers": dataclasses.MISSING, "base_lr": dataclasses.MISSING}
+    assert list(inspect.signature(adamw_step).parameters) == ["model", "state", "run_cfg"]
+    rate = inspect.signature(masked_top1_accuracy).parameters["rate"]
+    assert rate.default is inspect.Parameter.empty
 
 
 def _scalar_model(value=1.0):
@@ -76,8 +87,7 @@ def _set_grad(p, g):
 def test_adamw_zero_gradient_is_noop():
     model = _scalar_model(2.5)
     _set_grad(model.params["head.b2"], 0.0)
-    state = OptimizerState(weight_decay=0.0)
-    adamw_step(model, state, LrGroupPlan(n_layers=1, base_lr=0.1))
+    adamw_step(model, OptimizerState(), TrainRunConfig(base_lr=0.1, weight_decay=0.0))
     assert model.params["head.b2"].data == pytest.approx(2.5)
 
 
@@ -85,12 +95,11 @@ def test_adamw_single_step_closed_form():
     x0, g, lr = 1.5, 0.3, 0.01
     model = _scalar_model(x0)
     _set_grad(model.params["head.b2"], g)
-    state = OptimizerState()
-    plan = LrGroupPlan(n_layers=1, base_lr=lr)
-    adamw_step(model, state, plan)
+    run = TrainRunConfig(base_lr=lr)
+    adamw_step(model, OptimizerState(), run)
     # bias-corrected first step: m_hat = g, v_hat = g^2
     lr_eff = lr * trainer.GROUP_FACTORS[2]  # head parameters run in the top group
-    expected = x0 - lr_eff * (g / (abs(g) + trainer.EPS) + state.weight_decay * x0)
+    expected = x0 - lr_eff * (g / (abs(g) + trainer.EPS) + run.weight_decay * x0)
     assert model.params["head.b2"].data[0] == pytest.approx(expected, rel=1e-12)
 
 
@@ -98,15 +107,14 @@ def test_adamw_rejects_non_finite_gradient():
     model = _scalar_model()
     _set_grad(model.params["head.b2"], np.nan)
     with pytest.raises(NonFiniteGradientError, match="head.b2"):
-        adamw_step(model, OptimizerState(), LrGroupPlan(n_layers=1))
+        adamw_step(model, OptimizerState(), TrainRunConfig())
 
 
 def test_adamw_clip_norm_scales_update():
     model = _scalar_model(0.0)
     _set_grad(model.params["head.b2"], 100.0)
-    state = OptimizerState(weight_decay=0.0)
-    adamw_step(model, state, LrGroupPlan(n_layers=1, base_lr=1e-3),
-               clip_norm=1.0)
+    state = OptimizerState()
+    adamw_step(model, state, TrainRunConfig(base_lr=1e-3, weight_decay=0.0, clip_norm=1.0))
     assert _moments(state, model)["head.b2"][0] == pytest.approx(0.1)  # (1-beta1) * clipped
 
 
@@ -153,8 +161,9 @@ def test_adamw_matches_per_tensor_loop(dtype, clip_norm):
     ensure_mlm_head(model, tied=False, seed=4)  # gets no gradient from the regression loss
     seqs = [encode(r.text, vocab, 16) for r in records]
     labels = np.array([r.energy_ev for r in records], dtype=model.config.np_dtype)
-    plan = LrGroupPlan(model.config.n_layers, base_lr=1e-2)
-    state = OptimizerState(weight_decay=0.01)
+    run = TrainRunConfig(base_lr=1e-2, weight_decay=0.01, clip_norm=clip_norm)
+    plan = LrGroupPlan(model.config.n_layers, base_lr=run.base_lr)
+    state = OptimizerState()
     values = {n: p.data.copy() for n, p in model.params.items()}
     m, v = {}, {}
     for step in range(1, 5):
@@ -163,8 +172,8 @@ def test_adamw_matches_per_tensor_loop(dtype, clip_norm):
         ag.backward(ag.l1_loss(forward(model, [seqs[i] for i in idx]).energy, labels[idx]))
         grads = {n: p.grad.copy() for n, p in model.params.items() if p.grad is not None}
         assert set(model.params) - set(grads) == {"mlm.w", "mlm.bias"}
-        adamw_step(model, state, plan, clip_norm=clip_norm)
-        _adamw_per_tensor(values, grads, m, v, step, plan, state.weight_decay, clip_norm)
+        adamw_step(model, state, run)
+        _adamw_per_tensor(values, grads, m, v, step, plan, run.weight_decay, clip_norm)
         for name, p in model.params.items():
             np.testing.assert_array_equal(p.data, values[name], err_msg=name)
         moments = _moments(state, model)
@@ -178,49 +187,49 @@ def test_adamw_matches_per_tensor_loop(dtype, clip_norm):
 
 def _stepped_desk_model():
     """A desk model after one AdamW step with its gradients filled again;
-    returns it, its state and plan, and the function that fills them."""
+    returns it, its state and run config, and the function that fills them."""
     records = _toy_records(6)
     vocab = build_vocab([r.text for r in records])
     seqs = [encode(r.text, vocab, 16) for r in records]
     labels = np.array([r.energy_ev for r in records])
     model = init_model(_desk_config(vocab), seed=5)
-    state, plan = OptimizerState(), LrGroupPlan(model.config.n_layers, base_lr=1e-2)
+    state, run = OptimizerState(), TrainRunConfig(base_lr=1e-2)
 
     def backward():
         model.zero_grads()
         ag.backward(ag.l1_loss(forward(model, seqs).energy, labels))
 
     backward()
-    adamw_step(model, state, plan)
+    adamw_step(model, state, run)
     backward()
-    return model, state, plan, backward
+    return model, state, run, backward
 
 
 def test_adamw_refuses_a_rebound_tensor():
-    model, state, plan, _ = _stepped_desk_model()
+    model, state, run, _ = _stepped_desk_model()
     model.params["layer1.wq"].data = model.params["layer1.wq"].data.copy()
     with pytest.raises(ValueError, match=r"layer1\.wq: data is not its view"):
-        adamw_step(model, state, plan)
+        adamw_step(model, state, run)
     assert state.step == 1
 
 
 def test_adamw_refuses_a_grad_outside_its_grad_view():
-    model, state, plan, _ = _stepped_desk_model()
+    model, state, run, _ = _stepped_desk_model()
     p = model.params["layer0.bq"]
     p.grad = p.grad.copy()
     with pytest.raises(ValueError, match=r"layer0\.bq: grad is not its grad_view"):
-        adamw_step(model, state, plan)
+        adamw_step(model, state, run)
     assert state.step == 1
 
 
 def test_adamw_refuses_a_state_from_before_ensure_mlm_head():
-    model, state, plan, backward = _stepped_desk_model()
+    model, state, run, backward = _stepped_desk_model()
     ensure_mlm_head(model, tied=False, seed=5)
     backward()
     with pytest.raises(ValueError, match="moments hold"):
-        adamw_step(model, state, plan)
+        adamw_step(model, state, run)
     assert state.step == 1
-    adamw_step(model, OptimizerState(), plan)  # a new state fits the new layout
+    adamw_step(model, OptimizerState(), run)  # a new state fits the new layout
 
 
 @pytest.mark.parametrize("clip_norm", [None, 0.05])
@@ -230,10 +239,10 @@ def test_history_keeps_the_largest_step_gradient_norm(monkeypatch, clip_norm):
     norms = []  # per step, from a per-tensor oracle
     step = trainer.adamw_step
 
-    def recording(model, state, plan, clip_norm=None):
+    def recording(model, state, run_cfg):
         norms.append(np.sqrt(sum(np.linalg.norm(p.grad) ** 2
                                  for p in model.params.values() if p.grad is not None)))
-        return step(model, state, plan, clip_norm=clip_norm)
+        return step(model, state, run_cfg)
 
     monkeypatch.setattr(trainer, "adamw_step", recording)
     run = TrainRunConfig(batch_size=8, max_epochs=3, early_stopping_patience=3, seed=0,
@@ -525,7 +534,7 @@ def test_mlm_beats_majority_baseline():
     model = init_model(_desk_config(vocab, max_positions=16), seed=0)
     run = TrainRunConfig(batch_size=12, max_epochs=25, seed=0, base_lr=2e-3)
     result = pretrain_mlm(model, texts, run, vocab)
-    accuracy = masked_top1_accuracy(result.model, texts, vocab)
+    accuracy = masked_top1_accuracy(result.model, texts, vocab, run.mask_rate)
     from collections import Counter
     counts = Counter(t for text in texts for t in tokenize(text)
                      if t not in ("<s>", "</s>"))
