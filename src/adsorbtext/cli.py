@@ -386,12 +386,7 @@ def cmd_train(args) -> None:
     run_cfg = _run_config(args)
     model = init_model(_model_config(args, len(vocab)), seed=args.seed)
     if args.init_from:
-        pretrained, manifest = load_checkpoint(args.init_from)
-        # token embedding rows are the vocabulary's: another one, even of equal size, misreads them
-        if (manifest["vocab_sha256"] not in (None, vocab.sha256)
-                or pretrained.config.vocab_size != len(vocab)):
-            raise UserError(f"--init-from {args.init_from} was built on another vocabulary "
-                            f"than --vocab {args.vocab}")
+        pretrained, _ = load_checkpoint(args.init_from, vocab)
         # the fields that fix which encoder tensors there are, their shapes and what they do
         for name in ("n_layers", "n_heads", "hidden_size", "ffn_size", "max_positions",
                      "pre_norm"):
@@ -416,7 +411,7 @@ def cmd_predict(args) -> None:
     if missing is not None:
         raise UserError(f"{missing.system_id}: not present in {args.systems}")
     vocab = Vocabulary.load(args.vocab)
-    model, _ = load_checkpoint(args.ckpt, expected_vocab_sha256=vocab.sha256)
+    model, _ = load_checkpoint(args.ckpt, vocab)
     seqs, labels = encode_labeled(records, vocab, model.config.max_positions,
                                   require_labels=False)
     preds = predict_energies(model, seqs, batch_size=args.batch_size)
@@ -460,7 +455,7 @@ def cmd_attention(args) -> None:
         raise UserError(f"no system{'' if args.id is None else f' with id {args.id!r}'} "
                         f"in {args.systems}")
     vocab = Vocabulary.load(args.vocab)
-    model, _ = load_checkpoint(args.ckpt, expected_vocab_sha256=vocab.sha256)
+    model, _ = load_checkpoint(args.ckpt, vocab)
     try:
         config = detect_configuration(system)
     except NoBindingError:
@@ -484,7 +479,7 @@ def cmd_embeddings(args) -> None:
     _require_inputs(args.systems, args.vocab, args.ckpt)
     systems = load_dataset(args.systems)
     vocab = Vocabulary.load(args.vocab)
-    model, _ = load_checkpoint(args.ckpt, expected_vocab_sha256=vocab.sha256)
+    model, _ = load_checkpoint(args.ckpt, vocab)
     records, _ = featurize_systems(systems, args.format.upper())
     seqs = [encode(r.text, vocab, model.config.max_positions) for r in records]
     args.out.parent.mkdir(parents=True, exist_ok=True)

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import json
 import struct
-import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -51,7 +50,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .systems import is_count, is_real
-from .tokens import TokenSequence
+from .tokens import TokenSequence, Vocabulary
 
 CHECKPOINT_MAGIC = b"ADTXCKPT"
 CHECKPOINT_VERSION = 1
@@ -540,25 +539,25 @@ def _check_layout(path, config: EncoderConfig, entries) -> None:
 
 
 def load_checkpoint(
-    path: str | Path, expected_vocab_sha256: str | None = None
+    path: str | Path, vocab: Vocabulary | None = None
 ) -> tuple[EncoderModel, dict]:
-    """Bit-exact inverse of save_checkpoint; warns on vocabulary-hash mismatch."""
+    """Bit-exact inverse of save_checkpoint. Given the vocabulary the caller
+    encodes with, refuses a checkpoint built on another one, before any tensor
+    is built: a recorded vocab_sha256 other than vocab's, or a vocab_size
+    other than len(vocab). Its token embedding rows would be read as other
+    tokens, even at equal size."""
     raw = Path(path).read_bytes()
     manifest, offset = _read_header(path, raw)
     try:
         config = EncoderConfig(**manifest["config"])
     except (TypeError, ValueError) as exc:  # a missing, unknown or invalid config key
         raise CheckpointError(f"{path}: config does not fit EncoderConfig ({exc})") from None
-    if (
-        expected_vocab_sha256 is not None
-        and manifest["vocab_sha256"] is not None
-        and manifest["vocab_sha256"] != expected_vocab_sha256
-    ):
-        warnings.warn(
-            f"{path}: checkpoint was saved with a different vocabulary "
-            f"({manifest['vocab_sha256'][:12]}... != {expected_vocab_sha256[:12]}...)",
-            stacklevel=2,
-        )
+    recorded = manifest["vocab_sha256"]
+    if vocab is not None and (recorded not in (None, vocab.sha256)
+                              or config.vocab_size != len(vocab)):
+        raise CheckpointError(f"{path}: built on another vocabulary ({config.vocab_size} "
+                              f"tokens, sha256 {str(recorded)[:12]}) than the one given "
+                              f"({len(vocab)} tokens, sha256 {vocab.sha256[:12]})")
     entries = _param_entries(path, manifest["params"])
     _check_layout(path, config, entries)
     model = EncoderModel(config, {name: Tensor(np.empty(shape, dtype=config.np_dtype),

@@ -89,8 +89,8 @@ def detect_configuration(
     system: AtomicSystem, cutoff_tolerance: float = DEFAULT_CUTOFF_TOLERANCE
 ) -> AdsorptionConfiguration:
     """Find binding atom, primary surface atoms, site type and secondary lists."""
-    if cutoff_tolerance < 0:
-        raise ValueError("cutoff_tolerance must be >= 0")
+    if not 0 <= cutoff_tolerance < math.inf:  # refuses nan too
+        raise ValueError(f"cutoff_tolerance must be finite and >= 0, got {cutoff_tolerance!r}")
     atoms = system.atoms
     n = len(atoms)
     dm = pairwise_min_image_distances(

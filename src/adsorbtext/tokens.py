@@ -193,7 +193,7 @@ def decode(seq: TokenSequence, vocab: Vocabulary) -> str:
 def dynamic_mask(
     seq: TokenSequence,
     vocab: Vocabulary,
-    rate: float = 0.15,
+    rate: float,
     seed: int | list[int] = 0,
 ) -> tuple[TokenSequence, list[tuple[int, int]]]:
     """Independently mask non-special positions at the given rate.

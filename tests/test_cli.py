@@ -269,9 +269,48 @@ def test_train_init_from_refuses_another_vocabulary(trained, tmp_path, capsys, e
                 "--out", str(out), "--init-from", trained["ckpt"], "--epochs", "1",
                 *_TINY_MODEL, "--pre-norm"]) == EXIT_USER_ERROR
     err = capsys.readouterr().err
-    assert err == (f"error: --init-from {trained['ckpt']} was built on another vocabulary "
-                   f"than --vocab {other}\n"), err
+    assert err == _another_vocabulary_error(trained["ckpt"], vocab, vocab.sha256,
+                                            Vocabulary.load(other)), err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["vocab.txt"]
+
+
+def _another_vocabulary_error(ckpt, vocab: Vocabulary, recorded: str | None,
+                              other: Vocabulary) -> str:
+    """The error of a checkpoint built on vocab, recording the hash recorded,
+    read with other."""
+    return (f"error: {ckpt}: built on another vocabulary ({len(vocab)} tokens, sha256 "
+            f"{str(recorded)[:12]}) than the one given ({len(other)} tokens, sha256 "
+            f"{other.sha256[:12]})\n")
+
+
+@pytest.mark.parametrize("command", ["predict", "attention", "embeddings", "train"])
+@pytest.mark.parametrize("edit", ["reordered", "three_short"])
+def test_checkpoint_read_with_another_vocabulary_is_user_error(trained, tmp_path, capsys,
+                                                               command, edit):
+    """Every command that reads a checkpoint refuses another vocabulary before
+    it writes anything: a reordered one by its hash, and one 3 tokens short by
+    its size, here on a checkpoint that records no hash."""
+    vocab = Vocabulary.load(trained["vocab"])
+    ckpt = tmp_path / "m.ckpt"
+    ckpt.write_bytes(Path(trained["ckpt"]).read_bytes())
+    if edit == "reordered":
+        other = Vocabulary(vocab.id_to_token[:N_SPECIALS] + vocab.id_to_token[N_SPECIALS:][::-1])
+        recorded = vocab.sha256
+    else:
+        other = Vocabulary(vocab.id_to_token[:-3])
+        rewrite_checkpoint_manifest(ckpt, lambda m: m.update(vocab_sha256=None))
+        recorded = None
+    other.save(tmp_path / "vocab.txt")
+    inputs = {"predict": ["--systems", trained["systems"], "--corpus", trained["corpus"],
+                          "--ckpt", str(ckpt)],
+              "attention": ["--systems", trained["systems"], "--ckpt", str(ckpt)],
+              "embeddings": ["--systems", trained["systems"], "--ckpt", str(ckpt)],
+              "train": ["--corpus", trained["corpus"], "--init-from", str(ckpt), "--epochs", "1",
+                        *_TINY_MODEL, "--pre-norm"]}
+    assert run([command, *inputs[command], "--vocab", str(tmp_path / "vocab.txt"),
+                "--out", str(tmp_path / "out" / "result")]) == EXIT_USER_ERROR
+    assert capsys.readouterr().err == _another_vocabulary_error(ckpt, vocab, recorded, other)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", "vocab.txt"]
 
 
 def test_train_init_from_takes_another_dtype_dropout_and_head(trained, tmp_path, caplog):
@@ -301,6 +340,16 @@ def test_featurize_idempotent(tmp_path, table_system):
     first = out.read_bytes()
     run(["featurize", "--in", str(dataset), "--out", str(out), "--format", "s4"])
     assert out.read_bytes() == first
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf"])
+def test_featurize_refuses_non_finite_cutoff_tolerance(tmp_path, capsys, tolerance):
+    out = tmp_path / "corpus.jsonl"
+    assert run(["featurize", "--in", str(fixture_dataset_path()), "--out", str(out),
+                "--format", "s4", "--cutoff-tolerance", tolerance]) == EXIT_USER_ERROR
+    assert capsys.readouterr().err == (f"error: cutoff_tolerance must be finite and >= 0, "
+                                       f"got {float(tolerance)!r}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_featurize_does_not_mutate_inputs(tmp_path, table_system):

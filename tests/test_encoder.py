@@ -20,7 +20,7 @@ from adsorbtext.encoder import (
     mlm_logits,
     save_checkpoint,
 )
-from adsorbtext.tokens import BOS, EOS, PAD, TokenSequence
+from adsorbtext.tokens import BOS, EOS, N_SPECIALS, PAD, SPECIALS, TokenSequence, Vocabulary
 from conftest import rewrite_checkpoint_manifest
 from reference_ops import scaled_dot_attention
 
@@ -340,22 +340,35 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, rng):
         assert np.array_equal(loaded.params[name].data, model.params[name].data)
 
 
-def test_checkpoint_vocab_hash_mismatch_warns_but_loads(tmp_path):
-    model = init_model(small_config(), seed=9)
+def _vocabulary(n_tokens: int, reverse: bool = False) -> Vocabulary:
+    tokens = [f"t{i}" for i in range(n_tokens - N_SPECIALS)]
+    return Vocabulary([*SPECIALS, *(tokens[::-1] if reverse else tokens)])
+
+
+@pytest.mark.parametrize("recorded, vocab", [
+    (_vocabulary(30).sha256, _vocabulary(30, reverse=True)),  # another hash, same size
+    (None, _vocabulary(27)),                                    # no hash, another size
+], ids=["hash", "size"])
+def test_checkpoint_refuses_another_vocabulary(tmp_path, recorded, vocab):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(model, path, vocab_sha256="a" * 64)
-    with pytest.warns(UserWarning, match="different vocabulary"):
-        loaded, _ = load_checkpoint(path, expected_vocab_sha256="b" * 64)
-    assert np.array_equal(loaded.params["tok_emb"].data, model.params["tok_emb"].data)
+    save_checkpoint(init_model(small_config(), seed=9), path, vocab_sha256=recorded)
+    message = (f"{path}: built on another vocabulary (30 tokens, sha256 {str(recorded)[:12]}) "
+               f"than the one given ({len(vocab)} tokens, sha256 {vocab.sha256[:12]})")
+    with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
+        load_checkpoint(path, vocab)
 
 
 def test_checkpoint_matching_hash_is_silent(tmp_path):
+    """Loads when the hash matches, or is not recorded and the size matches."""
     model = init_model(small_config(), seed=9)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(model, path, vocab_sha256="a" * 64)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        load_checkpoint(path, expected_vocab_sha256="a" * 64)
+    vocab = _vocabulary(30)
+    for recorded in (vocab.sha256, None):
+        save_checkpoint(model, path, vocab_sha256=recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded, _ = load_checkpoint(path, vocab)
+        assert np.array_equal(loaded.params["tok_emb"].data, model.params["tok_emb"].data)
 
 
 def test_checkpoint_truncation_detected(tmp_path):
