@@ -20,8 +20,8 @@ keeping the other labels already in the file: running the script once with
 PYTHONPATH at another checkout's `src` and `--label before`, and once here
 with `--label after`, puts both sides in one file. The input generator is
 always this checkout's `perfbench`, so both sides read the same bytes. The
-entry's `environment` is a run manifest's (`cli.run_environment`) plus the
-CPU count, so the other checkout's package needs `cli.run_environment`;
+entry's `environment` is a run manifest's (`cli.run_environment`, with the
+CPU count and the BLAS kernel), so the other checkout's package needs it;
 against one without it, run that checkout's own copy of the script from
 its root with `--out` at this file.
 """
@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import tempfile
 import time
@@ -92,7 +91,7 @@ def main(argv=None) -> None:
             traced[name] = round((tracemalloc.get_traced_memory()[1] - base) / 2 ** 20, 2)
         tracemalloc.stop()
         run = {
-            "environment": {**run_environment(), "cpus": os.cpu_count()},
+            "environment": run_environment(),
             "seed": args.seed,
             "repeats": args.repeats,
             "inputs_sha256": file_digest([workload.pred]),

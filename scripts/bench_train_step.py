@@ -34,7 +34,7 @@ before` and `--out` at this file, and this one with `--label after`, puts
 both sides in one file. The script drives only a package whose
 `trainer._step` takes the run's `TrainRunConfig`, and that has
 `autograd.op_totals` and `cli.run_environment` (the entry's `environment`
-is a run manifest's plus the CPU count).
+is a run manifest's: versions, CPU count, BLAS kernel and thread variables).
 
 With `--against <checkout>` the script instead times the `train` of the
 benchmark's `finetune_s4` workload (input seed 0, with the systems,
@@ -60,7 +60,6 @@ import hashlib
 import importlib
 import importlib.util
 import json
-import os
 import resource
 import sys
 import time
@@ -331,11 +330,6 @@ def against(checkout: Path, pairs: int) -> dict:
     return out
 
 
-def environment() -> dict:
-    """A run manifest's environment (`cli.run_environment`) and the CPU count."""
-    return {**run_environment(), "cpus": os.cpu_count()}
-
-
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="key of this run in the output file")
@@ -346,7 +340,7 @@ def main(argv=None) -> None:
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     if args.against is not None:
-        result = {"environment": environment(), **against(args.against, PAIRS)}
+        result = {"environment": run_environment(), **against(args.against, PAIRS)}
         doc.setdefault("against", {})[args.label] = result
         this, other = result["this"], result["against"]
         summary = (f"this {this['median_s']} s ({this['q1_s']}-{this['q3_s']}), "
@@ -356,7 +350,7 @@ def main(argv=None) -> None:
     else:
         systems = synthetic_systems(2000, seed=123, noise_sigma=NOISE_SIGMA)
         run = {
-            "environment": environment(),
+            "environment": run_environment(),
             "criterion_10": criterion_10(systems),
             "op_profile": op_profile(systems, PROFILE_STEPS),
             "mlm_profile": mlm_profile(systems, PROFILE_STEPS),

@@ -16,14 +16,15 @@ Besides elementwise and matrix ops the engine has two fused ones that
 the encoder runs on packed tokens (one row per real token): `linear`,
 whose weight gradient is a single 2-D GEMM over all rows, and
 multi-head `attention`, which writes its backward by hand. An
-`AttentionLayout`, built once per batch from the sequence lengths, sorts
-the sequences by length and cuts them into a few buckets; the op lays
-each bucket out on its own (sequences, heads, length, length) grid,
-padded only to that bucket's longest sequence. A sequence's n tokens sit
-at positions 0..n-1 on any grid at least n long, and a longer grid adds
-only exact zeros at the end of each sum over keys or queries: in exact
-arithmetic the buckets change nothing. A BLAS
-may still round a product differently with the size of its matrices.
+`AttentionLayout`, built once per batch from the real sequence lengths,
+sorts the sequences by length and cuts them into a few buckets; the op
+lays each bucket out on its own (sequences, heads, length, length) grid,
+padded only to that bucket's longest sequence, and returns its weights
+bucket by bucket. No op sees the length a batch was encoded to. A
+sequence's n tokens sit at positions 0..n-1 on any grid at least n long,
+and a longer grid adds only exact zeros at the end of each sum over keys
+or queries: in exact arithmetic the buckets change nothing. A BLAS may
+still round a product differently with the size of its matrices.
 With OpenBLAS 0.3.31 the results equal those of one grid padded to the
 batch's longest sequence bit for bit at 16 dimensions per head (the
 shipped configuration), though not always at 8 or 32.
@@ -327,7 +328,8 @@ class AttentionLayout:
     after row, and packed row i sits at grid row grid_rows[i]. Every
     sequence keeps its tokens at positions 0..n-1, as on the full grid, so
     a larger grid would only add exact zeros at the end of each reduction
-    over keys or queries.
+    over keys or queries. The layout knows only the real lengths: a caller
+    that wants the weights on a grid of another side lays them out itself.
     """
 
     def __init__(self, lengths: np.ndarray):
@@ -344,8 +346,6 @@ class AttentionLayout:
         # per sequence, in sorted order: its bucket, then its first grid row
         bucket = np.repeat(np.arange(sizes.size), sizes)
         first = offsets[bucket] + (np.arange(batch) - bounds[bucket]) * bucket_len[bucket]
-        self.bucket_length = np.empty(batch, dtype=np.int64)
-        self.bucket_length[order] = bucket_len[bucket]
         seq_first = np.empty(batch, dtype=np.int64)
         seq_first[order] = first
         self.grid_rows = (np.repeat(seq_first - self.starts, lengths)
@@ -359,23 +359,6 @@ class AttentionLayout:
             key_bias = np.where(np.arange(n_max) < lengths[seqs][:, None], 0.0, -np.inf)
             self.buckets.append((seqs, n_max, off, key_bias))
 
-    def padded_weights(self, weights: list[np.ndarray], length: int) -> np.ndarray:
-        """The buckets' (n_b, heads, query, key) weights from `attention` laid
-        out on one (batch, heads, length, length) grid, length being at least
-        the longest sequence (the encoder passes the encoded length). Padded
-        keys get exactly 0 and padded queries, as inside a bucket, 1/n on
-        each of the n real keys, also past the bucket's own length."""
-        batch = self.lengths.size
-        out = np.zeros((batch, weights[0].shape[1], length, length), dtype=weights[0].dtype)
-        for (seqs, n_max, _, _), w in zip(self.buckets, weights):
-            out[seqs, :, :n_max, :n_max] = w
-        pos = np.arange(length)
-        beyond = ((pos[None, :, None] >= self.bucket_length[:, None, None])
-                  & (pos[None, None, :] < self.lengths[:, None, None]))
-        uniform = np.divide(1, self.lengths.astype(out.dtype))
-        np.copyto(out, uniform[:, None, None, None], where=beyond[:, None])
-        return out
-
 
 @_op
 def attention(q, k, v, layout: AttentionLayout, n_heads: int,
@@ -388,10 +371,9 @@ def attention(q, k, v, layout: AttentionLayout, n_heads: int,
     of its own sequence. keep, if given, is drawn on a (batch,
     heads, L, L) grid, L >= layout.side, and multiplies the weights
     (inverted dropout). Padded query rows are zero, so their weights are
-    uniform over the real keys; no output row reads them. Returns the
-    packed context (N, hidden) and each bucket's weights (n_b, heads,
-    query, key) before keep, which layout.padded_weights lays out on one
-    grid.
+    exactly 1/n on each of the n real keys; no output row reads them.
+    Returns the packed context (N, hidden) and, in layout.buckets order,
+    each bucket's weights (n_b, heads, query, key) before keep.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     hidden = q.data.shape[-1]

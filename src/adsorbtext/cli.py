@@ -23,6 +23,8 @@ none. Required flags must still be given on the command line.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import hashlib
 import json
 import logging
@@ -276,11 +278,28 @@ _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
                      "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "BLIS_NUM_THREADS")
 
 
+@functools.cache
+def _blas_core() -> str | None:
+    """The kernel numpy's bundled OpenBLAS picked for this CPU when it loaded
+    (say "SkylakeX"); None where that library or its symbol is missing."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                      .glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = (), ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 def run_environment() -> dict:
-    """The numpy and Python versions and the BLAS/OpenMP thread variables:
-    float results depend on them, so every run manifest and every
-    `scripts/bench_*.py` entry records them beside its settings."""
+    """The numpy and Python versions, the CPU count, the OpenBLAS kernel and
+    the BLAS/OpenMP thread variables: float results depend on them, so every
+    run manifest and every `scripts/bench_*.py` entry records them beside
+    its settings."""
     return {"numpy": np.__version__, "python": platform.python_version(),
+            "cpus": os.cpu_count(), "blas_core": _blas_core(),
             "threads": {var: os.environ.get(var) for var in _THREAD_VARIABLES}}
 
 

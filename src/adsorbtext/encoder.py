@@ -8,18 +8,19 @@ position 0.
 
 The stack runs on packed tokens: hidden states are (N, hidden), one row
 per real token, the sequences' ids one after another (`_pack_batch`), so
-projections, GELU and layer norms never see padding. `_encode` builds one
-`autograd.AttentionLayout` per batch from the sequence lengths, and every
-layer's `autograd.attention`, forward and backward, reuses it: the op
+projections, GELU and layer norms never see padding. `_pack_batch` builds
+the batch's one `autograd.AttentionLayout` from the real lengths, and
+every layer's `autograd.attention`, forward and backward, reuses it: the op
 runs each length bucket on a grid padded only to that bucket's longest
 sequence, with padded keys masked to -inf, so their weights and their
 gradients are exactly zero. A bucket's smaller grid drops only trailing
 exact zeros from the sums over keys and queries, and the results equal
 those of one padded grid (bit for bit at the shipped 16 dimensions per
 head; see `autograd`). Captured attention stays in those buckets: a
-sequence's record is its real block, cut from its bucket, and the full
-(batch, heads, length, length) grid at the encoded length is built only
-when `ForwardResult.attention` is read.
+sequence's record is its real block, cut from its bucket. Only
+`ForwardResult.attention` reads the encoded length: on first read it lays
+each record out on a (heads, length, length) grid, with exact zeros on
+padded keys and 1/n on the n real keys of each padded query row.
 
 A loss that reads only some rows passes them to `_encode`. The last
 layer still runs attention on every row, since its keys and values need
@@ -260,10 +261,19 @@ class ForwardResult:
 
     @cached_property
     def attention(self) -> list[np.ndarray] | None:
-        """Per layer (B, heads, L, L) at the encoded length L, laid out on first read."""
+        """Per layer (B, heads, L, L) at the encoded length L, laid out on
+        first read from the records: 0 on padded keys and, as the op gives
+        a padded query inside its bucket, 1/n on each of the n real keys."""
         if self.weights is None:
             return None
-        return [self.layout.padded_weights(w, self.length) for w in self.weights]
+        heads, dtype = self.weights[0][0].shape[1], self.weights[0][0].dtype
+        shape = (self.layout.lengths.size, heads, self.length, self.length)
+        grids = [np.zeros(shape, dtype) for _ in self.weights]
+        for b, n in enumerate(self.layout.lengths.tolist()):
+            for grid, block in zip(grids, self.attention_record(b, n).layers):
+                grid[b, :, :n, :n] = block
+                grid[b, :, n:, :n] = np.divide(1, dtype.type(n))
+        return grids
 
     def attention_record(self, b: int, n_real: int) -> AttentionRecord:
         """Sequence b's (heads, n_real, n_real) block of every layer, copied
@@ -285,10 +295,10 @@ def _pack_batch(
     seqs: list[TokenSequence],
     train: bool,
     rng: np.random.Generator | None,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The batch's ids packed one sequence after another, the sequences'
-    real lengths and their longest encoded length, checked against the
-    model."""
+) -> tuple[np.ndarray, ag.AttentionLayout, int]:
+    """The batch's ids packed one sequence after another, checked against
+    the model, the batch's one attention layout, built from the real
+    lengths, and the sequences' longest encoded length."""
     cfg = model.config
     lengths = np.array([s.n_real for s in seqs], dtype=np.int64)
     if lengths.max() > cfg.max_positions:
@@ -298,25 +308,25 @@ def _pack_batch(
         raise ValueError("token id out of range")
     if train and rng is None:
         raise ValueError("training forward needs an rng for dropout")
-    return ids, lengths, max(len(s) for s in seqs)
+    return ids, ag.AttentionLayout(lengths), max(len(s) for s in seqs)
 
 
 def _encode(
     model: EncoderModel,
     ids: np.ndarray,
-    lengths: np.ndarray,
+    layout: ag.AttentionLayout,
     capture_attention: bool,
     train: bool,
     rng: np.random.Generator | None,
     rows: np.ndarray | None = None,
-) -> tuple[Tensor, ag.AttentionLayout, list[list[np.ndarray]]]:
+) -> tuple[Tensor, list[list[np.ndarray]]]:
     """Shared encoder stack on packed tokens.
 
-    ids are the packed ids of sequences of the given lengths; the attention
-    grids and the dropout keep mask take the longest of them as their side,
-    whatever length the batch was encoded to. Returns the final hidden
-    states, the batch's attention layout and, when capturing, each layer's
-    bucket weights from `autograd.attention` (else no layers). The states
+    ids are the packed ids the layout places; every layer's attention
+    reuses it, and the dropout keep mask takes its side, the longest real
+    length, whatever length the batch was encoded to. Returns the final
+    hidden states and, when capturing, each layer's bucket weights from
+    `autograd.attention` (else no layers). The states
     are (N, H), one row per id, or, when rows (distinct packed row
     indices) is given, (M, H) at those rows in that order: the last layer
     keeps them right after attention.
@@ -325,8 +335,7 @@ def _encode(
     p = model.params
     dt = cfg.np_dtype
     drop = cfg.dropout_rate if train else 0.0
-    layout = ag.AttentionLayout(lengths)  # one per batch, shared by every layer
-    positions = np.arange(ids.size) - np.repeat(layout.starts, lengths)
+    positions = np.arange(ids.size) - np.repeat(layout.starts, layout.lengths)
 
     x = ag.add(ag.embedding(p["tok_emb"], ids),
                ag.embedding(p["pos_emb"], positions))
@@ -345,7 +354,7 @@ def _encode(
             v = ag.linear(inp, p[pre + "wv"], p[pre + "bv"])
             keep = None
             if drop:  # drawn as ag.dropout draws its mask
-                shape = (lengths.size, cfg.n_heads, layout.side, layout.side)
+                shape = (layout.lengths.size, cfg.n_heads, layout.side, layout.side)
                 keep = (rng.random(shape) >= drop).astype(dt) / (1.0 - drop)
             ctx, weights = ag.attention(q, k, v, layout, cfg.n_heads, keep)
             if capture_attention:
@@ -370,7 +379,7 @@ def _encode(
                               p[pre + "ln2_g"], p[pre + "ln2_b"])
     if rows is not None and not cfg.n_layers:
         x = ag.take(x, (rows,))
-    return x, layout, captured
+    return x, captured
 
 
 def forward(
@@ -390,10 +399,10 @@ def forward(
     encoded (B, heads, L, L) grid.
     """
     cfg = model.config
-    ids, lengths, length = _pack_batch(model, seqs, train, rng)
-    x, layout, captured = _encode(model, ids, lengths, capture_attention, train, rng)
+    ids, layout, length = _pack_batch(model, seqs, train, rng)
+    x, captured = _encode(model, ids, layout, capture_attention, train, rng)
     p = model.params
-    batch = lengths.size
+    batch = layout.lengths.size
     pooled = ag.take(x, (layout.starts,))
     act = ag.tanh if cfg.head_activation == "tanh" else ag.gelu
     hidden = act(ag.linear(pooled, p["head.w1"], p["head.b1"]))
@@ -420,7 +429,8 @@ def mlm_logits(
     p = model.params
     if "mlm.bias" not in p:
         raise ValueError("model has no MLM head; call ensure_mlm_head first")
-    ids, lengths, length = _pack_batch(model, seqs, train, rng)
+    ids, layout, length = _pack_batch(model, seqs, train, rng)
+    lengths = layout.lengths
     seq_index, pos = (np.asarray(a, dtype=np.int64).reshape(-1) for a in positions)
     if seq_index.shape != pos.shape:
         raise ValueError("positions: sequence indices and positions differ in length")
@@ -431,12 +441,12 @@ def mlm_logits(
         b, at = seq_index[bad[0]], pos[bad[0]]
         what = "out of range" if outside[bad[0]] else "padded"
         raise ValueError(f"batch row {b} position {at} is {what}")
-    rows = (np.cumsum(lengths) - lengths)[seq_index] + pos  # packed, as in the layout
+    rows = layout.starts[seq_index] + pos
     _, first, counts = np.unique(rows, return_index=True, return_counts=True)
     if (counts > 1).any():
         m = first[np.argmax(counts > 1)]
         raise ValueError(f"batch row {seq_index[m]} position {pos[m]} is repeated")
-    x, _, _ = _encode(model, ids, lengths, False, train, rng, rows)
+    x, _ = _encode(model, ids, layout, False, train, rng, rows)
     w = p["mlm.w"] if "mlm.w" in p else ag.transpose(p["tok_emb"], (1, 0))
     return ag.linear(x, w, p["mlm.bias"])
 

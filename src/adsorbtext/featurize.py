@@ -85,12 +85,16 @@ class CorpusRecord(NamedTuple):
     split: str
 
 
+def _check_cutoff_tolerance(cutoff_tolerance: float) -> None:
+    if not 0 <= cutoff_tolerance < math.inf:  # refuses nan too
+        raise ValueError(f"cutoff_tolerance must be finite and >= 0, got {cutoff_tolerance!r}")
+
+
 def detect_configuration(
     system: AtomicSystem, cutoff_tolerance: float = DEFAULT_CUTOFF_TOLERANCE
 ) -> AdsorptionConfiguration:
     """Find binding atom, primary surface atoms, site type and secondary lists."""
-    if not 0 <= cutoff_tolerance < math.inf:  # refuses nan too
-        raise ValueError(f"cutoff_tolerance must be finite and >= 0, got {cutoff_tolerance!r}")
+    _check_cutoff_tolerance(cutoff_tolerance)
     atoms = system.atoms
     n = len(atoms)
     dm = pairwise_min_image_distances(
@@ -312,7 +316,9 @@ def featurize_systems(
     cutoff_tolerance: float = DEFAULT_CUTOFF_TOLERANCE,
 ) -> tuple[list[CorpusRecord], dict[str, int]]:
     """Serialize a dataset in input order, one system after another in this
-    process; non-binding systems fall back to S1."""
+    process; non-binding systems fall back to S1. The tolerance is checked
+    for every format, S1 too, which detects no configuration."""
+    _check_cutoff_tolerance(cutoff_tolerance)
     fmt = fmt.upper()
     results = [_featurize_one(system, fmt, cutoff_tolerance) for system in systems]
     records = [rec for rec, _ in results]

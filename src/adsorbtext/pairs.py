@@ -18,8 +18,8 @@ RMSE, and rank weights give the moments of the ordered pairs (i, j>i).
 Groups come from the integer codes through a table, without a sort, so
 a split of n records takes O(n) for codes below n; wider keys, such as
 (adsorbate, bulk) codes, are sorted, O(n log n).
-generate_pairs, secr and error_propagation_stats visit each pair and
-are the reference for tests.
+generate_pairs and secr visit each pair and are the reference for tests,
+as is the pair-visiting error propagation in tests/reference_ops.py.
 """
 
 from __future__ import annotations
@@ -270,31 +270,6 @@ class PropagationStats:
     @property
     def residual(self) -> float:
         return abs(self.var_pair - self.var_i - self.var_j + 2.0 * self.cov)
-
-
-def error_propagation_stats(
-    records: Sequence[PredictionRecord],
-    pairs: Iterable[PairRecord],
-    selector: Callable[[PairRecord], bool] | None = None,
-) -> PropagationStats:
-    """Empirical Var(e_ij), Var(e_i), Var(e_j) and Cov over a pair stream,
-    optionally restricted to a subgroup, with the records' errors."""
-    if len(records) < 2:
-        raise ValueError("need at least two prediction records")
-    err_by_id = {r.system_id: r.error for r in records}
-    n = 0
-    si = sj = sii = sjj = sij = sdd = 0.0
-    for pair in pairs:
-        if selector is None or selector(pair):
-            ei, ej = err_by_id[pair.id_i], err_by_id[pair.id_j]
-            n += 1
-            si, sj, sdd = si + ei, sj + ej, sdd + (ei - ej) ** 2
-            sii, sjj, sij = sii + ei * ei, sjj + ej * ej, sij + ei * ej
-    if n == 0:
-        raise ValueError("no pairs accumulated")
-    mi, mj = si / n, sj / n
-    return PropagationStats(n, sdd / n - (mi - mj) ** 2, sii / n - mi * mi,
-                            sjj / n - mj * mj, sij / n - mi * mj)
 
 
 SUBGROUPS = ("sharing_one", "sharing_two", "chemically_similar")

@@ -207,19 +207,6 @@ _IMAGE_SHIFTS = np.array(
 )
 
 
-def minimum_image_distance(a, b, cell) -> float:
-    """Minimum distance between a and b over lattice translations of b.
-
-    Searches the +-1 image shell (27 images) of the given 3x3 cell.
-    """
-    cell = np.asarray(cell, dtype=float)
-    if abs(np.linalg.det(cell)) < 1e-10:
-        raise ValueError("singular cell")
-    delta = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
-    images = delta + _IMAGE_SHIFTS @ cell
-    return float(np.sqrt(np.min(np.einsum("ij,ij->i", images, images))))
-
-
 def pairwise_min_image_distances(positions: np.ndarray, cell) -> np.ndarray:
     """All-pairs minimum-image distance matrix for one system's atoms."""
     cell = np.asarray(cell, dtype=float)

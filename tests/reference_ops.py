@@ -1,15 +1,18 @@
-"""Reference compositions of elementary autograd ops, and a sorting
-grouping, that tests hold the fused or sort-free production code to."""
+"""Reference compositions of elementary autograd ops, a sorting grouping,
+a pair-visiting error propagation and a one-pair minimum-image distance,
+that tests hold the fused, sort-free or vectorised production code to."""
 
 from __future__ import annotations
 
 import math
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 import adsorbtext.autograd as ag
 from adsorbtext.autograd import Tensor
-from adsorbtext.pairs import _Groups
+from adsorbtext.pairs import PairRecord, PredictionRecord, PropagationStats, _Groups
+from adsorbtext.systems import _IMAGE_SHIFTS
 
 
 def scaled_dot_attention(q, k, v, mask=None) -> tuple[Tensor, Tensor]:
@@ -42,3 +45,41 @@ def sorted_groups(x: np.ndarray, keys: np.ndarray) -> _Groups:
     offset = np.bincount(index, weights=shifted) / size
     sq = np.bincount(index, weights=(shifted - offset[index]) ** 2)
     return _Groups(index, first, size, x[first] + offset, sq)
+
+
+def error_propagation_stats(
+    records: Sequence[PredictionRecord],
+    pairs: Iterable[PairRecord],
+    selector: Callable[[PairRecord], bool] | None = None,
+) -> PropagationStats:
+    """Empirical Var(e_ij), Var(e_i), Var(e_j) and Cov over a pair stream,
+    optionally restricted to a subgroup, with the records' errors."""
+    if len(records) < 2:
+        raise ValueError("need at least two prediction records")
+    err_by_id = {r.system_id: r.error for r in records}
+    n = 0
+    si = sj = sii = sjj = sij = sdd = 0.0
+    for pair in pairs:
+        if selector is None or selector(pair):
+            ei, ej = err_by_id[pair.id_i], err_by_id[pair.id_j]
+            n += 1
+            si, sj, sdd = si + ei, sj + ej, sdd + (ei - ej) ** 2
+            sii, sjj, sij = sii + ei * ei, sjj + ej * ej, sij + ei * ej
+    if n == 0:
+        raise ValueError("no pairs accumulated")
+    mi, mj = si / n, sj / n
+    return PropagationStats(n, sdd / n - (mi - mj) ** 2, sii / n - mi * mi,
+                            sjj / n - mj * mj, sij / n - mi * mj)
+
+
+def minimum_image_distance(a, b, cell) -> float:
+    """Minimum distance between a and b over lattice translations of b.
+
+    Searches the +-1 image shell (27 images) of the given 3x3 cell.
+    """
+    cell = np.asarray(cell, dtype=float)
+    if abs(np.linalg.det(cell)) < 1e-10:
+        raise ValueError("singular cell")
+    delta = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
+    images = delta + _IMAGE_SHIFTS @ cell
+    return float(np.sqrt(np.min(np.einsum("ij,ij->i", images, images))))

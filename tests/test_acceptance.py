@@ -25,7 +25,6 @@ from adsorbtext.featurize import (
 )
 from adsorbtext.pairs import (
     PredictionRecord,
-    error_propagation_stats,
     generate_pairs,
     secr,
     split_pair_stats,
@@ -35,6 +34,7 @@ from adsorbtext.systems import load_dataset
 from adsorbtext.tokens import BOS, EOS, PAD, TokenSequence, build_vocab, dynamic_mask, encode
 from adsorbtext.trainer import LrGroupPlan, TrainRunConfig, train_regression
 from conftest import REFERENCE_TEXTS
+from reference_ops import error_propagation_stats
 
 
 def _report(number: int, passed: bool, detail: str) -> None:

@@ -339,6 +339,16 @@ ATT_LENGTHS = (3, 5, 5)
 ATT_LEN, ATT_HEADS, ATT_HIDDEN = 5, 2, 8
 
 
+def _bucket_blocks(layout, weights):
+    """Each sequence's (heads, n_max, n_max) block of its bucket's weights,
+    in batch order."""
+    blocks = [None] * layout.lengths.size
+    for (seqs, *_), w in zip(layout.buckets, weights):
+        for slot, b in enumerate(seqs):
+            blocks[b] = w[slot]
+    return blocks
+
+
 def _packed_attention_inputs(rng):
     layout = ag.AttentionLayout(np.array(ATT_LENGTHS))
     q, k, v = (Tensor(rng.normal(size=(sum(ATT_LENGTHS), ATT_HIDDEN)), requires_grad=True)
@@ -372,13 +382,14 @@ def test_attention_matches_reference_per_sequence(rng, with_keep):
     shape = (len(ATT_LENGTHS), ATT_HEADS, ATT_LEN, ATT_LEN)
     keep = (rng.random(shape) >= 0.3) / 0.7 if with_keep else None
     ctx, weights = ag.attention(q, k, v, layout, ATT_HEADS, keep)
-    weights = layout.padded_weights(weights, ATT_LEN)
+    blocks = _bucket_blocks(layout, weights)
     want_ctx, want_weights = _per_sequence_reference(q, k, v, keep)
     assert ctx.data.shape == (n_rows, ATT_HIDDEN)
     assert np.abs(ctx.data - want_ctx).max() < 1e-12
+    assert all(block.shape[-1] == ATT_LEN for block in blocks)  # one bucket
     for b, n in enumerate(ATT_LENGTHS):
         for h in range(ATT_HEADS):
-            got = weights[b, h]
+            got = blocks[b][h]
             assert np.abs(got[:n, :n] - want_weights[b * ATT_HEADS + h]).max() < 1e-12
             assert np.all(got[:, n:] == 0.0)  # padded keys
             if n < ATT_LEN:  # padded queries
@@ -442,12 +453,12 @@ def test_equal_lengths_make_one_bucket():
         assert len(ag.AttentionLayout(np.full(batch, length)).buckets) == 1
 
 
-def _run_attention(layout, length, q, k, v, g, keep):
-    """Context, (dq, dk, dv) for upstream g, and the weights on a grid of
-    the given length."""
+def _run_attention(layout, q, k, v, g, keep):
+    """Context, (dq, dk, dv) for upstream g, and each sequence's block of
+    its bucket's weights."""
     ctx, weights = ag.attention(Tensor(q, requires_grad=True), Tensor(k, requires_grad=True),
                                 Tensor(v, requires_grad=True), layout, BUCKET_HEADS, keep)
-    return ctx.data, ctx._node.backward(g), layout.padded_weights(weights, length)
+    return ctx.data, ctx._node.backward(g), _bucket_blocks(layout, weights)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -462,31 +473,21 @@ def test_attention_buckets_match_each_sequence_alone(rng, dtype, with_keep, case
     q, k, v, g = (rng.normal(size=(n_rows, BUCKET_HIDDEN)).astype(dtype) for _ in range(4))
     shape = (len(lengths), BUCKET_HEADS, length, length)
     keep = ((rng.random(shape) >= 0.3) / 0.7).astype(dtype) if with_keep else None
-    ctx, grads, weights = _run_attention(layout, length, q, k, v, g, keep)
-    assert weights.shape == shape and weights.dtype == dtype
+    ctx, grads, blocks = _run_attention(layout, q, k, v, g, keep)
     start = 0
     for b, n in enumerate(lengths):
         rows = slice(start, start + n)
         alone = ag.AttentionLayout(np.array([n]))
-        want_ctx, want_grads, want_weights = _run_attention(
-            alone, length, q[rows], k[rows], v[rows], g[rows],
+        want_ctx, want_grads, (want_block,) = _run_attention(
+            alone, q[rows], k[rows], v[rows], g[rows],
             None if keep is None else keep[b:b + 1])
         np.testing.assert_array_equal(ctx[rows], want_ctx)
         for got, want in zip(grads, want_grads):
             np.testing.assert_array_equal(got[rows], want)
-        np.testing.assert_array_equal(weights[b:b + 1], want_weights)
+        block, n_max = blocks[b], blocks[b].shape[-1]
+        assert block.shape == (BUCKET_HEADS, n_max, n_max) and n <= n_max
+        assert block.dtype == dtype
+        np.testing.assert_array_equal(block[:, :n, :n], want_block)
+        assert np.all(block[:, :, n:] == 0.0)  # padded keys in the bucket
+        assert np.all(block[:, n:, :n] == np.divide(1, dtype(n)))  # padded queries
         start += n
-
-
-def test_padded_weights_beyond_each_bucket(rng):
-    lengths, _ = BUCKET_CASES["three"]
-    layout = ag.AttentionLayout(np.array(lengths))
-    q, k, v, g = (rng.normal(size=(sum(lengths), BUCKET_HIDDEN)).astype(np.float32)
-                  for _ in range(4))
-    _, _, weights = _run_attention(layout, 90, q, k, v, g, None)
-    for b, n in enumerate(lengths):
-        assert layout.bucket_length[b] < 90
-        assert np.all(weights[b, :, :, n:] == 0.0)  # padded keys
-        uniform = np.divide(1, np.float32(n))
-        assert np.all(weights[b, :, n:, :n] == uniform)  # padded queries, in and past the bucket
-        np.testing.assert_allclose(weights[b, :, :n].sum(axis=-1), 1.0, rtol=1e-6)

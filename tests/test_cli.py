@@ -17,6 +17,7 @@ from adsorbtext.cli import (
     EXIT_USER_ERROR,
     SmokeConfig,
     SmokeStageError,
+    _blas_core,
     _model_config,
     _run_config,
     build_parser,
@@ -86,14 +87,23 @@ def test_featurize_writes_manifest(tmp_path, table_system, monkeypatch):
     assert isinstance(manifest["minor_faults"], int) and manifest["minor_faults"] >= 0
     # float results depend on these; outside the config, so config_sha256 keeps its value
     environment = manifest["environment"]
+    assert set(environment) == {"numpy", "python", "cpus", "blas_core", "threads"}
     assert environment["numpy"] == np.__version__
     assert environment["python"] == platform.python_version()
+    assert environment["cpus"] == os.cpu_count()
+    core = environment["blas_core"]  # numpy's OpenBLAS kernel, such as "SkylakeX"
+    assert core is None or (isinstance(core, str) and core)
     threads = environment["threads"]
     assert threads["OPENBLAS_NUM_THREADS"] == "1" and threads["OMP_NUM_THREADS"] is None
     assert threads == {var: os.environ.get(var) for var in (
         "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
         "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "BLIS_NUM_THREADS")}
     assert "environment" not in manifest["config"]
+
+
+def test_blas_core_is_none_without_bundled_openblas(tmp_path, monkeypatch):
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    assert _blas_core.__wrapped__() is None  # the uncached lookup
 
 
 def test_featurize_has_no_threads_option(tmp_path, table_system):
@@ -323,6 +333,7 @@ def test_train_init_from_takes_another_dtype_dropout_and_head(trained, tmp_path,
     assert "train: seeded 18 tensors" in caplog.text  # every tensor but the 4 of the head
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # lr 1e30 overflows on purpose
 def test_diverging_run_is_user_error(trained, tmp_path, capsys):
     out = tmp_path / "model.ckpt"
     assert run(["train", "--corpus", trained["corpus"], "--vocab", trained["vocab"],
@@ -347,6 +358,17 @@ def test_featurize_refuses_non_finite_cutoff_tolerance(tmp_path, capsys, toleran
     out = tmp_path / "corpus.jsonl"
     assert run(["featurize", "--in", str(fixture_dataset_path()), "--out", str(out),
                 "--format", "s4", "--cutoff-tolerance", tolerance]) == EXIT_USER_ERROR
+    assert capsys.readouterr().err == (f"error: cutoff_tolerance must be finite and >= 0, "
+                                       f"got {float(tolerance)!r}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf"])
+def test_featurize_s1_refuses_non_finite_cutoff_tolerance(tmp_path, capsys, tolerance):
+    # S1 detects no configuration, yet its flag value is checked all the same
+    out = tmp_path / "corpus.jsonl"
+    assert run(["featurize", "--in", str(fixture_dataset_path()), "--out", str(out),
+                "--format", "s1", "--cutoff-tolerance", tolerance]) == EXIT_USER_ERROR
     assert capsys.readouterr().err == (f"error: cutoff_tolerance must be finite and >= 0, "
                                        f"got {float(tolerance)!r}\n")
     assert list(tmp_path.iterdir()) == []

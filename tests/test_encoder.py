@@ -190,6 +190,24 @@ def test_attention_record_is_cut_from_its_bucket(rng, dtype):
         res.attention_record(0, 6)  # inside its bucket's grid, past its tokens
 
 
+def test_padded_weights_beyond_each_bucket(rng):
+    # encoded to 90 positions, past every bucket's grid: padded query rows
+    # keep the 1/n that attention gives them inside a bucket
+    model = init_model(small_config(hidden_size=32, max_positions=96, dtype="float32"), seed=20)
+    lengths = (5, 6, 5, 6, 40, 39, 40, 39, 80, 79, 80, 80)
+    res = forward(model, [make_seq(rng, n, max_positions=90) for n in lengths],
+                  capture_attention=True)
+    assert len(res.layout.buckets) == 3
+    assert all(n_max < 90 for _, n_max, _, _ in res.layout.buckets)
+    for weights in res.attention:
+        assert weights.shape == (len(lengths), 2, 90, 90) and weights.dtype == np.float32
+        for b, n in enumerate(lengths):
+            assert np.all(weights[b, :, :, n:] == 0.0)  # padded keys
+            uniform = np.divide(1, np.float32(n))
+            assert np.all(weights[b, :, n:, :n] == uniform)  # padded queries, in and past the bucket
+            np.testing.assert_allclose(weights[b, :, :n].sum(axis=-1), 1.0, rtol=1e-6)
+
+
 def test_forward_without_tape_is_bitwise_equal(rng):
     model = init_model(small_config(), seed=14)
     seqs = [make_seq(rng, n) for n in (5, 13, 20)]

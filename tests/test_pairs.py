@@ -8,7 +8,6 @@ from adsorbtext.pairs import (
     PredictionRecord,
     chemically_similar,
     column_pair_stats,
-    error_propagation_stats,
     export_parity,
     format_pairs_report,
     generate_pairs,
@@ -24,7 +23,7 @@ from adsorbtext.pairs import (
     write_predictions,
     _groups,
 )
-from reference_ops import sorted_groups
+from reference_ops import error_propagation_stats, sorted_groups
 
 
 def _rec(i, split="ID", smiles="NH", bulk="Al20Rh8", label=0.0, err=0.0):

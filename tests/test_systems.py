@@ -9,11 +9,11 @@ from adsorbtext.systems import (
     AtomicSystem,
     DatasetError,
     load_dataset,
-    minimum_image_distance,
     pairwise_min_image_distances,
     save_dataset,
 )
 from adsorbtext.synth import table_fixture_system
+from reference_ops import minimum_image_distance
 
 
 # element table values printed in the serialized property blocks
