@@ -20,7 +20,7 @@ import numpy as np
 from .autograd import no_tape
 from .elements import formula_elements
 from .encoder import AttentionRecord, EncoderModel, forward
-from .systems import AtomicSystem
+from .systems import AtomicSystem, output
 from .tokens import TokenSequence, tokenize_words
 from .trainer import INFERENCE_BATCH_SIZE
 
@@ -125,7 +125,7 @@ def export_heatmap(profiles: Iterable[TokenAttentionProfile],
     Intensity is max-normalized within each layer, so the strongest word
     of a layer has intensity 1.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with output(path) as fh:
         fh.write("layer\tposition\tword\traw_score\tintensity\n")
         for profile in profiles:
             peak = max((w.score for w in profile.words), default=0.0)
@@ -171,7 +171,7 @@ def export_embeddings(
     if len(systems) != len(seqs):
         raise ValueError("systems and encoded sequences must align")
     hidden = model.config.hidden_size
-    with open(path, "w", encoding="utf-8") as fh:
+    with output(path) as fh:
         meta_cols = ["system_id", "split", "adsorbate_smiles", "bulk_formula",
                      "n_ads_atoms", "size_class"]
         meta_cols += [f"contains_{el}" for el in FLAG_ELEMENTS]

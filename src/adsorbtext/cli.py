@@ -62,7 +62,7 @@ from .featurize import (
     serialize,
     write_corpus,
 )
-from .systems import SPLITS, load_dataset
+from .systems import SPLITS, load_dataset, output
 from .tokens import Vocabulary, build_vocab, encode
 from .trainer import (
     INFERENCE_BATCH_SIZE,
@@ -319,7 +319,7 @@ def write_run_manifest(args: argparse.Namespace, out: Path) -> Path:
         "wall_time_s": time.perf_counter() - args.started,
     }
     path = out / "manifest.json" if out.is_dir() else out.with_name(out.name + ".manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with output(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
@@ -354,7 +354,6 @@ def cmd_featurize(args) -> None:
         by_id = {s.id: s for s in systems}
         records, cache_report = merge_description_cache(records, by_id, cache)
         report.update(cache_report)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
     write_corpus(records, args.out)
     write_run_manifest(args, args.out)
     log.info("featurize: %s", report)
@@ -364,7 +363,6 @@ def cmd_build_vocab(args) -> None:
     _require_inputs(args.inp)
     records = read_corpus(args.inp)
     vocab = build_vocab((r.text for r in records), min_freq=args.min_freq)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
     vocab.save(args.out)
     write_run_manifest(args, args.out)
     log.info("build-vocab: %d tokens", len(vocab))
@@ -372,7 +370,6 @@ def cmd_build_vocab(args) -> None:
 
 def _save_trained(args, result, vocab) -> None:
     """Checkpoint, optional history and manifest of `pretrain` and `train`."""
-    args.out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.model, args.out, vocab_sha256=vocab.sha256,
                     step=len(result.history), seed=args.seed)
     if args.history:
@@ -440,7 +437,6 @@ def cmd_predict(args) -> None:
         out_records.append(pairs_mod.PredictionRecord(
             rec.system_id, rec.split, system.adsorbate_smiles,
             system.bulk_formula, float(label), float(pred)))
-    args.out.parent.mkdir(parents=True, exist_ok=True)
     pairs_mod.write_predictions(out_records, args.out)
     write_run_manifest(args, args.out)
     log.info("predict: %d records", len(out_records))
@@ -454,10 +450,9 @@ def cmd_eval(args) -> None:
         lineno = int((columns.split == unknown[0]).argmax()) + 2  # after the header
         raise UserError(f"{args.pred}:{lineno}: split {columns.split_names[unknown[0]]!r} "
                         f"is not one of {', '.join(SPLITS)}")
-    args.out.mkdir(parents=True, exist_ok=True)
     rows = pairs_mod.mae_by_split(columns)
     report_path = args.out / "mae_report.tsv"
-    with open(report_path, "w", encoding="utf-8") as fh:
+    with output(report_path) as fh:
         fh.write("split\tmae\tcount\n")
         for split, mae, count in rows:
             fh.write(f"{split}\t{mae!r}\t{count}\n")
@@ -487,7 +482,6 @@ def cmd_attention(args) -> None:
         analysis.attention_profile(record, layer, sample.text, seq)
         for layer in (0, record.n_layers - 1)
     ]
-    args.out.parent.mkdir(parents=True, exist_ok=True)
     analysis.export_heatmap(profiles, args.out)
     write_run_manifest(args, args.out)
     log.info("attention: %s (%s) -> %s", system.id, sample.format, args.out)
@@ -501,7 +495,6 @@ def cmd_embeddings(args) -> None:
     model, _ = load_checkpoint(args.ckpt, vocab)
     records, _ = featurize_systems(systems, args.format.upper())
     seqs = [encode(r.text, vocab, model.config.max_positions) for r in records]
-    args.out.parent.mkdir(parents=True, exist_ok=True)
     analysis.export_embeddings(model, systems, seqs, args.out,
                                batch_size=args.batch_size)
     write_run_manifest(args, args.out)
@@ -513,9 +506,8 @@ def cmd_pairs(args) -> None:
     columns = pairs_mod.read_prediction_columns(args.pred)
     reports = pairs_mod.column_pair_stats(columns,
                                           within_split=not args.across_splits)
-    args.report.mkdir(parents=True, exist_ok=True)
     report_path = args.report / "pairs_report.tsv"
-    with open(report_path, "w", encoding="utf-8") as fh:
+    with output(report_path) as fh:
         fh.write(pairs_mod.format_pairs_report(reports))
     write_run_manifest(args, args.report)
     for rep in reports:
@@ -555,7 +547,7 @@ def run(argv: list[str] | None = None) -> int:
         flag = {**_MODEL_FLAGS, **_RUN_FLAGS}.get(exc.field, (f"--{exc.field}",))[0]
         print(f"error: {flag}: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
-    except (UserError, ValueError, CheckpointError, FileNotFoundError,
+    except (UserError, ValueError, CheckpointError, OSError,  # OSError names its path
             NonFiniteGradientError) as exc:  # a diverging run is its settings' fault
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
@@ -600,7 +592,6 @@ def end_to_end_smoke(cfg: SmokeConfig) -> dict:
     failure raises SmokeStageError naming the stage.
     """
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     dataset = Path(cfg.dataset) if cfg.dataset else fixture_dataset_path()
     artifacts = {
         "corpus": out / "corpus.jsonl",
@@ -665,7 +656,7 @@ def end_to_end_smoke(cfg: SmokeConfig) -> dict:
     missing = [k for k, v in artifacts.items() if not Path(v).exists()]
     if missing:
         raise SmokeStageError(f"missing artifacts after pipeline: {missing}")
-    with open(out / "smoke_report.json", "w", encoding="utf-8") as fh:
+    with output(out / "smoke_report.json") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     return report

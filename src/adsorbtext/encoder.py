@@ -50,7 +50,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .systems import is_count, is_real
+from .systems import is_count, is_real, output
 from .tokens import TokenSequence, Vocabulary
 
 CHECKPOINT_MAGIC = b"ADTXCKPT"
@@ -471,7 +471,7 @@ def save_checkpoint(
     }
     header = json.dumps(manifest, sort_keys=True).encode("utf-8")
     dtype = np.dtype(model.config.np_dtype).newbyteorder("<")
-    with open(path, "wb") as fh:
+    with output(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)

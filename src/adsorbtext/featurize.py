@@ -31,6 +31,7 @@ from .systems import (
     TAG_SURFACE,
     AtomicSystem,
     is_real,
+    output,
     pairwise_min_image_distances,
 )
 
@@ -327,7 +328,7 @@ def featurize_systems(
 
 
 def write_corpus(records: Iterable[CorpusRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with output(path) as fh:
         for rec in records:
             fh.write(json.dumps(rec._asdict()) + "\n")
 

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .systems import SPLITS
+from .systems import SPLITS, output
 
 
 class PredictionRecord(NamedTuple):
@@ -75,7 +75,7 @@ _HEADER = ["system_id", "split", "adsorbate_smiles", "bulk_formula", "label", "p
 
 
 def write_predictions(records: Iterable[PredictionRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with output(path) as fh:
         fh.write("\t".join(_HEADER) + "\n")
         for r in records:
             fh.write(f"{r.system_id}\t{r.split}\t{r.adsorbate_smiles}\t"
@@ -392,20 +392,21 @@ def _split_report(split: str, errors: np.ndarray, adsorbate: np.ndarray,
 
 
 def export_parity(columns: PredictionColumns, out_dir: str | Path) -> list[Path]:
-    """Per-split (label, prediction) tables with a summary-MAE comment."""
+    """Per-split (label, prediction) tables with a summary-MAE comment, none stale."""
     if not len(columns.error):
         raise ValueError("no prediction records")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for split, idx in _splits(columns):
         path = out_dir / f"parity_{split}.tsv"
-        with open(path, "w", encoding="utf-8") as fh:
+        with output(path) as fh:
             fh.write(f"# split={split} n={len(idx)} mae={_mae(columns.error[idx])!r}\n")
             fh.write("label\tprediction\n")
             for y, p in zip(columns.label[idx].tolist(), columns.prediction[idx].tolist()):
                 fh.write(f"{y!r}\t{p!r}\n")
         written.append(path)
+    for split in set(SPLITS) - set(columns.split_names):  # a rerun's stale tables
+        (out_dir / f"parity_{split}.tsv").unlink(missing_ok=True)
     return written
 
 

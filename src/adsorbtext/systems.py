@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import reprlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -193,8 +195,25 @@ def load_dataset(path: str | Path) -> list[AtomicSystem]:
     return systems
 
 
+@contextmanager
+def output(path: str | Path, mode: str = "w"):
+    """A handle on path (UTF-8 text, or bytes with mode "wb") whose file appears
+    whole or not at all: it writes `.<name>.<pid>.tmp` beside path, making its
+    directories as needed, and renames it onto path on a clean exit. No fsync."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    name = os.fsdecode(os.fsencode(path.name)[:242])  # NAME_MAX 255 less dots, pid, .tmp
+    tmp = path.with_name(f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_dataset(systems: list[AtomicSystem], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with output(path) as fh:
         for system in systems:
             fh.write(json.dumps(system.to_record()) + "\n")
 

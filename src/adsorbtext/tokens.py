@@ -23,6 +23,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .systems import output
+
 SPECIALS = ("<s>", "</s>", "<pad>", "<unk>", "<mask>")
 BOS, EOS, PAD, UNK, MASK = range(5)
 N_SPECIALS = len(SPECIALS)
@@ -83,7 +85,7 @@ class Vocabulary:
         return hashlib.sha256("\n".join(self.id_to_token).encode("utf-8")).hexdigest()
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with output(path) as fh:
             fh.write("# adsorbtext vocabulary v1\n")
             fh.write("# specials: " + " ".join(SPECIALS) + "\n")
             for token in self.id_to_token:

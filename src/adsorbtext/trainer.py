@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autograd as ag
 from .encoder import EncoderModel, check_fields, ensure_mlm_head, forward, mlm_logits
-from .systems import is_count, is_real
+from .systems import is_count, is_real, output
 from .tokens import TokenSequence, Vocabulary, dynamic_mask, encode
 
 log = logging.getLogger(__name__)
@@ -303,9 +303,10 @@ def _op_ms(before: dict, steps: int) -> dict:
             for phase, i in (("fwd", 1), ("bwd", 2))}
 
 
-def _history_row(epoch: int, metrics: dict, run_cfg: TrainRunConfig, tic: float,
-                 stats: dict) -> dict:
-    return {"epoch": epoch, **metrics, "lrs": [run_cfg.base_lr * f for f in GROUP_FACTORS],
+def _history_row(epoch: int, metrics: dict, model: EncoderModel, run_cfg: TrainRunConfig,
+                 tic: float, stats: dict) -> dict:
+    lrs = LrGroupPlan(model.config.n_layers, run_cfg.base_lr).effective_lrs()
+    return {"epoch": epoch, **metrics, "lrs": lrs,
             "wall_time_s": time.perf_counter() - tic, **stats}
 
 
@@ -344,7 +345,7 @@ def train_regression(
         val_mae = float(np.mean(np.abs(val_pred - val_labels)))
         stats["validation_s"] = time.perf_counter() - val_tic
         history.append(_history_row(epoch, {"train_mae": train_mae, "val_mae": val_mae},
-                                    run_cfg, tic, stats))
+                                    model, run_cfg, tic, stats))
 
         if val_mae < best_val:
             best_val = val_mae
@@ -407,7 +408,7 @@ def pretrain_mlm(
                         epoch, start)
         return loss
 
-    history = [_history_row(epoch, {"mlm_loss": mlm_loss}, run_cfg, tic, stats)
+    history = [_history_row(epoch, {"mlm_loss": mlm_loss}, model, run_cfg, tic, stats)
                for epoch, mlm_loss, tic, stats in _epochs(
                    model, run_cfg, len(base_seqs), batch_loss, by_size=False,
                    batch_of=masked_batch)]
@@ -434,7 +435,7 @@ def masked_top1_accuracy(model: EncoderModel, texts: Sequence[str],
 
 def write_history(history: list[dict], path: str | Path) -> None:
     """Line-delimited (epoch, split, metric, value) records."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with output(path) as fh:
         for row in history:
             epoch = row["epoch"]
             for key, value in row.items():

@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import adsorbtext.analysis as analysis
 from adsorbtext.analysis import export_embeddings
 from adsorbtext.cli import (
+    EXIT_INTERNAL_ERROR,
     EXIT_OK,
     EXIT_USER_ERROR,
     SmokeConfig,
@@ -163,6 +165,19 @@ def test_history_times_step_phases(tmp_path, caplog):
                 assert split == "val" and 0 < seconds <= rows[epoch, "wall_time_s"][1]
             else:
                 assert (epoch, "validation_s") not in rows
+
+
+@pytest.mark.parametrize("command", ["train", "pretrain"])
+def test_outputs_go_into_directories_made_as_needed(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    assert run(["featurize", "--in", str(fixture_dataset_path()), "--out", "c.jsonl",
+                "--format", "s1"]) == EXIT_OK
+    assert run(["build-vocab", "--in", "c.jsonl", "--out", "v.txt"]) == EXIT_OK
+    assert run([command, "--corpus", "c.jsonl", "--vocab", "v.txt", "--out", "m/model.ckpt",
+                "--history", "h/history.tsv", "--epochs", "1", "--layers", "1", "--heads", "1",
+                "--hidden", "8", "--max-positions", "16", "--dtype", "float32"]) == EXIT_OK
+    for name in ("m/model.ckpt", "m/model.ckpt.manifest.json", "h/history.tsv"):
+        assert (tmp_path / name).stat().st_size > 0, name
 
 
 _TINY_MODEL = ["--layers", "1", "--heads", "1", "--hidden", "8", "--max-positions", "64",
@@ -705,6 +720,51 @@ def test_eval_rejects_split_outside_splits(tmp_path, capsys):
     assert run(["eval", "--pred", str(pred), "--out", str(out)]) == EXIT_USER_ERROR
     assert f"{pred}:3: split 'val' is not one of" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_eval_rerun_removes_only_stale_parity_tables(tmp_path):
+    header = "system_id\tsplit\tadsorbate_smiles\tbulk_formula\tlabel\tprediction\n"
+    both, only_id = tmp_path / "both.tsv", tmp_path / "id.tsv"
+    both.write_text(header + "a\tID\tNH3\tPt\t-1.0\t-0.9\nb\tOOD_ads\tOH\tPt\t-0.5\t0.0\n")
+    only_id.write_text(header + "a\tID\tNH3\tPt\t-1.0\t-0.9\n")
+    out = tmp_path / "eval"
+    assert run(["eval", "--pred", str(both), "--out", str(out)]) == EXIT_OK
+    assert (out / "parity_OOD_ads.tsv").exists()
+    (out / "parity_notes.tsv").write_text("not a split's table\n")
+    assert run(["eval", "--pred", str(only_id), "--out", str(out)]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == [
+        "mae_report.tsv", "manifest.json", "parity_ID.tsv", "parity_notes.tsv"]
+    assert [line.split("\t")[0] for line in (out / "mae_report.tsv").read_text().splitlines()] \
+        == ["split", "ID", "total"]
+
+
+def test_output_path_that_is_a_directory_is_user_error(trained, tmp_path, capsys):
+    d = tmp_path / "d"
+    d.mkdir()
+    (d / "kept.txt").write_text("kept\n")
+    assert run(["build-vocab", "--in", trained["corpus"], "--out", str(d)]) == EXIT_USER_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{d}'" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]  # no temporary file, no manifest
+    assert [(p.name, p.read_text()) for p in d.iterdir()] == [("kept.txt", "kept\n")]
+
+
+def test_embeddings_failing_mid_run_leave_no_cut_file(trained, tmp_path, monkeypatch, capsys):
+    forward, calls = analysis.forward, []
+
+    def cut_forward(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 1:
+            raise RuntimeError("second batch failed")
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "forward", cut_forward)
+    assert run(["embeddings", "--systems", trained["systems"], "--vocab", trained["vocab"],
+                "--ckpt", trained["ckpt"], "--out", str(tmp_path / "embeddings.tsv"),
+                "--batch-size", "16"]) == EXIT_INTERNAL_ERROR
+    assert "second batch failed" in capsys.readouterr().err
+    assert len(calls) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flag", [[], ["--across-splits"]], ids=["within", "across"])
